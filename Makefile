@@ -102,7 +102,7 @@ PQLOAD_FLAGS ?=
 # then SIGTERM it and require a clean drain (pqd exits 0).
 loadtest: pqd
 	@set -e; \
-	./bin/pqd -addr 127.0.0.1:0 -metrics 127.0.0.1:0 $(PQD_FLAGS) >.pqd.out 2>&1 & pid=$$!; \
+	./bin/pqd -addr 127.0.0.1:0 -admin 127.0.0.1:0 $(PQD_FLAGS) >.pqd.out 2>&1 & pid=$$!; \
 	addr=""; \
 	for i in $$(seq 50); do \
 	  addr=$$(sed -n 's/.*listening addr=\([^ ]*\).*/\1/p' .pqd.out); \

@@ -21,9 +21,9 @@
 // listener (see internal/admin and docs/OBSERVABILITY.md) — /metrics in
 // Prometheus text format, /healthz for drain-aware load balancing,
 // /debug/flight for flight-recorder dumps, /debug/vars (expvar) and
-// /debug/pprof. -metrics is the backward-compatible alias for -admin.
-// -flight sizes the per-shard flight-recorder rings (0 = off) and -slo
-// sets the per-frame latency budget whose breach captures an anomaly dump.
+// /debug/pprof. -flight sizes the per-shard flight-recorder rings (0 =
+// off) and -slo sets the per-frame latency budget whose breach captures an
+// anomaly dump.
 //
 // On SIGTERM or SIGINT pqd drains: it stops accepting, answers frames
 // already received normally, replies SHUTDOWN to frames arriving during
@@ -125,13 +125,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxConns    = fs.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is refused with BUSY")
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInflight, "max frames applied per connection between response flushes")
 		maxFrame    = fs.Int("max-frame", 0, "max accepted frame size in bytes (0 = protocol default, 1MiB)")
-		workers     = fs.Int("workers", 0, "apply-loop workers connections shard onto (0 = GOMAXPROCS)")
 		batchMax    = fs.Int("batch-max", 0, "max operations accepted per OpBatch frame (0 = default 1024)")
-		batchLinger = fs.Duration("batch-linger", 0, "how long a worker waits for more connections' batches to join one apply run (0 = no linger)")
 		drainWindow = fs.Duration("drain-window", server.DefaultDrainWindow, "how long a drain keeps answering late frames with SHUTDOWN")
 		drainWait   = fs.Duration("drain-timeout", 5*time.Second, "total shutdown budget before connections are force-closed")
 		adminAddr   = fs.String("admin", "", "serve the admin surface (/metrics, /healthz, /debug/flight, /debug/pprof, /debug/vars) on this address; also enables probe collection")
-		metricsAddr = fs.String("metrics", "", "alias for -admin (backward compatible)")
 		flightSlots = fs.Int("flight", 0, "flight-recorder ring slots per shard (0 = recorder off)")
 		slo         = fs.Duration("slo", 0, "per-frame server latency budget; a traced frame exceeding it captures an anomaly dump (0 = off)")
 		walDir      = fs.String("wal-dir", "", "write-ahead-log directory; enables durability (empty = no WAL, in-memory only)")
@@ -151,9 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *version {
 		fmt.Fprint(stdout, admin.BuildInfoText())
 		return 0
-	}
-	if *adminAddr == "" {
-		*adminAddr = *metricsAddr
 	}
 
 	metrics := *adminAddr != ""
@@ -224,9 +218,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Metrics:     metrics,
 		Flight:      serverFR,
 		SLO:         *slo,
-		Workers:     *workers,
 		BatchMaxOps: *batchMax,
-		BatchLinger: *batchLinger,
 		Lease:       leaseTbl,
 	}
 	if durable != nil {

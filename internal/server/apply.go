@@ -1,25 +1,16 @@
-// Worker sharding and apply combining: the server's second amortization
-// layer.
+// Applying a connection's micro-batch.
 //
-// Each connection is assigned (round-robin at admit) to one of
-// Config.Workers apply loops; the reader gathers its micro-batch — every
-// frame already buffered, OpBatch frames decoded into their entries,
-// insert values copied out of the read buffer — into a task. Hand-off is
-// adaptive, the Calciu adaptation argument one layer up from the
-// skiplist: when there is something to combine WITH — a WAL whose fsync
-// group-commit amortizes across connections, a configured linger window,
-// or tasks already queued on the worker — the reader submits the task and
-// blocks until the worker signals completion. Otherwise combining could
-// only add a synchronization round-trip, so the reader applies the task
-// inline itself. Either way the reader performs the socket write, so one
-// slow client never head-of-line blocks another connection's responses,
-// and per-connection FIFO is free because a reader never has more than
-// one task in flight.
+// A connection's reader gathers its micro-batch — every frame already
+// buffered, OpBatch frames decoded into their entries, insert values
+// copied out of the read buffer — into a task, applies it against the
+// backend on its own goroutine, and, when the batch mutated and a WAL is
+// attached, waits on WAL.Commit before it writes the replies. The reader
+// performs the socket write too, so one slow client never head-of-line
+// blocks another connection's responses, and per-connection FIFO is free.
 //
-// The worker, on each wakeup, drains every task queued by every
-// connection it owns (optionally lingering Config.BatchLinger for more),
-// applies the whole run against the backend, covers all of the run's
-// mutations with ONE WAL Commit, and builds each task's response buffer.
+// Nothing in this package combines across connections: the one shared
+// step a combiner could make cheaper is the fsync, and the WAL's group
+// commit already shares it among every reader blocked in Commit.
 package server
 
 import (
@@ -34,7 +25,8 @@ import (
 
 // frameOp is one gathered request frame, decoded and detached from the
 // connection read buffer: insert payloads (and whole batch payloads) are
-// owned copies, so the reader may keep reading while the worker applies.
+// owned copies, because the reader gathers further frames into the same
+// read buffer before it applies any of them.
 type frameOp struct {
 	kind    wire.Kind
 	arg     int64
@@ -47,34 +39,27 @@ type frameOp struct {
 func (op *frameOp) traced() bool { return op.trace != 0 }
 
 // task is one connection micro-batch. A reader owns exactly one task and
-// reuses it: apply inline (or submit and wait on done), write the
-// response, reset. The apply scratch lives here, not on the worker, so
-// the inline path and the worker never share it.
+// reuses it: gather, apply, write the response, reset.
 type task struct {
 	ops    []frameOp
 	resp   respBuf
 	traced []tracedReq
-	nops   int   // operations gathered, batch entries included
-	err    error // WAL commit failure: drop the conn without replying
-	done   chan struct{}
+	nops   int // operations gathered, batch entries included
 
 	statuses []wire.BatchEntry // scratch: per-op statuses of one batch frame
 	order    []int             // scratch: apply order of one batch frame
 }
-
-func newTask() *task { return &task{done: make(chan struct{}, 1)} }
 
 func (t *task) reset() {
 	t.ops = t.ops[:0]
 	t.resp.reset()
 	t.traced = t.traced[:0]
 	t.nops = 0
-	t.err = nil
 }
 
 // addFrame decodes one gathered request frame into the task. It owns the
 // copy-out: f.Data aliases the connection read buffer, which the next
-// wire.Read overwrites, so anything the backend or the worker will see
+// wire.Read overwrites, so anything the backend or the apply pass will see
 // after this call is copied here — once per insert, once per batch frame.
 func (t *task) addFrame(f wire.Frame, maxOps int) {
 	op := frameOp{kind: f.Kind, arg: f.Arg, trace: f.Trace}
@@ -106,115 +91,26 @@ func (t *task) addFrame(f wire.Frame, maxOps int) {
 	t.ops = append(t.ops, op)
 }
 
-// worker is one apply loop. Its tasks channel is closed by stopWorkers
-// once every connection handler has exited.
-type worker struct {
-	s     *Server
-	tasks chan *task
-	run   []*task // scratch: the tasks drained this wakeup
-}
-
-func (w *worker) loop() {
-	defer w.s.workerWG.Done()
-	linger := w.s.cfg.BatchLinger
-	for t := range w.tasks {
-		w.run = append(w.run[:0], t)
-		if linger > 0 {
-			timer := time.NewTimer(linger)
-			for timer != nil {
-				select {
-				case t2, ok := <-w.tasks:
-					if !ok {
-						timer.Stop()
-						timer = nil
-						break
-					}
-					w.run = append(w.run, t2)
-				case <-timer.C:
-					timer = nil
-				}
-			}
-		}
-		// Drain whatever else queued while we were combining: every task
-		// already waiting joins this run and shares its WAL commit.
-		for drained := false; !drained; {
-			select {
-			case t2, ok := <-w.tasks:
-				if !ok {
-					drained = true
-					break
-				}
-				w.run = append(w.run, t2)
-			default:
-				drained = true
-			}
-		}
-		w.applyRun(w.run)
-		for i := range w.run {
-			w.run[i] = nil // drop task refs; readers own them again
-		}
-	}
-}
-
-// applyRun executes one combined run: every op of every task, one WAL
-// commit for all of them, one response buffer per task.
-func (w *worker) applyRun(run []*task) {
-	s := w.s
-	fr := s.cfg.Flight
-	var t0 int64
-	if fr.Enabled() {
-		nops := 0
-		for _, t := range run {
-			nops += t.nops
-		}
-		t0 = fr.Now()
-		fr.RecordAt(t0, flight.KBatchAssemble, 0, int64(nops))
-	}
+// apply executes every gathered frame of the task against the backend
+// and builds its response buffer. Durable ACK: when the task mutated and a
+// WAL is attached, one Commit covers all of its mutations, sharing its
+// fsync with whichever other connections are committing. On a commit
+// failure the caller must drop the connection without replying: an
+// un-ACKed operation is indeterminate to the client, which is exactly what
+// it is on disk.
+func (s *Server) apply(t *task) error {
 	metered := s.obs.set.Enabled()
 	mutated := false
-	for _, t := range run {
-		m := s.applyTask(t, metered)
-		mutated = mutated || m
-	}
-	s.bobs.flushes.Inc()
-	// Durable ACK: one Commit covers every mutation of the whole run —
-	// group commit across every connection this worker drained. On a
-	// commit failure no task answers: an un-ACKed operation is
-	// indeterminate to the client, which is exactly what it is on disk.
-	if mutated && s.cfg.WAL != nil {
-		if err := s.cfg.WAL.Commit(); err != nil {
-			for _, t := range run {
-				t.err = err
-			}
-		}
-	}
-	if fr.Enabled() {
-		now := fr.Now()
-		fr.RecordAt(now, flight.KBatchApply, 0, now-t0)
-	}
-	for _, t := range run {
-		t.done <- struct{}{}
-	}
-}
-
-// applyInline is the reader's fast path: a run of one task, applied on
-// the connection goroutine itself. Taken only when the worker has nothing
-// to combine it with (no WAL, no linger, empty queue), where the hand-off
-// round-trip would be pure overhead.
-func (s *Server) applyInline(t *task) {
-	s.applyTask(t, s.obs.set.Enabled())
-	s.bobs.flushes.Inc()
-}
-
-// applyTask executes every gathered frame of one task against the
-// backend, reporting whether any mutated.
-func (s *Server) applyTask(t *task, metered bool) (mutated bool) {
 	for i := range t.ops {
 		m := s.applyFrame(t, &t.ops[i], metered)
 		mutated = mutated || m
 	}
 	s.bobs.runOps.ObserveN(uint64(t.nops))
-	return mutated
+	s.bobs.flushes.Inc()
+	if mutated && s.cfg.WAL != nil {
+		return s.cfg.WAL.Commit()
+	}
+	return nil
 }
 
 // applyFrame executes one gathered frame and appends its response frame

@@ -3,6 +3,8 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -195,13 +197,14 @@ func TestBatchDuringDrain(t *testing.T) {
 }
 
 // countingWAL counts Commit calls — the proof that a whole batch rides
-// one durability barrier.
+// one durability barrier — and fails each one with commitErr, if set.
 type countingWAL struct {
-	commits atomic.Int64
-	syncs   atomic.Int64
+	commits   atomic.Int64
+	syncs     atomic.Int64
+	commitErr error
 }
 
-func (w *countingWAL) Commit() error { w.commits.Add(1); return nil }
+func (w *countingWAL) Commit() error { w.commits.Add(1); return w.commitErr }
 func (w *countingWAL) Sync() error   { w.syncs.Add(1); return nil }
 
 // TestBatchOneCommit: one applied batch of many mutations costs exactly
@@ -240,6 +243,42 @@ func TestBatchOneCommit(t *testing.T) {
 	readFrame(t, nc)
 	if got := wal.commits.Load(); got != 1 {
 		t.Fatalf("read-only batch changed Commit count to %d, want still 1", got)
+	}
+}
+
+// TestCommitFailureDropsConn: when the durability barrier fails, the
+// operations it covered are applied but not durable, so the server must
+// not ACK them — it closes the connection without writing one reply byte,
+// for a single-op frame and for an OpBatch alike.
+func TestCommitFailureDropsConn(t *testing.T) {
+	single, err := wire.Append(nil, wire.Frame{Kind: wire.OpInsert, Arg: 1, Data: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := wire.AppendBatch(nil, []wire.BatchEntry{
+		{Kind: wire.OpInsert, Arg: 2, Data: []byte("w")},
+		{Kind: wire.OpLen},
+	}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string][]byte{"single-op": single, "batch": batch} {
+		t.Run(name, func(t *testing.T) {
+			wal := &countingWAL{commitErr: errors.New("disk gone")}
+			_, _, addr := startServer(t, server.Config{WAL: wal})
+			nc := rawConn(t, addr)
+			if _, err := nc.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(nc)
+			if err != nil || len(got) != 0 {
+				t.Fatalf("read %d bytes, err %v; want a clean close with no reply", len(got), err)
+			}
+			if n := wal.commits.Load(); n != 1 {
+				t.Fatalf("Commit ran %d times, want 1", n)
+			}
+		})
 	}
 }
 

@@ -129,6 +129,9 @@ func TestFlightSLOBreach(t *testing.T) {
 	_, _, addr := startServer(t, server.Config{Flight: fr, SLO: time.Nanosecond})
 	c := dialRaw(t, addr)
 	c.roundTrip(wire.Frame{Kind: wire.OpPing, Trace: 7, SendNano: time.Now().UnixNano()})
+	// The breach is recorded after the traced reply is written; the reply
+	// to a second frame on the same connection proves that has happened.
+	c.roundTrip(wire.Frame{Kind: wire.OpPing})
 	if fr.Anomalies() == 0 {
 		t.Fatal("1ns SLO produced no anomaly")
 	}

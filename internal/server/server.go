@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,19 +114,10 @@ type Config struct {
 	// the same sync window). Configure the Backend as the matching
 	// wal.Queue wrapper — the server only drives the barrier.
 	WAL Durability
-	// Workers is the number of apply loops connections are sharded onto;
-	// 0 selects GOMAXPROCS. Each worker combines the pending micro-batches
-	// of every connection it owns into one apply run with one WAL commit.
-	Workers int
 	// BatchMaxOps caps operations per OpBatch frame (0 selects
 	// DefaultBatchMaxOps); a larger batch is answered StatusErr without
 	// touching the backend.
 	BatchMaxOps int
-	// BatchLinger, if positive, is how long a worker waits after its first
-	// pending task for more connections' batches to join the apply run —
-	// trading per-op latency for combining width. Zero lingers not at all:
-	// a run combines only what is already queued.
-	BatchLinger time.Duration
 	// Lease, if non-nil, enables the at-least-once opcodes (PopLease, Ack,
 	// Nack, Extend, InsertDelay) against this table. Configure Backend as
 	// the same table so plain and leased opcodes see one queue. Shutdown
@@ -203,8 +193,8 @@ func newProbes(enabled bool) probes {
 type batchProbes struct {
 	set     *obs.Set
 	size    *obs.Hist    // batch.size: operations per OpBatch frame
-	flushes *obs.Counter // coalesce.flushes: combined worker apply runs
-	runOps  *obs.Hist    // coalesce.ops: operations per connection flush
+	flushes *obs.Counter // coalesce.flushes: connection micro-batches applied
+	runOps  *obs.Hist    // coalesce.ops: operations per connection micro-batch
 	vectors *obs.Counter // vector.writes: response writes that spliced buffers
 }
 
@@ -236,12 +226,6 @@ type Server struct {
 	closed bool
 
 	connWG sync.WaitGroup
-
-	workers     []*worker
-	nextWorker  atomic.Uint64
-	workerWG    sync.WaitGroup
-	startWorker sync.Once
-	stopWorker  sync.Once
 }
 
 // New returns an unstarted server; call Serve or ListenAndServe.
@@ -263,49 +247,18 @@ func New(cfg Config) *Server {
 	if cfg.DrainWindow <= 0 {
 		cfg.DrainWindow = DefaultDrainWindow
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.BatchMaxOps <= 0 {
 		cfg.BatchMaxOps = DefaultBatchMaxOps
 	}
 	if cfg.BatchMaxOps > wire.MaxBatchOps {
 		cfg.BatchMaxOps = wire.MaxBatchOps
 	}
-	s := &Server{
+	return &Server{
 		cfg:   cfg,
 		obs:   newProbes(cfg.Metrics),
 		bobs:  newBatchProbes(cfg.Metrics),
 		conns: map[net.Conn]struct{}{},
 	}
-	s.workers = make([]*worker, cfg.Workers)
-	for i := range s.workers {
-		s.workers[i] = &worker{s: s, tasks: make(chan *task, 64)}
-	}
-	return s
-}
-
-// startWorkers launches the apply loops; called once, on first admit, so
-// an unserved Server leaks no goroutines.
-func (s *Server) startWorkers() {
-	s.startWorker.Do(func() {
-		for _, w := range s.workers {
-			s.workerWG.Add(1)
-			go w.loop()
-		}
-	})
-}
-
-// stopWorkers ends the apply loops. It must only run after every
-// connection handler has exited — a handler with a task in flight would
-// otherwise wait forever.
-func (s *Server) stopWorkers() {
-	s.stopWorker.Do(func() {
-		for _, w := range s.workers {
-			close(w.tasks)
-		}
-		s.workerWG.Wait()
-	})
 }
 
 // Snapshot reads the server's probes (zero Snapshot without Config.Metrics).
@@ -399,19 +352,14 @@ func (s *Server) admit(nc net.Conn) {
 		return
 	}
 	s.obs.accepted.Inc()
-	s.startWorkers()
-	// Shard the connection onto an apply loop. Round-robin is the hash:
-	// with synchronous readers it balances exactly and never strands a hot
-	// connection behind an idle worker.
-	w := s.workers[s.nextWorker.Add(1)%uint64(len(s.workers))]
-	go s.handle(nc, w)
+	go s.handle(nc)
 }
 
 // connBufSize sizes the per-connection read buffer; it is also the upper
 // bound on how many request bytes one micro-batch can drain.
 const connBufSize = 64 << 10
 
-func (s *Server) handle(nc net.Conn, w *worker) {
+func (s *Server) handle(nc net.Conn) {
 	defer func() {
 		nc.Close()
 		s.mu.Lock()
@@ -424,10 +372,8 @@ func (s *Server) handle(nc net.Conn, w *worker) {
 	br := newConnReader(nc, connBufSize)
 	var rbuf []byte // wire.Read scratch; frame Data aliases it
 	fr := s.cfg.Flight
-	// t is this connection's one task, reused for every micro-batch: the
-	// reader never has more than one in flight, which is what makes the
-	// worker handoff FIFO-preserving and the reuse race-free.
-	t := newTask()
+	// t is this connection's one task, reused for every micro-batch.
+	t := new(task)
 	var bufs net.Buffers
 
 	for {
@@ -473,21 +419,8 @@ func (s *Server) handle(nc net.Conn, w *worker) {
 			}
 		}
 		s.obs.batch.ObserveN(uint64(batch))
-		// Adaptive hand-off: combining pays only when there is something
-		// to combine with — a WAL fsync to share, a linger window, or
-		// tasks already queued on this connection's worker. Then the
-		// worker applies the micro-batch (and covers it with the run's
-		// WAL commit). Otherwise apply inline and skip the hand-off
-		// round-trip. The response write stays here either way, so a
-		// slow client blocks only itself.
-		if s.cfg.WAL == nil && s.cfg.BatchLinger == 0 && len(w.tasks) == 0 {
-			s.applyInline(t)
-		} else {
-			w.tasks <- t
-			<-t.done
-			if t.err != nil {
-				return
-			}
+		if err := s.apply(t); err != nil {
+			return // commit failed: nothing applied here may be ACKed
 		}
 		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
 		bufs = t.resp.appendBuffers(bufs[:0])
@@ -527,9 +460,9 @@ func (s *Server) finishBatch(fr *flight.Recorder, traced []tracedReq, batch int)
 
 // applyOp executes one operation — a single-op frame or one batch entry —
 // against the backend and returns its status triple; mutated reports
-// whether the backend changed (the signal that the run needs a WAL commit
-// before its replies flush). data is owned by the caller's gather copy,
-// so an insert hands it to the backend directly.
+// whether the backend changed (the signal that the micro-batch needs a WAL
+// commit before its replies flush). data is owned by the caller's gather
+// copy, so an insert hands it to the backend directly.
 func (s *Server) applyOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
 	switch k {
 	case wire.OpInsert:
@@ -689,12 +622,10 @@ func (s *Server) waitConns(ctx context.Context) error {
 	select {
 	case <-done:
 		s.finishClose()
-		s.stopWorkers()
 		return nil
 	case <-ctx.Done():
 		s.finishClose()
 		<-done
-		s.stopWorkers()
 		return ctx.Err()
 	}
 }
@@ -719,6 +650,5 @@ func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.finishClose()
 	s.connWG.Wait()
-	s.stopWorkers()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,5 +110,78 @@ func TestWALDrainRestart(t *testing.T) {
 			}
 			t.Logf("mode=%s %s", mode, rep)
 		})
+	}
+}
+
+// TestGroupCommitAcrossConns: with every connection committing for itself,
+// the log's group commit is what amortizes the fsync across connections.
+// Eight connections insert one op per frame over a sync-mode WAL; every
+// ACKed insert must be recovered after Close, and the log must have needed
+// strictly fewer fsyncs than it wrote records.
+func TestGroupCommitAcrossConns(t *testing.T) {
+	dir := t.TempDir()
+	q, _, err := wal.OpenQueue(wal.Config{Dir: dir, Mode: wal.ModeSync, Metrics: true}, skipqueue.NewPQ[[]byte]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Backend: q, WAL: q})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	const conns, per = 8, 100
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl, err := client.Dial(client.Config{Addr: ln.Addr().String()})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			for i := 0; i < per; i++ {
+				id := c*per + i
+				if err := cl.Insert(int64(id%17), []byte(strconv.Itoa(id))); err != nil {
+					t.Errorf("insert %d: %v", id, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	snap := q.Log().Snapshot()
+	records := snap.Counter("append.records")
+	fsyncs, _ := snap.Hist("sync.batch")
+	if records != conns*per || fsyncs.Count == 0 || fsyncs.Count >= records {
+		t.Fatalf("%d records in %d fsyncs, want %d records in fewer fsyncs", records, fsyncs.Count, conns*per)
+	}
+	t.Logf("%d records in %d fsyncs", records, fsyncs.Count)
+
+	srv.Close()
+	<-done
+	if err := q.Close(); err != nil {
+		t.Fatalf("wal close: %v", err)
+	}
+	rec, err := wal.Recover(dir, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	seen := make(map[string]bool, len(rec.Items))
+	for _, it := range rec.Items {
+		seen[string(it.Value)] = true
+	}
+	for id := 0; id < conns*per; id++ {
+		if !seen[strconv.Itoa(id)] {
+			t.Fatalf("ACKed insert %d missing after recovery (%d items recovered)", id, len(rec.Items))
+		}
 	}
 }
