@@ -6,8 +6,9 @@ import "testing"
 // 8-way parallel 50/50 push/pop on one hot priority, where every push is
 // eligible to cancel against a concurrent pop. Strict is the bare multiset
 // PQ (every op walks the skiplist head); Elim routes matched pairs through
-// the exchanger. Recorded against BENCH_baseline.json; `make bench-smoke`
-// captures the same comparison through cmd/nativebench in BENCH_elim.txt.
+// the exchanger. A local probe: the benchmark's frontier (elim.ns_per_op,
+// elim.hit_share; bench/README.md) runs uniform keys and has no hot-key
+// point yet.
 func BenchmarkElimHotKey(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -9,8 +9,9 @@ import (
 // BenchmarkSkipQueue measures the observability layer's cost on the mixed
 // workload: the same queue and load with probes disabled (the default) and
 // enabled. The disabled case is the one that matters for the library's
-// baseline — every probe site must shrink to a nil check — and is recorded
-// against BENCH_baseline.json.
+// baseline — every probe site must shrink to a nil check. A local probe:
+// the figure of record is obs.overhead_share in the benchmark's traced run
+// (bench/README.md).
 func BenchmarkSkipQueue(b *testing.B) {
 	for _, mode := range []struct {
 		name string

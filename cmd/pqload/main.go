@@ -1,9 +1,9 @@
-// Command pqload is the load generator for pqd: it drives a mixed
-// Insert/DeleteMin workload over internal/client and reports throughput
-// and latency quantiles, optionally as a JSON benchmark artifact
-// (BENCH_server.json). Together with pqd it is the repository's standing
-// macro-benchmark: a client-driven open-system workload, as opposed to the
-// closed-loop microbenchmarks of cmd/skipbench.
+// Command pqload is the operator's load generator for pqd: it drives a
+// mixed Insert/DeleteMin workload over internal/client and prints
+// throughput and latency quantiles. It is a tool for poking a running
+// daemon, not a measuring instrument: the repository's performance
+// numbers come from bench/ (see bench/README.md), which records the
+// machine and the full parameter set with every figure.
 //
 // Two modes:
 //
@@ -22,13 +22,16 @@
 // counted and timed as separate operations. -lease-abandon simulates
 // consumer crashes: that fraction of granted leases is never acked, so
 // the server's expiry sweep redelivers them mid-run.
+//
+// The exit status is 0 only if every operation succeeded: any failed
+// operation (errors=N in the summary line) or a failed final Len exits 1.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"runtime/pprof"
 	"sync"
@@ -38,97 +41,74 @@ import (
 	"skipqueue/internal/client"
 	"skipqueue/internal/flight"
 	"skipqueue/internal/hist"
+	"skipqueue/internal/xrand"
 )
 
-// latSummary is the JSON shape of one operation's latency distribution.
-type latSummary struct {
-	N      uint64  `json:"n"`
-	MeanNs int64   `json:"mean_ns"`
-	P50Ns  int64   `json:"p50_ns"`
-	P90Ns  int64   `json:"p90_ns"`
-	P99Ns  int64   `json:"p99_ns"`
-	MaxNs  int64   `json:"max_ns"`
-	MeanMs float64 `json:"mean_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-}
-
-func summarize(h *hist.H) latSummary {
-	return latSummary{
-		N:      h.Count(),
-		MeanNs: int64(h.Mean()),
-		P50Ns:  int64(h.Quantile(0.50)),
-		P90Ns:  int64(h.Quantile(0.90)),
-		P99Ns:  int64(h.Quantile(0.99)),
-		MaxNs:  int64(h.Max()),
-		MeanMs: float64(h.Mean()) / 1e6,
-		P99Ms:  float64(h.Quantile(0.99)) / 1e6,
-	}
-}
-
-// report is the BENCH_server.json document.
-type report struct {
-	Bench     string     `json:"bench"`
-	Mode      string     `json:"mode"`
-	Addr      string     `json:"addr"`
-	Conns     int        `json:"conns"`
-	Workers   int        `json:"workers"`
-	BatchMax  int        `json:"batch_max,omitempty"`
-	LingerNs  int64      `json:"batch_linger_ns,omitempty"`
-	RateOps   int        `json:"rate_ops_per_s,omitempty"`
-	Mix       float64    `json:"insert_mix"`
-	ValueSize int        `json:"value_bytes"`
-	Duration  float64    `json:"duration_s"`
-	Ops       uint64     `json:"ops"`
-	Errors    uint64     `json:"errors"`
-	Thru      float64    `json:"throughput_ops_per_s"`
-	Insert    latSummary `json:"insert"`
-	DeleteMin latSummary `json:"deletemin"`
-	FinalLen  int        `json:"final_len"`
-
-	// Lease-mode extras (with -lease).
-	Lease     bool        `json:"lease,omitempty"`
-	Abandon   float64     `json:"lease_abandon,omitempty"`
-	Abandoned uint64      `json:"leases_abandoned,omitempty"`
-	PopLease  *latSummary `json:"poplease,omitempty"`
-	Ack       *latSummary `json:"ack,omitempty"`
-}
-
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// tally counts the run's operations and failures across all workers.
+type tally struct {
+	ops, errs atomic.Uint64
+}
+
+// done counts one finished operation; a successful one records its
+// latency since t0 in h.
+func (t *tally) done(h *hist.H, t0 time.Time, err error) {
+	if err != nil {
+		t.errs.Add(1)
+	} else {
+		h.Observe(time.Since(t0))
+	}
+	t.ops.Add(1)
+}
+
+// run is main minus os.Exit, factored out so tests can drive the
+// generator in-process against a loopback server.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pqload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:9400", "pqd address")
-		conns    = flag.Int("conns", 8, "pooled connections")
-		workers  = flag.Int("workers", 16, "closed-loop worker goroutines")
-		duration = flag.Duration("duration", 10*time.Second, "measurement window")
-		rate     = flag.Int("rate", 0, "open-loop target ops/sec (0 = closed loop)")
-		mix      = flag.Float64("mix", 0.5, "fraction of operations that are Inserts")
-		valueSz  = flag.Int("value", 16, "value payload bytes")
-		prefill  = flag.Int("prefill", 1000, "elements inserted before measuring")
-		keyspace = flag.Int64("keyspace", 1<<20, "priorities drawn uniformly from [0, keyspace)")
-		seed     = flag.Int64("seed", 1, "workload RNG seed")
-		batchMax = flag.Int("batch", 0, "client-side op coalescing: pack up to this many pending ops per OpBatch frame (0 = off)")
-		linger   = flag.Duration("batch-linger", 0, "with -batch, how long the writer waits for more pending ops before flushing a short batch")
-		lease    = flag.Bool("lease", false, "consume via PopLease/Ack (at-least-once) instead of DeleteMin; needs a lease-enabled pqd, closed loop only")
-		leaseTTL = flag.Duration("lease-ttl", 0, "per-lease TTL sent with PopLease (0 = server default)")
-		abandon  = flag.Float64("lease-abandon", 0, "fraction of granted leases never acked — simulated consumer crashes the server must redeliver")
-		out      = flag.String("out", "", "write the JSON report to this file (e.g. BENCH_server.json)")
-		traceOut = flag.String("trace-out", "", "record end-to-end traces and write the client flight dump (JSON) to this file; pair with a pqd started with -flight and feed both to cmd/pqtrace")
-		traceEvs = flag.Int("trace-events", 1<<16, "client flight-recorder ring slots per shard (with -trace-out)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the load generator itself to this file")
+		addr     = fs.String("addr", "127.0.0.1:9400", "pqd address")
+		conns    = fs.Int("conns", 8, "pooled connections")
+		workers  = fs.Int("workers", 16, "closed-loop worker goroutines")
+		duration = fs.Duration("duration", 10*time.Second, "measurement window")
+		rate     = fs.Int("rate", 0, "open-loop target ops/sec (0 = closed loop)")
+		mix      = fs.Float64("mix", 0.5, "fraction of operations that are Inserts")
+		valueSz  = fs.Int("value", 16, "value payload bytes")
+		prefill  = fs.Int("prefill", 1000, "elements inserted before measuring")
+		keyspace = fs.Int64("keyspace", 1<<20, "priorities drawn uniformly from [0, keyspace)")
+		seed     = fs.Int64("seed", 1, "workload RNG seed")
+		batchMax = fs.Int("batch", 0, "client-side op coalescing: pack up to this many pending ops per OpBatch frame (0 = off)")
+		linger   = fs.Duration("batch-linger", 0, "with -batch, how long the writer waits for more pending ops before flushing a short batch")
+		lease    = fs.Bool("lease", false, "consume via PopLease/Ack (at-least-once) instead of DeleteMin; needs a lease-enabled pqd, closed loop only")
+		leaseTTL = fs.Duration("lease-ttl", 0, "per-lease TTL sent with PopLease (0 = server default)")
+		abandon  = fs.Float64("lease-abandon", 0, "fraction of granted leases never acked — simulated consumer crashes the server must redeliver")
+		traceOut = fs.String("trace-out", "", "record end-to-end traces and write the client flight dump (JSON) to this file; pair with a pqd started with -flight and feed both to cmd/pqtrace")
+		traceEvs = fs.Int("trace-events", 1<<16, "client flight-recorder ring slots per shard (with -trace-out)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the load generator itself to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *lease && *rate > 0 {
-		fmt.Fprintln(os.Stderr, "pqload: -lease is closed-loop only (no async lease API); drop -rate")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pqload: -lease is closed-loop only (no async lease API); drop -rate")
+		return 2
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pqload: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pqload: %v\n", err)
+			return 1
 		}
-		pprof.StartCPUProfile(f)
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "pqload: %v\n", err)
+			return 1
+		}
 		defer pprof.StopCPUProfile()
 	}
 
@@ -144,8 +124,8 @@ func main() {
 		BatchLinger: *linger,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pqload: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pqload: %v\n", err)
+		return 1
 	}
 	defer cl.Close()
 
@@ -153,86 +133,72 @@ func main() {
 	for i := range value {
 		value[i] = byte('a' + i%26)
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	keys, rng := uint64(*keyspace), xrand.NewRand(uint64(*seed))
 	for i := 0; i < *prefill; i++ {
-		if err := cl.Insert(rng.Int63n(*keyspace), value); err != nil {
-			fmt.Fprintf(os.Stderr, "pqload: prefill: %v\n", err)
-			os.Exit(1)
+		if err := cl.Insert(int64(rng.Uint64n(keys)), value); err != nil {
+			fmt.Fprintf(stderr, "pqload: prefill: %v\n", err)
+			return 1
 		}
 	}
 
 	var (
 		insertH, deleteH hist.H
 		popH, ackH       hist.H
-		ops, errs, aband atomic.Uint64
+		t                tally
+		aband            atomic.Uint64
 	)
 	mode := "closed"
-	start := time.Now()
-	switch {
-	case *rate > 0:
-		mode = "open"
-		runOpen(cl, *rate, *duration, *mix, *keyspace, *seed, value, &insertH, &deleteH, &ops, &errs)
-	case *lease:
+	consume := func(*xrand.Rand) {
+		t0 := time.Now()
+		_, _, _, err := cl.DeleteMin()
+		t.done(&deleteH, t0, err)
+	}
+	if *lease {
+		// A granted lease is acked immediately (two timed round trips)
+		// unless the abandon draw elects it a simulated consumer crash, in
+		// which case nobody acks and the server's expiry sweep must
+		// redeliver it. Ack hitting ErrNoLease counts as an error: with the
+		// TTLs this generator is meant for, a live consumer should never
+		// lose a race with expiry.
 		mode = "lease"
-		runLeaseClosed(cl, *workers, *duration, *mix, *keyspace, *seed, value,
-			*leaseTTL, *abandon, &insertH, &popH, &ackH, &ops, &errs, &aband)
-	default:
-		runClosed(cl, *workers, *duration, *mix, *keyspace, *seed, value, &insertH, &deleteH, &ops, &errs)
+		consume = func(r *xrand.Rand) {
+			t0 := time.Now()
+			l, found, err := cl.PopLease(*leaseTTL)
+			t.done(&popH, t0, err)
+			if err != nil || !found {
+				return
+			}
+			if r.Bool(*abandon) {
+				aband.Add(1) // simulated crash: the lease dies unacked
+				return
+			}
+			t1 := time.Now()
+			t.done(&ackH, t1, l.Ack())
+		}
+	}
+	start := time.Now()
+	if *rate > 0 {
+		mode = "open"
+		runOpen(cl, *rate, *duration, *mix, keys, *seed, value, &insertH, &deleteH, &t)
+	} else {
+		runClosed(cl, *workers, *duration, *mix, keys, *seed, value, &insertH, &t, consume)
 	}
 	elapsed := time.Since(start)
 
-	finalLen, err := cl.Len()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pqload: final Len: %v\n", err)
+	finalLen, lenErr := cl.Len()
+	if lenErr != nil {
+		fmt.Fprintf(stderr, "pqload: final Len: %v\n", lenErr)
 	}
 
-	r := report{
-		Bench:     "pqd loopback macro-benchmark (cmd/pqload)",
-		Mode:      mode,
-		Addr:      *addr,
-		Conns:     *conns,
-		Workers:   *workers,
-		BatchMax:  *batchMax,
-		LingerNs:  int64(*linger),
-		RateOps:   *rate,
-		Mix:       *mix,
-		ValueSize: *valueSz,
-		Duration:  elapsed.Seconds(),
-		Ops:       ops.Load(),
-		Errors:    errs.Load(),
-		Thru:      float64(ops.Load()) / elapsed.Seconds(),
-		Insert:    summarize(&insertH),
-		DeleteMin: summarize(&deleteH),
-		FinalLen:  finalLen,
-	}
+	ops, errs := t.ops.Load(), t.errs.Load()
+	fmt.Fprintf(stdout, "pqload: mode=%s ops=%d errors=%d elapsed=%v throughput=%.0f ops/s final_len=%d\n",
+		mode, ops, errs, elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds(), finalLen)
+	fmt.Fprintf(stdout, "  insert:    %s\n", insertH.Summary())
 	if *lease {
-		r.Lease = true
-		r.Abandon = *abandon
-		r.Abandoned = aband.Load()
-		pl, ak := summarize(&popH), summarize(&ackH)
-		r.PopLease, r.Ack = &pl, &ak
-	}
-
-	fmt.Printf("pqload: mode=%s ops=%d errors=%d elapsed=%v throughput=%.0f ops/s\n",
-		r.Mode, r.Ops, r.Errors, elapsed.Round(time.Millisecond), r.Thru)
-	fmt.Printf("  insert:    %s\n", insertH.Summary())
-	if *lease {
-		fmt.Printf("  poplease:  %s\n", popH.Summary())
-		fmt.Printf("  ack:       %s (abandoned %d leases)\n", ackH.Summary(), aband.Load())
+		fmt.Fprintf(stdout, "  poplease:  %s\n", popH.Summary())
+		fmt.Fprintf(stdout, "  ack:       %s (abandoned %d leases)\n", ackH.Summary(), aband.Load())
 	} else {
-		fmt.Printf("  deletemin: %s\n", deleteH.Summary())
-	}
-
-	if *out != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pqload: writing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("pqload: wrote %s\n", *out)
+		fmt.Fprintf(stdout, "  deletemin: %s\n", deleteH.Summary())
 	}
 
 	if *traceOut != "" {
@@ -242,119 +208,45 @@ func main() {
 			err = os.WriteFile(*traceOut, append(data, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pqload: writing %s: %v\n", *traceOut, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pqload: writing %s: %v\n", *traceOut, err)
+			return 1
 		}
-		fmt.Printf("pqload: wrote %s (%d trace events, %d overwritten)\n",
+		fmt.Fprintf(stdout, "pqload: wrote %s (%d trace events, %d overwritten)\n",
 			*traceOut, len(d.Events), d.Written-uint64(len(d.Events)))
 	}
+
+	if errs > 0 || lenErr != nil {
+		return 1
+	}
+	return 0
 }
 
 // runClosed saturates the server: each worker issues its next op as soon as
-// the previous completes. The per-op bookkeeping is deliberately lean — a
-// xorshift draw instead of math/rand and a deadline check every few ops —
-// so at coalesced throughput the generator measures the server, not itself.
+// the previous completes — an Insert with probability mix, otherwise one
+// consume step (DeleteMin, or PopLease + Ack under -lease). The per-op
+// bookkeeping is deliberately lean — xrand draws and a deadline check
+// every few ops — so at coalesced throughput the generator measures the
+// server, not itself.
 func runClosed(cl *client.Client, workers int, d time.Duration, mix float64,
-	keyspace int64, seed int64, value []byte,
-	insertH, deleteH *hist.H, ops, errs *atomic.Uint64) {
+	keys uint64, seed int64, value []byte,
+	insertH *hist.H, t *tally, consume func(*xrand.Rand)) {
 	deadline := time.Now().Add(d)
-	mixCut := uint64(mix * (1 << 32))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rngState := uint64(seed+int64(w)*1e9)*0x9e3779b97f4a7c15 + 1
-			nextRand := func() uint64 {
-				rngState ^= rngState << 13
-				rngState ^= rngState >> 7
-				rngState ^= rngState << 17
-				return rngState
-			}
+			r := xrand.NewRand(uint64(seed) + uint64(w)*0x9e3779b97f4a7c15)
 			for i := 0; ; i++ {
 				if i%16 == 0 && !time.Now().Before(deadline) {
 					return
 				}
-				t0 := time.Now()
-				if nextRand()&0xffffffff < mixCut {
-					if err := cl.Insert(int64(nextRand()%uint64(keyspace)), value); err != nil {
-						errs.Add(1)
-					} else {
-						insertH.Observe(time.Since(t0))
-					}
+				if r.Bool(mix) {
+					t0 := time.Now()
+					t.done(insertH, t0, cl.Insert(int64(r.Uint64n(keys)), value))
 				} else {
-					if _, _, _, err := cl.DeleteMin(); err != nil {
-						errs.Add(1)
-					} else {
-						deleteH.Observe(time.Since(t0))
-					}
+					consume(r)
 				}
-				ops.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runLeaseClosed is runClosed with the consume side speaking the lease
-// protocol: a granted lease is acked immediately (two timed round trips)
-// unless the abandon draw elects it a simulated consumer crash, in which
-// case nobody acks and the server's expiry sweep must redeliver it. Ack
-// hitting ErrNoLease counts as an error: with the TTLs this generator
-// is meant for, a live consumer should never lose a race with expiry.
-func runLeaseClosed(cl *client.Client, workers int, d time.Duration, mix float64,
-	keyspace int64, seed int64, value []byte, ttl time.Duration, abandon float64,
-	insertH, popH, ackH *hist.H, ops, errs, aband *atomic.Uint64) {
-	deadline := time.Now().Add(d)
-	mixCut := uint64(mix * (1 << 32))
-	abandonCut := uint64(abandon * (1 << 32))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rngState := uint64(seed+int64(w)*1e9)*0x9e3779b97f4a7c15 + 1
-			nextRand := func() uint64 {
-				rngState ^= rngState << 13
-				rngState ^= rngState >> 7
-				rngState ^= rngState << 17
-				return rngState
-			}
-			for i := 0; ; i++ {
-				if i%16 == 0 && !time.Now().Before(deadline) {
-					return
-				}
-				t0 := time.Now()
-				if nextRand()&0xffffffff < mixCut {
-					if err := cl.Insert(int64(nextRand()%uint64(keyspace)), value); err != nil {
-						errs.Add(1)
-					} else {
-						insertH.Observe(time.Since(t0))
-					}
-					ops.Add(1)
-					continue
-				}
-				l, found, err := cl.PopLease(ttl)
-				if err != nil {
-					errs.Add(1)
-				} else {
-					popH.Observe(time.Since(t0))
-				}
-				ops.Add(1)
-				if err != nil || !found {
-					continue
-				}
-				if nextRand()&0xffffffff < abandonCut {
-					aband.Add(1) // simulated crash: the lease dies unacked
-					continue
-				}
-				t1 := time.Now()
-				if err := l.Ack(); err != nil {
-					errs.Add(1)
-				} else {
-					ackH.Observe(time.Since(t1))
-				}
-				ops.Add(1)
 			}
 		}(w)
 	}
@@ -364,14 +256,14 @@ func runLeaseClosed(cl *client.Client, workers int, d time.Duration, mix float64
 // runOpen dispatches ops on a fixed schedule and measures latency from the
 // scheduled time, so a slow server accumulates visible queueing delay.
 func runOpen(cl *client.Client, rate int, d time.Duration, mix float64,
-	keyspace int64, seed int64, value []byte,
-	insertH, deleteH *hist.H, ops, errs *atomic.Uint64) {
+	keys uint64, seed int64, value []byte,
+	insertH, deleteH *hist.H, t *tally) {
 	interval := time.Second / time.Duration(rate)
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
 	deadline := time.Now().Add(d)
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.NewRand(uint64(seed))
 	var wg sync.WaitGroup
 	next := time.Now()
 	for time.Now().Before(deadline) {
@@ -380,8 +272,8 @@ func runOpen(cl *client.Client, rate int, d time.Duration, mix float64,
 		}
 		scheduled := next
 		next = next.Add(interval)
-		isInsert := rng.Float64() < mix
-		prio := rng.Int63n(keyspace)
+		isInsert := rng.Bool(mix)
+		prio := int64(rng.Uint64n(keys))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -397,15 +289,11 @@ func runOpen(cl *client.Client, rate int, d time.Duration, mix float64,
 			if err == nil {
 				_, err = p.Wait()
 			}
-			lat := time.Since(scheduled)
-			if err != nil {
-				errs.Add(1)
-			} else if isInsert {
-				insertH.Observe(lat)
-			} else {
-				deleteH.Observe(lat)
+			h := deleteH
+			if isInsert {
+				h = insertH
 			}
-			ops.Add(1)
+			t.done(h, scheduled, err)
 		}()
 	}
 	wg.Wait()

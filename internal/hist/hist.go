@@ -1,7 +1,7 @@
 // Package hist provides a small fixed-memory latency histogram with
-// logarithmic buckets, used by cmd/nativebench to report percentile
-// latencies of the native queues (testing.B reports only means, and the
-// paper's figures are about latency distributions under contention).
+// logarithmic buckets. It is the repository's one histogram type: obs.Hist
+// is a nil-safe wrapper over H, flight's span attribution aggregates into
+// it, and cmd/pqload prints its summaries (testing.B reports only means).
 package hist
 
 import (

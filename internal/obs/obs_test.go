@@ -3,11 +3,17 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// publishRuns makes the expvar name below unique per run: the registry is
+// process-wide and panics on reuse, and -count or -cpu reruns the test.
+var publishRuns atomic.Int64
 
 func TestNilProbesAreNoOps(t *testing.T) {
 	var s *Set
@@ -132,9 +138,10 @@ func TestPublishExposesJSON(t *testing.T) {
 	s := NewSet("pubtest")
 	s.Counter("ops").Add(9)
 	s.Durations("lat").Observe(time.Microsecond)
-	Publish("obs-test-snapshot", s.Snapshot)
+	name := fmt.Sprintf("obs-test-snapshot-%d", publishRuns.Add(1))
+	Publish(name, s.Snapshot)
 
-	v := expvar.Get("obs-test-snapshot")
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatal("expvar.Get returned nil")
 	}

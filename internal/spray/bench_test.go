@@ -7,7 +7,8 @@ import (
 )
 
 // BenchmarkSprayChurn is the scan-path hot loop: one push + one pop per
-// iteration against a standing backlog (the shape bench-smoke measures).
+// iteration against a standing backlog. A local probe: the gated figure is
+// the frontier's spray.ns_per_op (bench/README.md).
 func BenchmarkSprayChurn(b *testing.B) {
 	q := New[int64](Config{K: 8, Seed: 1})
 	for i := 0; i < 1000; i++ {
