@@ -18,11 +18,13 @@ race:
 	go test -race ./...
 
 # One target that gates a change: vet, full tests, the race detector on the
-# concurrency-heavy packages, and the benchmark module's vet and smoke (the
-# line CI's bench-module job runs; bench/ is a nested module that `./...`
-# does not reach).
+# concurrency-heavy packages and on the root's stress matrix (-short; it is
+# where the exchanger's slot race lived unseen), and the benchmark module's
+# vet and smoke (the line CI's bench-module job runs; bench/ is a nested
+# module that `./...` does not reach).
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
+	go test -race -short . ./internal/elim/ ./internal/spray/
 	cd bench && go vet . && go test -short .
 
 # Build the network daemon and its load generator into bin/.

@@ -254,14 +254,24 @@ func (p *Pending) Wait() (Result, error) {
 // traceIDs issues process-unique trace identifiers; 0 means untraced.
 var traceIDs atomic.Uint64
 
-// submit enqueues one request on a pooled connection.
-func (cl *Client) submit(op wire.Kind, arg int64, data []byte) (*Pending, error) {
-	c, err := cl.getConn()
-	if err != nil {
+// submitAsync is submit into a heap Pending the caller keeps.
+func (cl *Client) submitAsync(op wire.Kind, arg int64, data []byte) (*Pending, error) {
+	p := new(Pending)
+	if err := cl.submit(p, op, arg, data); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// submit enqueues one request on a pooled connection and fills p, which the
+// synchronous path keeps on its stack.
+func (cl *Client) submit(p *Pending, op wire.Kind, arg int64, data []byte) error {
+	c, err := cl.getConn()
+	if err != nil {
+		return err
+	}
 	if len(data) > wire.MaxData {
-		return nil, fmt.Errorf("%w: %d byte payload", wire.ErrFrameTooBig, len(data))
+		return fmt.Errorf("%w: %d byte payload", wire.ErrFrameTooBig, len(data))
 	}
 	// The call holds its operation unencoded: the writer encodes at flush
 	// time, where it can see which neighbors to coalesce with. The payload
@@ -282,9 +292,10 @@ func (cl *Client) submit(op wire.Kind, arg int64, data []byte) (*Pending, error)
 	// the latency a caller actually experiences.
 	fr.Record(flight.KClientSend, ca.trace, ca.sendNano)
 	if err := c.enqueue(ca); err != nil {
-		return nil, err
+		return err
 	}
-	return &Pending{call: ca, timeout: cl.cfg.OpTimeout, trace: ca.trace}, nil
+	*p = Pending{call: ca, timeout: cl.cfg.OpTimeout, trace: ca.trace}
+	return nil
 }
 
 // retryable classifies errors the sync wrappers may re-attempt. Connection
@@ -308,8 +319,8 @@ func (cl *Client) do(op wire.Kind, arg int64, data []byte) (Result, error) {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 2 * time.Millisecond)
 		}
-		p, err := cl.submit(op, arg, data)
-		if err != nil {
+		var p Pending
+		if err := cl.submit(&p, op, arg, data); err != nil {
 			if errors.Is(err, ErrClosed) || errors.Is(err, ErrShutdown) {
 				return Result{}, err
 			}
@@ -365,12 +376,12 @@ func (cl *Client) Ping() error {
 // InsertAsync submits an Insert without waiting; call Pending.Wait to
 // collect the ack. Async calls are not retried.
 func (cl *Client) InsertAsync(priority int64, value []byte) (*Pending, error) {
-	return cl.submit(wire.OpInsert, priority, value)
+	return cl.submitAsync(wire.OpInsert, priority, value)
 }
 
 // DeleteMinAsync submits a DeleteMin without waiting.
 func (cl *Client) DeleteMinAsync() (*Pending, error) {
-	return cl.submit(wire.OpDeleteMin, 0, nil)
+	return cl.submitAsync(wire.OpDeleteMin, 0, nil)
 }
 
 // call is one request/response pair in flight. Calls are pooled: the
@@ -429,11 +440,22 @@ func (c *call) complete(res Result, err error) {
 }
 
 // group is the inflight FIFO unit: the calls answered by one response
-// frame. A single-op frame's group holds one call; an OpBatch frame's
-// group holds every call packed into it, in entry order.
+// frame. A single-op frame's group carries its call inline in one; an
+// OpBatch frame's group holds every call packed into it, in entry order,
+// in a slice recycled through conn.free.
 type group struct {
+	one   *call
 	calls []*call
-	batch bool
+}
+
+// fail completes every call of the group with err.
+func (g group) fail(err error) {
+	if g.one != nil {
+		g.one.complete(Result{}, err)
+	}
+	for _, ca := range g.calls {
+		ca.complete(Result{}, err)
+	}
 }
 
 // conn is one pooled connection: a writer goroutine batching wq into
@@ -444,6 +466,7 @@ type conn struct {
 	nc       net.Conn
 	wq       chan *call
 	inflight chan group
+	free     chan []*call // answered batch groups' slices, reader back to writer
 	window   int
 	maxFrame int
 	batchMax int
@@ -467,6 +490,8 @@ func dialConn(cfg Config) (*conn, error) {
 		nc:       nc,
 		wq:       make(chan *call, cfg.Window),
 		inflight: make(chan group, cfg.Window),
+		// As many slices as there can be batch groups in flight.
+		free:     make(chan []*call, cfg.Window),
 		window:   cfg.Window,
 		maxFrame: cfg.MaxFrame,
 		batchMax: cfg.BatchMax,
@@ -612,31 +637,32 @@ func (c *conn) writeLoop() {
 						entries = append(entries, wire.BatchEntry{Kind: ca.op, Arg: ca.arg, Data: ca.data})
 					}
 					out, err = wire.AppendBatch(out, entries, 0, 0)
-					g = group{calls: append([]*call(nil), batch[i:j]...), batch: true}
+					var calls []*call
+					select {
+					case calls = <-c.free:
+					default:
+					}
+					g = group{calls: append(calls, batch[i:j]...)}
 				} else {
 					ca := batch[i]
 					out, err = wire.Append(out, wire.Frame{
 						Kind: ca.op, Arg: ca.arg, Data: ca.data,
 						Trace: ca.trace, SendNano: ca.sendNano,
 					})
-					g = group{calls: append([]*call(nil), ca)}
+					g = group{one: ca}
 					j = i + 1
 				}
 				if err != nil {
 					// Encoding is validated at submit; an error here is a bug,
 					// but failing the calls beats wedging the pipeline.
-					for _, ca := range g.calls {
-						ca.complete(Result{}, err)
-					}
+					g.fail(err)
 					i = j
 					continue
 				}
 				select {
 				case c.inflight <- g:
 				case <-c.ctx.Done():
-					for _, ca := range g.calls {
-						ca.complete(Result{}, c.failErr())
-					}
+					g.fail(c.failErr())
 					aborted = true
 				}
 				i = j
@@ -685,15 +711,20 @@ func (c *conn) readLoop() {
 			c.drainPending()
 			return
 		}
-		if g.batch {
+		ca := g.one
+		if ca == nil {
 			if err := c.completeBatch(g, f); err != nil {
 				c.fail(err)
 				c.drainPending()
 				return
 			}
+			clear(g.calls)
+			select {
+			case c.free <- g.calls[:0]:
+			default:
+			}
 			continue
 		}
-		ca := g.calls[0]
 		if ca.trace != 0 {
 			c.fr.Record(flight.KClientRecv, ca.trace, 0)
 		}
@@ -782,9 +813,7 @@ func (c *conn) drainPending() {
 		case ca := <-c.wq:
 			ca.complete(Result{}, err)
 		case g := <-c.inflight:
-			for _, ca := range g.calls {
-				ca.complete(Result{}, err)
-			}
+			g.fail(err)
 		default:
 			return
 		}

@@ -18,14 +18,25 @@ type link[K ordered, V any] struct {
 // tower of forward pointers with one lock per level, a whole-node lock that
 // guards against deletion racing with an in-progress insertion, the deleted
 // flag targeted by DeleteMin's SWAP, and the completion timestamp used by
-// the strict ordering mechanism.
+// the strict ordering mechanism. Like the paper's record it is one
+// allocation: newNode carves node and tower out of one size-classed block.
 type node[K ordered, V any] struct {
+	// key and seq are the node's position: nodes order by key, then by seq
+	// (see before). Map-style callers leave seq zero; the multiset adapters
+	// give every element its own.
 	key K
+	seq uint64
+
+	// val is the value the node was inserted with; it is written once,
+	// before the node is published, and read only through value.
+	val V
 
 	// value is stored behind an atomic pointer so that the update-in-place
-	// path of Insert and the value read in DeleteMin are race-free. A nil
-	// pointer means the value has been consumed by a DeleteMin (see
-	// Queue.Insert for the update/delete arbitration protocol).
+	// path of Insert and the value read in DeleteMin are race-free. It
+	// starts out pointing at the node's own val; an update swaps in a boxed
+	// replacement. A nil pointer means the value has been consumed by a
+	// DeleteMin (see Queue.InsertSeq for the update/delete arbitration
+	// protocol).
 	value atomic.Pointer[V]
 
 	// deleted is the logical-deletion mark: zero while live, and the
@@ -54,14 +65,61 @@ type node[K ordered, V any] struct {
 	links []link[K, V]
 }
 
-// newNode allocates a node with the given tower height. The timestamp starts
-// at MaxTime so concurrent strict DeleteMins ignore the node until the
-// insertion completes.
-func newNode[K ordered, V any](key K, value *V, level int) *node[K, V] {
-	n := &node[K, V]{key: key, links: make([]link[K, V], level)}
-	n.value.Store(value)
+// inlineLevels is the tallest tower newNode embeds in the node's own
+// allocation; a tower grows past it with probability p^8.
+const inlineLevels = 8
+
+// node1 … node8 are the allocation size classes: a node followed by its
+// tower, so that links slices memory of the same block.
+type (
+	node1[K ordered, V any] struct {
+		node[K, V]
+		tower [1]link[K, V]
+	}
+	node2[K ordered, V any] struct {
+		node[K, V]
+		tower [2]link[K, V]
+	}
+	node4[K ordered, V any] struct {
+		node[K, V]
+		tower [4]link[K, V]
+	}
+	node8[K ordered, V any] struct {
+		node[K, V]
+		tower [inlineLevels]link[K, V]
+	}
+)
+
+// newNode allocates a node with the given tower height, node and tower in
+// one block up to inlineLevels. The timestamp starts at MaxTime so concurrent
+// strict DeleteMins ignore the node until the insertion completes.
+func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V] {
+	var n *node[K, V]
+	switch {
+	case level <= 1:
+		b := new(node1[K, V])
+		n, b.links = &b.node, b.tower[:level]
+	case level <= 2:
+		b := new(node2[K, V])
+		n, b.links = &b.node, b.tower[:level]
+	case level <= 4:
+		b := new(node4[K, V])
+		n, b.links = &b.node, b.tower[:level]
+	case level <= inlineLevels:
+		b := new(node8[K, V])
+		n, b.links = &b.node, b.tower[:level]
+	default:
+		n = &node[K, V]{links: make([]link[K, V], level)}
+	}
+	n.key, n.seq, n.val = key, seq, value
+	n.value.Store(&n.val)
 	n.timeStamp.Store(vclock.MaxTime)
 	return n
+}
+
+// before reports whether n sorts strictly before (key, seq).
+func (n *node[K, V]) before(key K, seq uint64) bool {
+	return n.key < key || (n.key == key && n.seq < seq)
 }
 
 // level returns the tower height of the node.

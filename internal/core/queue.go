@@ -7,7 +7,9 @@
 //   - Insert (Figure 10) searches for the predecessor at every level, locks
 //     the new node, and splices it in one level at a time from bottom to
 //     top, holding only one predecessor level-lock at a time. When the key
-//     is already present the value is updated in place.
+//     is already present the value is updated in place. Nodes order by
+//     (key, seq): Insert is InsertSeq with seq 0, and the multiset adapters
+//     give every element its own seq so equal keys coexist in arrival order.
 //   - DeleteMin (Figure 11) reads the shared clock, traverses the bottom
 //     level from the head, skips nodes whose completion timestamp is newer
 //     than its own start time, and claims the first unmarked node with an
@@ -188,8 +190,10 @@ type TraceEvent[K ordered] struct {
 	// Insert is true for an Insert that linked a new node, false for a
 	// DeleteMin. (Updates of existing keys are not traced.)
 	Insert bool
-	// Key is the inserted key or the deleted key (valid if OK).
+	// Key and Seq are the inserted or the deleted element's position (valid
+	// if OK); Seq is zero for plain Insert.
 	Key K
+	Seq uint64
 	// OK is false for a DeleteMin that returned EMPTY.
 	OK bool
 	// Stamp is the insert's completion timestamp (the value written to the
@@ -227,8 +231,9 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zeroK K
-	q.tail = newNode[K, V](zeroK, nil, cfg.MaxLevel)
-	q.head = newNode[K, V](zeroK, nil, cfg.MaxLevel)
+	var zeroV V
+	q.tail = newNode(zeroK, 0, zeroV, cfg.MaxLevel)
+	q.head = newNode(zeroK, 0, zeroV, cfg.MaxLevel)
 	// Sentinels are born marked: a DeleteMin scan that bounces onto the
 	// head via a removed node's backward pointer (see remove) must skip it,
 	// never claim it.
@@ -291,24 +296,37 @@ func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot { return q.obs.set.Snapshot() }
 // randomLevel implements the paper's randomLevel (Figure 9): a geometric
 // draw capped at maxLevel.
 func (q *Queue[K, V]) randomLevel() int {
-	r := xrand.NewRand(q.levelSeed.Add(0x9e3779b97f4a7c15))
+	r := xrand.Seeded(q.levelSeed.Add(0x9e3779b97f4a7c15))
 	return r.GeometricLevel(q.cfg.P, q.cfg.MaxLevel)
 }
 
+// precedes reports whether n sorts strictly before (key, seq). The sentinels
+// carry no key: the head precedes everything — a traversal can land on it
+// through a removed node's backward pointer — and the tail nothing.
+func (q *Queue[K, V]) precedes(n *node[K, V], key K, seq uint64) bool {
+	return n != q.tail && (n == q.head || n.before(key, seq))
+}
+
+// beyond reports whether n sorts strictly after victim, with the same
+// sentinel rule as precedes.
+func (q *Queue[K, V]) beyond(n, victim *node[K, V]) bool {
+	return n == q.tail || (n != q.head && victim.before(n.key, n.seq))
+}
+
 // getLock implements the paper's getLock (Figure 9): starting from node1,
-// advance along level to the last node with key < key, lock that node's
+// advance along level to the last node before (key, seq), lock that node's
 // level, then re-validate and slide the lock forward past any node that was
 // inserted (or any backward pointer left by a deletion) before the lock was
 // won. On return the caller holds node1.links[level].mu.
-func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, level int) *node[K, V] {
+func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, seq uint64, level int) *node[K, V] {
 	node2 := node1.loadNext(level)
-	for node2 != q.tail && node2.key < key {
+	for q.precedes(node2, key, seq) {
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
 	node1.links[level].mu.Lock()
 	node2 = node1.loadNext(level)
-	for node2 != q.tail && node2.key < key {
+	for q.precedes(node2, key, seq) {
 		q.stats.lockRetries.Add(1)
 		q.obs.lockRetries.Add(1)
 		q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
@@ -328,14 +346,14 @@ func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, level int) *node[K, V] {
 func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, V] {
 	node1 := start
 	node2 := node1.loadNext(level)
-	for node2 != victim && node2 != q.tail && !(victim.key < node2.key) {
+	for node2 != victim && !q.beyond(node2, victim) {
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
 	node1.links[level].mu.Lock()
 	for node1.loadNext(level) != victim {
 		node2 = node1.loadNext(level)
-		if node2 == q.tail || victim.key < node2.key {
+		if q.beyond(node2, victim) {
 			// The victim is not reachable ahead of node1 on this level.
 			// This can only be a transient view caused by a backward
 			// pointer; restart from the head.
@@ -357,14 +375,14 @@ func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, 
 	return node1
 }
 
-// search fills saved with, for each level, the last node whose key is < key
+// search fills saved with, for each level, the last node before (key, seq)
 // (Figure 10 lines 1–9 / Figure 11 lines 15–22). saved must have length
 // MaxLevel.
-func (q *Queue[K, V]) search(key K, saved []*node[K, V]) {
+func (q *Queue[K, V]) search(key K, seq uint64, saved []*node[K, V]) {
 	node1 := q.head
 	for i := q.cfg.MaxLevel - 1; i >= 0; i-- {
 		node2 := node1.loadNext(i)
-		for node2 != q.tail && node2.key < key {
+		for q.precedes(node2, key, seq) {
 			node1 = node2
 			node2 = node1.loadNext(i)
 		}
@@ -372,12 +390,13 @@ func (q *Queue[K, V]) search(key K, saved []*node[K, V]) {
 	}
 }
 
-// savedBuf returns a scratch slice for predecessor searches. Predecessor
-// arrays are small and short-lived; a fresh allocation per operation is the
-// simple, escape-analysis-friendly choice, and benchmarks showed no win from
-// pooling them.
-func (q *Queue[K, V]) savedBuf() []*node[K, V] {
-	return make([]*node[K, V], q.cfg.MaxLevel)
+// savedBuf returns the predecessor scratch for one operation: the caller's
+// stack array, or a heap slice only when MaxLevel was configured past it.
+func (q *Queue[K, V]) savedBuf(stack *[DefaultMaxLevel]*node[K, V]) []*node[K, V] {
+	if q.cfg.MaxLevel > len(stack) {
+		return make([]*node[K, V], q.cfg.MaxLevel)
+	}
+	return stack[:q.cfg.MaxLevel]
 }
 
 // InsertResult reports what an Insert did.
@@ -393,28 +412,40 @@ const (
 
 // Insert adds key with the given value, or replaces the value of an existing
 // equal key (Figure 10). It returns whether a node was inserted or updated.
+func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
+	return q.InsertSeq(key, 0, value)
+}
+
+// InsertSeq is Insert at position (key, seq): nodes order by key first and
+// seq second, so elements with equal keys and distinct seqs coexist and drain
+// in seq order, and only an equal (key, seq) is updated in place.
 //
-// When the existing equal-key node has already been claimed by a concurrent
+// When the existing equal node has already been claimed by a concurrent
 // DeleteMin, the paper's code would overwrite a value that is about to be
 // (or already was) handed out, silently losing the insert. This
 // implementation instead arbitrates with an atomic value swap: if the
 // deleter consumed the value first, the Insert retries from scratch and
 // links a fresh node, so no inserted value is ever lost.
-func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
+func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 	var t0 time.Time
 	if q.obs.set.Enabled() {
 		t0 = time.Now()
 	}
-	savedNodes := q.savedBuf()
+	var stack [DefaultMaxLevel]*node[K, V]
+	savedNodes := q.savedBuf(&stack)
 	for {
-		q.search(key, savedNodes)
+		q.search(key, seq, savedNodes)
 
-		// Lock level 0 of the predecessor; if the key is present, update in
-		// place under that lock (Figure 10 lines 10–16).
-		node1 := q.getLock(savedNodes[0], key, 0)
+		// Lock level 0 of the predecessor; if the position is taken, update
+		// in place under that lock (Figure 10 lines 10–16).
+		node1 := q.getLock(savedNodes[0], key, seq, 0)
 		node2 := node1.loadNext(0)
-		if node2 != q.tail && node2.key == key {
-			old := node2.value.Swap(&value)
+		if node2 != q.tail && node2.key == key && node2.seq == seq {
+			// Box the replacement here, on the rare path, so that value
+			// itself never escapes and a plain insert allocates only its node.
+			box := new(V)
+			*box = value
+			old := node2.value.Swap(box)
 			node1.links[0].mu.Unlock()
 			if old != nil {
 				q.stats.updates.Add(1)
@@ -424,18 +455,18 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 			// A DeleteMin consumed the old value between our search and the
 			// swap: the node is logically dead and our value was not taken.
 			// Put the nil back for hygiene and retry with a fresh node.
-			node2.value.CompareAndSwap(&value, nil)
+			node2.value.CompareAndSwap(box, nil)
 			runtime.Gosched()
 			continue
 		}
 
 		level := q.randomLevel()
-		nn := newNode[K, V](key, &value, level)
+		nn := newNode(key, seq, value, level)
 		nn.nodeMu.Lock() // Figure 10 line 20: lock the whole node until fully linked.
 
 		for i := 0; i < level; i++ {
 			if i != 0 { // level 0 is already locked
-				node1 = q.getLock(savedNodes[i], key, i)
+				node1 = q.getLock(savedNodes[i], key, seq, i)
 			}
 			nn.storeNext(i, node1.loadNext(i))
 			node1.storeNext(i, nn)
@@ -449,7 +480,7 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 		q.stats.inserts.Add(1)
 		q.obs.insertLat.Since(t0)
 		if q.tracer != nil {
-			q.tracer(TraceEvent[K]{Insert: true, Key: key, OK: true, Stamp: stamp, Done: q.clock.Now()})
+			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
 		return Inserted
 	}
@@ -462,6 +493,12 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 // inserted element may be returned instead. ok is false when no eligible
 // element exists.
 func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
+	key, _, value, ok = q.DeleteMinSeq()
+	return key, value, ok
+}
+
+// DeleteMinSeq is DeleteMin that also returns the element's seq.
+func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 	var t0 time.Time
 	metered := q.obs.set.Enabled()
 	if metered {
@@ -507,9 +544,9 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 			// An EMPTY delete serializes at its response (Section 4.2).
 			q.tracer(TraceEvent[K]{Start: t, Stamp: q.clock.Now()})
 		}
-		return key, value, false // EMPTY (line 14)
+		return key, 0, value, false // EMPTY (line 14)
 	}
-	key = victim.key
+	key, seq = victim.key, victim.seq
 	if v := victim.value.Swap(nil); v != nil {
 		value = *v
 	}
@@ -519,9 +556,9 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 	q.remove(victim)
 	q.obs.deleteLat.Since(t0)
 	if q.tracer != nil {
-		q.tracer(TraceEvent[K]{Key: key, OK: true, Start: t, Stamp: claim})
+		q.tracer(TraceEvent[K]{Key: key, Seq: seq, OK: true, Start: t, Stamp: claim})
 	}
-	return key, value, true
+	return key, seq, value, true
 }
 
 // remove physically unlinks a claimed node from every level (Figure 11
@@ -532,8 +569,9 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 // reference to it fall back to a live node instead of skipping ahead past
 // unvisited keys.
 func (q *Queue[K, V]) remove(victim *node[K, V]) {
-	savedNodes := q.savedBuf()
-	q.search(victim.key, savedNodes)
+	var stack [DefaultMaxLevel]*node[K, V]
+	savedNodes := q.savedBuf(&stack)
+	q.search(victim.key, victim.seq, savedNodes)
 
 	victim.nodeMu.Lock() // Figure 11 line 27
 	for i := victim.level() - 1; i >= 0; i-- {
@@ -556,29 +594,41 @@ func (q *Queue[K, V]) remove(victim *node[K, V]) {
 // have claimed the element. ok is false when the queue has no unclaimed
 // element.
 func (q *Queue[K, V]) PeekMin() (key K, value V, ok bool) {
+	key, _, value, ok = q.PeekMinSeq()
+	return key, value, ok
+}
+
+// PeekMinSeq is PeekMin that also returns the element's seq.
+func (q *Queue[K, V]) PeekMinSeq() (key K, seq uint64, value V, ok bool) {
 	n := q.head.loadNext(0)
 	for n != q.tail {
 		if n.deleted.Load() == 0 {
 			if v := n.value.Load(); v != nil {
-				return n.key, *v, true
+				return n.key, n.seq, *v, true
 			}
 		}
 		n = n.loadNext(0)
 	}
-	return key, value, false
+	return key, 0, value, false
 }
 
-// CollectKeys appends the keys of all unclaimed elements in ascending order.
-// It is intended for tests and debugging on quiescent queues; under
+// Each calls fn with the position of every unclaimed element in ascending
+// order. It is intended for tests and debugging on quiescent queues; under
 // concurrency the snapshot is best-effort.
-func (q *Queue[K, V]) CollectKeys(dst []K) []K {
+func (q *Queue[K, V]) Each(fn func(key K, seq uint64)) {
 	n := q.head.loadNext(0)
 	for n != q.tail {
 		if n.deleted.Load() == 0 {
-			dst = append(dst, n.key)
+			fn(n.key, n.seq)
 		}
 		n = n.loadNext(0)
 	}
+}
+
+// CollectKeys appends the keys of all unclaimed elements in ascending order
+// (see Each).
+func (q *Queue[K, V]) CollectKeys(dst []K) []K {
+	q.Each(func(key K, _ uint64) { dst = append(dst, key) })
 	return dst
 }
 
@@ -592,7 +642,7 @@ func (q *Queue[K, V]) checkLevels() (int, error) {
 	for n := q.head.loadNext(0); n != q.tail; n = n.loadNext(0) {
 		onBottom[n] = true
 		count++
-		if nx := n.loadNext(0); nx != q.tail && !(n.key < nx.key) {
+		if nx := n.loadNext(0); nx != q.tail && !n.before(nx.key, nx.seq) {
 			return 0, errOutOfOrder
 		}
 	}
@@ -605,7 +655,7 @@ func (q *Queue[K, V]) checkLevels() (int, error) {
 			if n.level() <= i {
 				return 0, errLevelHeight
 			}
-			if prev != nil && !(prev.key < n.key) {
+			if prev != nil && !prev.before(n.key, n.seq) {
 				return 0, errOutOfOrder
 			}
 			prev = n

@@ -113,13 +113,16 @@ func phaseOf(s uint64) uint64 { return s & (1<<phaseBits - 1) }
 
 // slot is one exchanger cell. The publisher owns all fields outside the
 // waiting phase; the claiming consumer owns them between its claim CAS and
-// its phaseTaken store. The trailing pad keeps neighbouring slots off one
+// its phaseTaken store. priority alone is read before that CAS, to test
+// eligibility, while a publisher that recycled the slot may be writing it:
+// the versioned CAS rejects the stale read, and the field is atomic so the
+// read is not a data race. The trailing pad keeps neighbouring slots off one
 // cache line so publishers spinning on their own slot do not invalidate
 // their neighbours'.
 type slot[V any] struct {
 	state atomic.Uint64
 
-	priority int64
+	priority atomic.Int64
 	value    V
 	seq      uint64 // elimination identity, assigned at publish
 	insStamp int64  // exchange stamp of the insert, written by the claimer
@@ -387,7 +390,7 @@ func (p *PQ[V]) publish(priority int64, value V) (*slot[V], uint64) {
 		if !s.state.CompareAndSwap(st, pack(ver, phasePublishing)) {
 			continue
 		}
-		s.priority = priority
+		s.priority.Store(priority)
 		s.value = value
 		s.seq = p.seq.Add(1) | elimSeqBit
 		s.state.Store(pack(ver, phaseWaiting))
@@ -400,10 +403,10 @@ func (p *PQ[V]) publish(priority int64, value V) (*slot[V], uint64) {
 // reset the slot, count the exchange.
 func (p *PQ[V]) collect(s *slot[V], t0 time.Time) bool {
 	if p.tracer != nil {
-		p.tracer(Event{Insert: true, Priority: s.priority, Seq: s.seq, OK: true,
+		p.tracer(Event{Insert: true, Priority: s.priority.Load(), Seq: s.seq, OK: true,
 			Stamp: s.insStamp, Done: p.now()})
 	}
-	p.obs.fr.Record(flight.KElimExchange, 0, s.priority)
+	p.obs.fr.Record(flight.KElimExchange, 0, s.priority.Load())
 	p.reset(s)
 	p.obs.hits.Inc()
 	p.obs.exchangeLat.Since(t0)
@@ -463,7 +466,7 @@ func (p *PQ[V]) tryExchangePop(start int64) (int64, V, bool) {
 		if phaseOf(st) != phaseWaiting {
 			continue
 		}
-		k := s.priority
+		k := s.priority.Load()
 		if nonEmpty && k > min {
 			p.obs.ineligible.Inc()
 			continue

@@ -259,9 +259,11 @@ func (q *Queue[K, V]) newNode(key K, value V, level int) *node[K, V] {
 }
 
 func (q *Queue[K, V]) randomLevel() int {
-	// One splitmix64 draw per coin flip, computed inline: constructing a
-	// full xoshiro generator here was ~10% of all allocations in a churn
-	// workload. The atomic counter keeps draws decorrelated across
+	// One splitmix64 draw per coin flip, computed inline. It predates
+	// xrand.Seeded, the allocation-free xoshiro constructor core and
+	// skiplist draw their levels from, and stays because switching would
+	// change every seeded tower this queue builds. The atomic counter
+	// keeps draws decorrelated across
 	// goroutines; determinism per Seed is preserved only for sequential
 	// callers, which is all the experiments rely on.
 	s := q.levelSeed.Add(0x9e3779b97f4a7c15)

@@ -150,7 +150,7 @@ func newProbes(enabled bool, shards int, fr *flight.Recorder) probes {
 // concurrent use. Construct with New.
 type PQ[V any] struct {
 	cfg    Config
-	shards []*core.Queue[string, V]
+	shards []*core.Queue[int64, V]
 	mask   uint64        // len(shards)-1 when a power of two, else 0
 	seq    atomic.Uint64 // element identity + round-robin insert spread
 	sample atomic.Uint64 // per-Pop sampling seed stream
@@ -162,10 +162,10 @@ type PQ[V any] struct {
 // New returns an empty sharded queue configured by cfg.
 func New[V any](cfg Config) *PQ[V] {
 	cfg = cfg.withDefaults()
-	p := &PQ[V]{cfg: cfg, shards: make([]*core.Queue[string, V], cfg.Shards)}
+	p := &PQ[V]{cfg: cfg, shards: make([]*core.Queue[int64, V], cfg.Shards)}
 	p.sample.Store(cfg.Seed)
 	for i := range p.shards {
-		p.shards[i] = core.New[string, V](core.Config{
+		p.shards[i] = core.New[int64, V](core.Config{
 			MaxLevel: cfg.MaxLevel,
 			P:        cfg.P,
 			// Derive distinct tower seeds so shards don't build towers in
@@ -211,43 +211,11 @@ func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
 // internal/quality.
 func (p *PQ[V]) Stamp() int64 { return p.clock.Add(1) }
 
-// key/priority/seq encoding: the same 16-byte composite-key trick the root
-// PQ uses — priority (sign-flipped) then sequence number, ordered
-// lexicographically — duplicated here because the root package wraps this
-// one and cannot be imported.
-func key(priority int64, seq uint64) string {
-	var b [16]byte
-	u := uint64(priority) ^ (1 << 63)
-	b[0], b[1], b[2], b[3] = byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32)
-	b[4], b[5], b[6], b[7] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
-	b[8], b[9], b[10], b[11] = byte(seq>>56), byte(seq>>48), byte(seq>>40), byte(seq>>32)
-	b[12], b[13], b[14], b[15] = byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq)
-	return string(b[:])
-}
-
-// keyPriority reads the priority back off a composite key without
-// allocating (this sits on the Pop hot path).
-func keyPriority(k string) int64 {
-	_ = k[7]
-	u := uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 |
-		uint64(k[3])<<32 | uint64(k[4])<<24 | uint64(k[5])<<16 |
-		uint64(k[6])<<8 | uint64(k[7])
-	return int64(u ^ (1 << 63))
-}
-
-// keySeq reads the sequence number back off a composite key.
-func keySeq(k string) uint64 {
-	_ = k[15]
-	return uint64(k[8])<<56 | uint64(k[9])<<48 | uint64(k[10])<<40 |
-		uint64(k[11])<<32 | uint64(k[12])<<24 | uint64(k[13])<<16 |
-		uint64(k[14])<<8 | uint64(k[15])
-}
-
 // Push adds value with the given priority. Duplicate priorities are fine;
 // elements with equal priority are delivered FIFO within their shard.
 func (p *PQ[V]) Push(priority int64, value V) {
 	seq := p.seq.Add(1)
-	p.shards[p.shardIdx(seq)].Insert(key(priority, seq), value)
+	p.shards[p.shardIdx(seq)].InsertSeq(priority, seq, value)
 	if p.tracer != nil {
 		p.tracer(Event{Insert: true, Priority: priority, Seq: seq, OK: true, Stamp: p.clock.Add(1)})
 	}
@@ -275,16 +243,17 @@ sampling:
 	for attempt := 0; attempt < popSampleAttempts; attempt++ {
 		i, j := p.sample2()
 		start = i
-		ki, _, oki := p.shards[i].PeekMin()
-		var kj string
+		ki, si, _, oki := p.shards[i].PeekMinSeq()
+		var kj int64
+		var sj uint64
 		var okj bool
 		if j != i {
-			kj, _, okj = p.shards[j].PeekMin()
+			kj, sj, _, okj = p.shards[j].PeekMinSeq()
 		}
 		var pick int
 		switch {
 		case oki && okj:
-			if kj < ki {
+			if less(kj, sj, ki, si) {
 				pick = j
 			} else {
 				pick = i
@@ -298,8 +267,8 @@ sampling:
 			// certify EMPTY — go certify (or rescue) with the sweep.
 			break sampling
 		}
-		if k, v, won := p.shards[pick].DeleteMin(); won {
-			return p.finishPop(pick, k, v, t0)
+		if k, seq, v, won := p.shards[pick].DeleteMinSeq(); won {
+			return p.finishPop(pick, k, seq, v, t0)
 		}
 		// The peeked element (and everything behind it) was claimed by
 		// racing Pops between our peek and our claim. Resample.
@@ -312,9 +281,9 @@ sampling:
 	p.obs.fr.Record(flight.KSweepFallback, 0, int64(n))
 	for t := 0; t < n; t++ {
 		s := (start + t) % n
-		if k, v, won := p.shards[s].DeleteMin(); won {
+		if k, seq, v, won := p.shards[s].DeleteMinSeq(); won {
 			p.obs.sweepRescues.Inc()
-			return p.finishPop(s, k, v, t0)
+			return p.finishPop(s, k, seq, v, t0)
 		}
 	}
 	p.obs.empties.Inc()
@@ -325,32 +294,33 @@ sampling:
 	return 0, value, false
 }
 
-func (p *PQ[V]) finishPop(shard int, k string, v V, t0 time.Time) (int64, V, bool) {
+func (p *PQ[V]) finishPop(shard int, prio int64, seq uint64, v V, t0 time.Time) (int64, V, bool) {
 	if p.obs.set.Enabled() {
 		p.obs.shardPops[shard].Inc()
 		p.obs.popLat.Since(t0)
 	}
-	prio := keyPriority(k)
 	if p.tracer != nil {
-		p.tracer(Event{Priority: prio, Seq: keySeq(k), OK: true, Stamp: p.clock.Add(1)})
+		p.tracer(Event{Priority: prio, Seq: seq, OK: true, Stamp: p.clock.Add(1)})
 	}
 	return prio, v, true
+}
+
+// less orders two shard minima the way the shards order their elements:
+// by priority, then by sequence number.
+func less(p1 int64, s1 uint64, p2 int64, s2 uint64) bool {
+	return p1 < p2 || (p1 == p2 && s1 < s2)
 }
 
 // Peek returns the smallest of the shard minima without removing it
 // (advisory under concurrency, like every Peek in this repository).
 func (p *PQ[V]) Peek() (priority int64, value V, ok bool) {
-	var bestKey string
-	var bestVal V
+	var bestSeq uint64
 	for _, s := range p.shards {
-		if k, v, got := s.PeekMin(); got && (!ok || k < bestKey) {
-			bestKey, bestVal, ok = k, v, true
+		if k, seq, v, got := s.PeekMinSeq(); got && (!ok || less(k, seq, priority, bestSeq)) {
+			priority, bestSeq, value, ok = k, seq, v, true
 		}
 	}
-	if !ok {
-		return 0, bestVal, false
-	}
-	return keyPriority(bestKey), bestVal, true
+	return priority, value, ok
 }
 
 // Len returns the total number of elements across shards (exact when
@@ -375,12 +345,10 @@ type Entry struct {
 // snapshot is best-effort.
 func (p *PQ[V]) Entries() []Entry {
 	var out []Entry
-	var keys []string
 	for _, s := range p.shards {
-		keys = s.CollectKeys(keys[:0])
-		for _, k := range keys {
-			out = append(out, Entry{Priority: keyPriority(k), Seq: keySeq(k)})
-		}
+		s.Each(func(priority int64, seq uint64) {
+			out = append(out, Entry{Priority: priority, Seq: seq})
+		})
 	}
 	return out
 }

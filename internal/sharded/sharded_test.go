@@ -52,7 +52,7 @@ func TestPopIsAShardMinimum(t *testing.T) {
 		mins := map[int64]bool{}
 		for _, s := range p.shards {
 			if k, _, ok := s.PeekMin(); ok {
-				mins[keyPriority(k)] = true
+				mins[k] = true
 			}
 		}
 		prio, _, ok := p.Pop()

@@ -154,7 +154,7 @@ func New[K ordered, V any](opts ...Option) *List[K, V] {
 func (l *List[K, V]) Len() int { return int(l.size.Load()) }
 
 func (l *List[K, V]) randomLevel() int {
-	r := xrand.NewRand(l.seed.Add(0x9e3779b97f4a7c15))
+	r := xrand.Seeded(l.seed.Add(0x9e3779b97f4a7c15))
 	return r.GeometricLevel(l.p, l.maxLevel)
 }
 

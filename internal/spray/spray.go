@@ -242,9 +242,8 @@ func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
 // counter (see sharded.PQ.Stamp for the front-end hand-off use case).
 func (p *PQ[V]) Stamp() int64 { return p.clock.Add(1) }
 
-// key/priority/seq encoding: the 16-byte composite-key trick shared with
-// the root PQ and internal/sharded — priority (sign-flipped) then sequence
-// number, ordered lexicographically.
+// key/priority/seq encoding: the 16-byte composite key of the root's pqKey —
+// priority (sign-flipped) then sequence number, ordered lexicographically.
 func key(priority int64, seq uint64) string {
 	var b [16]byte
 	u := uint64(priority) ^ (1 << 63)

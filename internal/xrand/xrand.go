@@ -45,8 +45,16 @@ type Rand struct {
 // NewRand returns a generator whose state is derived from seed via
 // SplitMix64, as recommended by the xoshiro authors. A zero seed is valid.
 func NewRand(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	r := &Rand{}
+	r := Seeded(seed)
+	return &r
+}
+
+// Seeded is NewRand as a value: the same state, hence the same sequence, for
+// a caller that draws a few values and drops the generator (a skiplist level
+// draw per insert) and must not pay a heap allocation for it.
+func Seeded(seed uint64) Rand {
+	sm := SplitMix64{state: seed}
+	var r Rand
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}

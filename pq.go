@@ -1,7 +1,6 @@
 package skipqueue
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"skipqueue/internal/core"
@@ -14,15 +13,15 @@ import (
 // branch-and-bound — where many pending events or subproblems carry the same
 // priority.
 //
-// PQ is a thin layer over Queue: each pushed element gets a unique composite
-// key of (priority, global sequence number), encoded so that composite keys
-// order first by priority, then by arrival.
+// PQ is a thin layer over the SkipQueue: the skiplist orders natively by
+// (priority, sequence number), and each pushed element draws the next
+// sequence number, so elements order first by priority, then by arrival.
 //
 // A *PQ[[]byte] satisfies internal/server.Backend, so it can be handed
 // directly to the pqd network daemon (cmd/pqd); LockFreePQ and GlobalHeapPQ
 // adapt the other queue families to the same surface.
 type PQ[V any] struct {
-	q   *core.Queue[string, V]
+	q   *core.Queue[int64, V]
 	seq atomic.Uint64
 }
 
@@ -32,53 +31,24 @@ func NewPQ[V any](opts ...Option) *PQ[V] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &PQ[V]{q: core.New[string, V](cfg)}
-}
-
-// pqKey encodes (priority, seq) as a 16-byte string that sorts
-// lexicographically in (priority, seq) order. The priority's sign bit is
-// flipped so negative priorities sort before positive ones.
-func pqKey(priority int64, seq uint64) string {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], uint64(priority)^(1<<63))
-	binary.BigEndian.PutUint64(b[8:], seq)
-	return string(b[:])
-}
-
-// pqPriority decodes the priority from a composite key. It reads the bytes
-// directly off the string: a []byte(key) conversion here allocates a copy on
-// every Pop, and this sits on the hot path.
-func pqPriority(key string) int64 {
-	_ = key[7] // bounds hint
-	u := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 |
-		uint64(key[3])<<32 | uint64(key[4])<<24 | uint64(key[5])<<16 |
-		uint64(key[6])<<8 | uint64(key[7])
-	return int64(u ^ (1 << 63))
+	return &PQ[V]{q: core.New[int64, V](cfg)}
 }
 
 // Push adds value with the given priority. Duplicate priorities are fine.
 func (pq *PQ[V]) Push(priority int64, value V) {
-	pq.q.Insert(pqKey(priority, pq.seq.Add(1)), value)
+	pq.q.InsertSeq(priority, pq.seq.Add(1), value)
 }
 
 // Pop removes and returns an element with the minimum priority. Among equal
 // priorities, the earliest pushed wins. ok is false when the queue is empty.
 func (pq *PQ[V]) Pop() (priority int64, value V, ok bool) {
-	k, v, ok := pq.q.DeleteMin()
-	if !ok {
-		return 0, value, false
-	}
-	return pqPriority(k), v, true
+	return pq.q.DeleteMin()
 }
 
 // Peek returns the minimum-priority element without removing it (advisory
 // under concurrency).
 func (pq *PQ[V]) Peek() (priority int64, value V, ok bool) {
-	k, v, ok := pq.q.PeekMin()
-	if !ok {
-		return 0, value, false
-	}
-	return pqPriority(k), v, true
+	return pq.q.PeekMin()
 }
 
 // Len returns the number of elements (exact when quiescent).

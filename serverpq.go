@@ -1,6 +1,7 @@
 package skipqueue
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"skipqueue/internal/glheap"
@@ -9,14 +10,36 @@ import (
 
 // This file adapts the queue families that have map (unique-key) semantics
 // to the multiset Push/Pop/Peek/Len surface that PQ offers and that the
-// pqd server subsystem (internal/server.Backend) consumes. The adapters
-// reuse PQ's composite-key trick: each pushed element gets a (priority,
-// global sequence) key, so duplicate priorities coexist and are delivered
-// FIFO within a priority.
+// pqd server subsystem (internal/server.Backend) consumes. PQ's skiplist
+// orders by (priority, sequence number) natively; these families (and
+// SprayPQ) still order by one key, so each pushed element gets its
+// (priority, global sequence) encoded into a string key (pqKey): duplicate
+// priorities coexist and are delivered FIFO within a priority.
 //
 // *PQ[[]byte], *LockFreePQ[[]byte] and *GlobalHeapPQ[[]byte] all satisfy
 // internal/server.Backend directly; cmd/pqd selects between them with its
 // -backend flag.
+
+// pqKey encodes (priority, seq) as a 16-byte string that sorts
+// lexicographically in (priority, seq) order. The priority's sign bit is
+// flipped so negative priorities sort before positive ones.
+func pqKey(priority int64, seq uint64) string {
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], uint64(priority)^(1<<63))
+	binary.BigEndian.PutUint64(b[8:], seq)
+	return string(b[:])
+}
+
+// pqPriority decodes the priority from a composite key. It reads the bytes
+// directly off the string: a []byte(key) conversion here allocates a copy on
+// every Pop, and this sits on the hot path.
+func pqPriority(key string) int64 {
+	_ = key[7] // bounds hint
+	u := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 |
+		uint64(key[3])<<32 | uint64(key[4])<<24 | uint64(key[5])<<16 |
+		uint64(key[6])<<8 | uint64(key[7])
+	return int64(u ^ (1 << 63))
+}
 
 // LockFreePQ is the multiset layer over LockFree, the CAS-based skiplist
 // queue: PQ's semantics (duplicate priorities, FIFO within a priority) with
