@@ -53,7 +53,7 @@ crash-smoke:
 # redelivery of every orphaned lease within two expiry windows (see
 # internal/lease/crashtest).
 lease-smoke:
-	go test -count=1 -v -run TestConsumerCrashRedelivery ./internal/lease/crashtest/ -lease-crash-cycles=25
+	go test -count=1 -v -run TestConsumerCrashRedelivery ./internal/lease/crashtest/ -lease-crash-cycles=25 -lease-crash-deadline
 
 short:
 	go test -short ./...

@@ -7,15 +7,14 @@
 //
 //	go test -bench=Fig -benchmem
 //
-// Ablation benches (timestamps, GC scheme, level parameters) follow the
-// figure benches.
+// Ablation benches (timestamps, level parameters) follow the figure
+// benches.
 package skipqueue
 
 import (
 	"sync/atomic"
 	"testing"
 
-	"skipqueue/internal/retire"
 	"skipqueue/internal/xrand"
 )
 
@@ -195,55 +194,6 @@ func BenchmarkLevelParams(b *testing.B) {
 			runMixed(b, build, 0.5, 100)
 		})
 	}
-}
-
-// BenchmarkRetireAblation compares the paper's timestamp-based reclamation
-// scheme (internal/retire driving a freelist) against leaning on the Go
-// garbage collector, under a retire-heavy churn.
-func BenchmarkRetireAblation(b *testing.B) {
-	type node struct{ payload [128]byte }
-
-	b.Run("GoGC", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			var keep *node
-			for pb.Next() {
-				keep = new(node)
-				keep.payload[0] = 1
-			}
-			_ = keep
-		})
-	})
-
-	b.Run("RetireDomain", func(b *testing.B) {
-		workers := 64 // more handles than goroutines is fine
-		pool := make(chan *node, 4096)
-		d := retire.NewDomain[*node](workers, nil, func(n *node) {
-			select {
-			case pool <- n:
-			default:
-			}
-		})
-		var next atomic.Int64
-		stop := make(chan struct{})
-		go d.Run(stop, 0)
-		defer close(stop)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			h := d.Handle(int(next.Add(1)) % workers)
-			for pb.Next() {
-				var n *node
-				select {
-				case n = <-pool:
-				default:
-					n = new(node)
-				}
-				n.payload[0] = 1
-				h.Enter()
-				h.Retire(n)
-				h.Exit()
-			}
-		})
-	})
 }
 
 func benchName(prefix string, v int64) string {

@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		slo         = fs.Duration("slo", 0, "per-frame server latency budget; a traced frame exceeding it captures an anomaly dump (0 = off)")
 		walDir      = fs.String("wal-dir", "", "write-ahead-log directory; enables durability (empty = no WAL, in-memory only)")
 		walMode     = fs.String("wal-mode", "sync", "WAL durability mode: sync (ACK after fsync) or async (ACK immediately, fsync in background)")
-		walSyncIvl  = fs.Duration("wal-sync-interval", wal.DefaultSyncInterval, "max time appended WAL records wait for their group-commit fsync")
+		walSyncIvl  = fs.Duration("wal-sync-interval", wal.DefaultSyncInterval, "async mode only: max time appended WAL records wait for their background fsync (sync mode commits flush their own batch)")
 		walSegBytes = fs.Int64("wal-segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold in bytes")
 		walSnapSegs = fs.Int("wal-snapshot-segments", 0, "segments retained before a rotation triggers snapshot compaction (0 = default 4, negative = never)")
 		leaseOn     = fs.Bool("lease", false, "enable the at-least-once lease protocol (PopLease/Ack/Nack/Extend/InsertDelay)")

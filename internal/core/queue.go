@@ -71,11 +71,6 @@ type Config struct {
 	// Seed seeds the level generator. Two queues with the same seed and the
 	// same single-threaded operation sequence build identical towers.
 	Seed uint64
-	// Retire, if non-nil, receives every physically unlinked node's
-	// (opaque) pointer together with its deletion timestamp. It is used by
-	// the simulator-faithful reclamation scheme; the native library leaves
-	// it nil and relies on the Go garbage collector.
-	Retire func(deletedAt int64)
 	// Metrics enables the observability probes (internal/obs): operation
 	// latency histograms and contention counters, readable with
 	// Queue.ObsSnapshot. Disabled, every probe is a nil pointer and each
@@ -583,10 +578,6 @@ func (q *Queue[K, V]) remove(victim *node[K, V]) {
 		node1.links[i].mu.Unlock()
 	}
 	victim.nodeMu.Unlock()
-
-	if q.cfg.Retire != nil {
-		q.cfg.Retire(q.clock.Now()) // the node's deletion timestamp (Section 3, GC)
-	}
 }
 
 // PeekMin returns the current minimum without removing it. The result is

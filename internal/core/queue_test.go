@@ -436,27 +436,3 @@ func TestStrictOrderingUnderConcurrency(t *testing.T) {
 		t.Fatalf("got %d distinct keys, want %d", len(all), n)
 	}
 }
-
-func TestRetireCallback(t *testing.T) {
-	var mu sync.Mutex
-	var stamps []int64
-	q := New[int64, int64](Config{Retire: func(at int64) {
-		mu.Lock()
-		stamps = append(stamps, at)
-		mu.Unlock()
-	}})
-	for i := int64(0); i < 10; i++ {
-		q.Insert(i, i)
-	}
-	for i := 0; i < 10; i++ {
-		q.DeleteMin()
-	}
-	if len(stamps) != 10 {
-		t.Fatalf("retire callback ran %d times, want 10", len(stamps))
-	}
-	for i := 1; i < len(stamps); i++ {
-		if stamps[i] <= stamps[i-1] {
-			t.Fatalf("deletion timestamps not increasing: %v", stamps)
-		}
-	}
-}

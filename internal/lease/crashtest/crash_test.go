@@ -5,7 +5,8 @@
 //
 //   - no acked element is ever lost or delivered again,
 //   - every element whose lease died with its consumer is redelivered
-//     within two expiry windows of the final kill,
+//     (with -lease-crash-deadline: within two expiry windows of the final
+//     kill),
 //   - the only tolerated loss shape is an ack that went durable while the
 //     consumer died before logging the server's reply ("acking" printed,
 //     "acked" never was) — each such element grants exactly one
@@ -20,8 +21,8 @@
 // is one write syscall, so everything printed before the SIGKILL is
 // observable and everything after it never happens.
 //
-// Run the full battery with `make lease-smoke` (25 cycles); the default
-// tier-1 run keeps a shorter budget.
+// Run the full battery with `make lease-smoke` (25 cycles, deadline
+// enforced); the default tier-1 run keeps a shorter budget.
 package crashtest
 
 import (
@@ -47,7 +48,15 @@ import (
 var (
 	leaseCycles = flag.Int("lease-crash-cycles", 6, "consumer kill -9 cycles to run")
 	leaseTTL    = flag.Duration("lease-crash-ttl", 150*time.Millisecond, "server lease TTL")
+	// The deadline is a latency promise, which a loaded machine can break
+	// without any bug; only the full nightly battery enforces it.
+	leaseDeadline = flag.Bool("lease-crash-deadline", false,
+		"require the final drain to finish within 2×TTL+250ms instead of draining until the queue stays empty for 2×TTL")
 )
+
+// drainCap bounds the final drain when the deadline is not enforced: a
+// queue that never stays empty for 2×TTL is a liveness failure.
+const drainCap = 10 * time.Second
 
 // TestMain doubles as the consumer entry point: when the harness re-execs
 // this binary with LEASE_CRASH_CONSUMER set, it runs the consumer loop
@@ -236,7 +245,6 @@ func startPQD(t *testing.T, bin, walDir string) *proc {
 		"-addr", "127.0.0.1:0",
 		"-wal-dir", walDir,
 		"-wal-mode", "sync",
-		"-wal-sync-interval", "500us",
 		"-lease",
 		"-lease-ttl", leaseTTL.String(),
 		"-lease-tick", "5ms",
@@ -304,8 +312,8 @@ func startConsumer(t *testing.T, h *aloHistory, addr string, seed int64, keys ma
 
 // TestConsumerCrashRedelivery is the at-least-once acceptance gate: N
 // cycles of kill -9'd consumers (with periodic daemon kills layered in),
-// then a clean drain that must finish within two lease-expiry windows,
-// analyzed for zero acked-element loss and zero post-ack delivery.
+// then a clean drain until the queue stays empty for two lease-expiry
+// windows, analyzed for zero acked-element loss and zero post-ack delivery.
 func TestConsumerCrashRedelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash injection spawns real processes; skipped in -short")
@@ -360,11 +368,14 @@ func TestConsumerCrashRedelivery(t *testing.T) {
 		}
 	}
 
-	// Redelivery gate: every lease that died with its consumer must be
-	// redelivered within two expiry windows, so a clean drain started now
-	// must reach empty-and-stay-empty inside that budget (plus sweep
-	// granularity and scheduling slack).
-	drainDeadline := time.Now().Add(2*(*leaseTTL) + 250*time.Millisecond)
+	// Redelivery gate: every lease that died with its consumer expires
+	// within one TTL of the drain's start, so a drain that then sees the
+	// queue stay empty for 2×TTL has seen every redelivery. With
+	// -lease-crash-deadline the drain must also be over within 2×TTL plus
+	// sweep granularity and scheduling slack.
+	quiet := 2 * *leaseTTL
+	start := time.Now()
+	lastFound := start
 	cl, err := client.Dial(client.Config{Addr: p.addr, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -376,12 +387,20 @@ func TestConsumerCrashRedelivery(t *testing.T) {
 			t.Fatalf("final drain: %v", err)
 		}
 		if !found {
-			if time.Now().After(drainDeadline) {
+			now := time.Now()
+			if *leaseDeadline && now.Sub(start) > quiet+250*time.Millisecond {
 				break
+			}
+			if !*leaseDeadline && now.Sub(lastFound) >= quiet {
+				break
+			}
+			if now.Sub(start) > drainCap {
+				t.Fatalf("final drain: queue never stayed empty for %v within %v", quiet, drainCap)
 			}
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
+		lastFound = time.Now()
 		id, perr := strconv.ParseUint(string(l.Value), 10, 64)
 		if perr != nil {
 			t.Fatalf("final drain delivered %q, not an id", l.Value)

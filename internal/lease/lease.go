@@ -70,6 +70,10 @@ type Leaser interface {
 	// releasing it — how a dead-letter divert persists its delivery
 	// count while the element stays claimed.
 	Rewrite(token uint64, priority int64, stored []byte)
+	// Commit makes every transition recorded so far durable (sync mode)
+	// or schedules it (async mode). Sweep calls it after requeueing,
+	// because no client request follows a sweep to commit for it.
+	Commit() error
 }
 
 // Config configures a Table.
@@ -576,7 +580,7 @@ func (t *Table) Sweep() {
 	now := t.now()
 	target := int64(now.Sub(t.start) / t.cfg.Tick) // floor: never fire early
 	t.mu.Lock()
-	expired := 0
+	expired, matured := 0, 0
 	t.wheel.Advance(target, func(id uint64, _ int64) {
 		if e, ok := t.leases[id]; ok {
 			delete(t.leases, id)
@@ -594,6 +598,7 @@ func (t *Table) Sweep() {
 			delete(t.delayed, id)
 			t.requeueInner(d.token, d.prio, wrapValue(d.deliveries, d.readyMilli, d.value))
 			t.obs.delayReady.Inc()
+			matured++
 		}
 	})
 	if expired >= t.cfg.StormThreshold {
@@ -601,6 +606,12 @@ func (t *Table) Sweep() {
 		t.cfg.Flight.Anomaly(flight.KRedeliveryStorm, 0, int64(expired))
 	}
 	t.mu.Unlock()
+	// Commit outside t.mu: a sync-mode commit may lead an fsync, and the
+	// table must not stall behind it. A failed commit has poisoned the
+	// log, and every later client commit reports it.
+	if t.lsr != nil && expired+matured > 0 {
+		_ = t.lsr.Commit()
+	}
 }
 
 // rememberLocked records an expired lease ID for ack-race detection,

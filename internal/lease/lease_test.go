@@ -427,6 +427,39 @@ func TestDurableLeaseFlow(t *testing.T) {
 	}
 }
 
+// TestSweepCommitsRequeue: a sync-mode WAL has no background flusher, so a
+// sweep must commit its own requeue records. Nothing else commits here,
+// yet the expired lease's requeue is on disk as soon as Sweep returns.
+func TestSweepCommitsRequeue(t *testing.T) {
+	dir := t.TempDir()
+	q, _, err := wal.OpenQueue(wal.Config{Dir: dir}, &memPQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	tbl, clk := newTestTable(t, Config{TTL: 50 * time.Millisecond}, q)
+	tbl.Push(1, []byte("job"))
+	if _, _, _, _, ok := tbl.PopLease(0, false); !ok {
+		t.Fatal("grant failed")
+	}
+	if d := q.Log().DurableLSN(); d != 0 {
+		t.Fatalf("durable LSN %d before any commit", d)
+	}
+	clk.tick(tbl, time.Second) // expire: requeue with deliveries=1
+
+	rec, err := wal.Recover(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != 3 || rec.Leases != 0 || len(rec.Items) != 1 {
+		t.Fatalf("after sweep: records=%d leases=%d items=%d, want push+lease+requeue durable",
+			rec.Records, rec.Leases, len(rec.Items))
+	}
+	if n, _, v := unwrapValue(rec.Items[0].Value); n != 1 || string(v) != "job" {
+		t.Fatalf("recovered %q with deliveries=%d, want the requeued header", v, n)
+	}
+}
+
 // TestDurableDeadLetterCrash: a dead-lettered element survives a crash
 // (its token is never acked) and is re-diverted on the next pop sweep.
 func TestDurableDeadLetterCrash(t *testing.T) {

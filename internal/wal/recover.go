@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"skipqueue/internal/flight"
@@ -38,9 +39,9 @@ type RecoverResult struct {
 
 // Recover rebuilds the durable queue state from dir: it loads the newest
 // valid snapshot, replays every segment, tolerates a torn final record
-// (truncating it), and returns the live multiset. An empty or absent set
-// of files recovers to an empty queue. fr, when non-nil, receives a
-// torn-tail anomaly capture.
+// (truncating it), removes stranded snapshot temp files, and returns the
+// live multiset. An empty or absent set of files recovers to an empty
+// queue. fr, when non-nil, receives a torn-tail anomaly capture.
 //
 // Replay is two-pass and idempotent: it first collects every push and pop
 // across all retained segments, then resolves
@@ -53,6 +54,12 @@ type RecoverResult struct {
 func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
+	}
+	// A crash between writeSnapshot's create and its rename strands the
+	// temp file; it never holds anything a renamed snapshot does not.
+	tmps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap.tmp"))
+	for _, p := range tmps {
+		os.Remove(p)
 	}
 	segs, snaps, err := listDir(dir)
 	if err != nil {

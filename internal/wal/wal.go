@@ -5,12 +5,14 @@
 // The design follows the same amortization lesson as the server's
 // micro-batching: the expensive step — fsync — is paid once per *batch* of
 // records, not once per operation. Producers append encoded push/pop
-// records to an in-memory batch under a short mutex; a dedicated syncer
-// goroutine flushes and fsyncs the batch on a size or time watermark
-// (Config.SyncInterval, ~1ms), so one disk barrier covers every record
-// that arrived during the window. Commit blocks the caller until its
-// records are durable (sync mode) or returns immediately (async mode),
-// which is exactly the latency/safety dial a deployment wants.
+// records to an in-memory batch under a short mutex. In sync mode, Commit
+// blocks until the caller's records are durable, and the first committer
+// to find no flush in flight leads one: it writes and fsyncs the whole
+// pending batch, its followers' records included, on its own goroutine.
+// Committers arriving during that fsync park and form the next batch. In
+// async mode Commit returns immediately and a syncer goroutine flushes on
+// a size or time watermark (Config.SyncInterval, ~1ms). That is the
+// latency/safety dial a deployment wants.
 //
 // Storage is a sequence of segment files framed by CRC32-C records
 // (record.go) plus point-in-time snapshots of the live queue
@@ -48,8 +50,8 @@ type Mode int
 
 const (
 	// ModeSync makes Commit wait until the caller's records are fsynced:
-	// an ACK implies durability. The group-commit batching keeps the cost
-	// to roughly one fsync per SyncInterval, shared by every committer.
+	// an ACK implies durability. Group commit shares each fsync among
+	// every committer that arrived while the previous one was in flight.
 	ModeSync Mode = iota
 	// ModeAsync makes Commit return immediately; records reach disk on
 	// the next syncer wakeup. A crash can lose up to SyncInterval worth
@@ -91,19 +93,20 @@ type Config struct {
 	Dir string
 	// Mode selects the Commit contract (sync by default).
 	Mode Mode
-	// SyncInterval is the group-commit window: the syncer flushes and
-	// fsyncs at least this often while records are pending.
+	// SyncInterval is the async-mode flush window: the syncer flushes and
+	// fsyncs at least this often while records are pending. Sync mode has
+	// no syncer and ignores it.
 	SyncInterval time.Duration
-	// BatchBytes is the size watermark: an append that brings the pending
-	// batch past it kicks the syncer immediately instead of waiting out
-	// the interval.
+	// BatchBytes is the async-mode size watermark: an append that brings
+	// the pending batch past it kicks the syncer immediately instead of
+	// waiting out the interval. Sync mode ignores it.
 	BatchBytes int
 	// SegmentBytes rotates the active segment once it grows past this.
 	SegmentBytes int64
 	// StallAfter is the fsync latency above which a sync is counted as a
 	// stall (sync.stalls) and captured as a flight anomaly.
 	StallAfter time.Duration
-	// OnRotate, if non-nil, is called on the syncer goroutine after each
+	// OnRotate, if non-nil, is called on the flushing goroutine after each
 	// segment rotation with the number of on-disk segments. Queue uses it
 	// to trigger snapshot compaction; callbacks must not block.
 	OnRotate func(segments int)
@@ -198,8 +201,12 @@ type Log struct {
 	segs    []segment // every on-disk segment, oldest first; last is active
 	closed  bool
 
-	kick chan struct{} // wakes the syncer before the interval elapses
-	done chan struct{} // syncer exited
+	flushing  bool          // a flush is writing the batch it took
+	waiters   int           // committers parked until a flush finishes
+	lastFlush time.Duration // write+fsync time of the last non-empty flush
+
+	kick chan struct{} // wakes the async syncer before the interval elapses
+	done chan struct{} // async syncer exited (closed at Open in sync mode)
 }
 
 // Open creates a Log writing to cfg.Dir, beginning a fresh segment after
@@ -236,7 +243,11 @@ func Open(cfg Config, rec *RecoverResult) (*Log, error) {
 			l.obs.tornTails.Inc()
 		}
 	}
-	go l.syncer()
+	if cfg.Mode == ModeAsync {
+		go l.syncer()
+	} else {
+		close(l.done)
+	}
 	return l, nil
 }
 
@@ -335,7 +346,7 @@ func (l *Log) append(before int) uint64 {
 	return l.lastLSN
 }
 
-// wake kicks the syncer without blocking.
+// wake kicks the async syncer without blocking.
 func (l *Log) wake() {
 	select {
 	case l.kick <- struct{}{}:
@@ -370,7 +381,9 @@ func (l *Log) Commit() error {
 }
 
 // Sync blocks until every record appended before the call is fsynced,
-// regardless of mode — the drain path's final barrier.
+// regardless of mode — the drain path's final barrier. A caller that finds
+// no flush in flight leads one; otherwise it parks until the flush in
+// flight finishes and, if its records are still pending, may lead the next.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	target := l.lastLSN
@@ -380,8 +393,13 @@ func (l *Log) Sync() error {
 	}
 	t0 := time.Now()
 	for l.durable < target && !l.closed {
-		l.wake()
-		l.cond.Wait()
+		if l.flushing {
+			l.waiters++
+			l.cond.Wait()
+			l.waiters--
+		} else {
+			l.flush()
+		}
 	}
 	ok := l.durable >= target
 	l.mu.Unlock()
@@ -392,9 +410,8 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// syncer is the group-commit loop: it flushes pending records every
-// SyncInterval, or sooner when an appender trips the size watermark or a
-// committer is waiting.
+// syncer is the async-mode flush loop: it flushes pending records every
+// SyncInterval, or sooner when an appender trips the size watermark.
 func (l *Log) syncer() {
 	defer close(l.done)
 	t := time.NewTicker(l.cfg.SyncInterval)
@@ -409,56 +426,46 @@ func (l *Log) syncer() {
 			l.mu.Unlock()
 			return
 		}
+		if !l.flushing {
+			l.flush()
+		}
 		l.mu.Unlock()
-		l.flush()
 	}
 }
 
 // linger delays the batch grab while records are still arriving: after a
 // barrier releases its committers they race to append their next records,
 // and grabbing immediately would fragment the group commit into one- and
-// two-record fsyncs (measured: ~1.7 records/fsync without the linger,
-// ~full concurrency with it). The loop exits the moment arrivals stop, so
-// a solo committer pays only a handful of scheduler yields; the deadline
-// bounds the added commit latency to half the sync interval.
+// two-record fsyncs. flush calls it only while other committers are
+// parked, so a lone committer never waits. The loop exits the moment
+// arrivals stop, and the previous write+fsync time bounds it: lingering
+// longer than one flush takes would cost more than the flush it saves.
+// Caller holds l.mu; linger releases it while yielding.
 func (l *Log) linger() {
-	// Only sync mode has committers racing to join the barrier. In async
-	// mode arrivals never pause (nobody waits), so a linger would just
-	// poll the mutex against the producers for the full deadline.
-	if l.cfg.Mode != ModeSync {
-		return
-	}
-	limit := l.cfg.SyncInterval / 2
-	if limit <= 0 {
-		return
-	}
-	deadline := time.Now().Add(limit)
-	l.mu.Lock()
+	deadline := time.Now().Add(l.lastFlush)
 	prev := l.bufRecs
-	l.mu.Unlock()
-	if prev == 0 {
-		return
-	}
 	for time.Now().Before(deadline) {
+		l.mu.Unlock()
 		for i := 0; i < 8; i++ {
 			runtime.Gosched()
 		}
 		l.mu.Lock()
-		cur := l.bufRecs
-		l.mu.Unlock()
-		if cur == prev {
+		if l.bufRecs == prev {
 			return
 		}
-		prev = cur
+		prev = l.bufRecs
 	}
 }
 
 // flush writes and fsyncs the pending batch, advances the durable LSN,
-// and rotates the segment when it grew past the budget. Only the syncer
-// goroutine and Close call it, never concurrently.
+// and rotates the segment when it grew past the budget. The caller holds
+// l.mu and has found no flush in flight; flush releases l.mu for the I/O
+// and returns with it held.
 func (l *Log) flush() {
-	l.linger()
-	l.mu.Lock()
+	l.flushing = true
+	if l.cfg.Mode == ModeSync && l.waiters > 0 {
+		l.linger()
+	}
 	batch := l.buf
 	recs := l.bufRecs
 	covered := l.lastLSN
@@ -467,13 +474,14 @@ func (l *Log) flush() {
 	file := l.file
 	l.mu.Unlock()
 
+	var d time.Duration
 	if len(batch) > 0 {
 		t0 := time.Now()
 		_, werr := file.Write(batch)
 		if werr == nil {
 			werr = file.Sync()
 		}
-		d := time.Since(t0)
+		d = time.Since(t0)
 		l.obs.fsync.Observe(d)
 		l.obs.syncBatch.ObserveN(uint64(recs))
 		if d > l.cfg.StallAfter {
@@ -482,18 +490,22 @@ func (l *Log) flush() {
 		}
 		if werr != nil {
 			// A failed write/fsync means durability can no longer be
-			// promised; poison the log so committers fail instead of
-			// ACKing undurable work.
+			// promised; poison the log so the leader and every parked
+			// committer fail instead of ACKing undurable work.
 			l.mu.Lock()
 			l.closed = true
+			l.flushing = false
 			l.cond.Broadcast()
-			l.mu.Unlock()
 			return
 		}
 	}
 
 	l.mu.Lock()
+	l.flushing = false
 	l.durable = covered
+	if d > 0 {
+		l.lastFlush = d
+	}
 	l.segSize += int64(len(batch))
 	rotate := l.segSize >= l.cfg.SegmentBytes
 	var segCount int
@@ -510,10 +522,11 @@ func (l *Log) flush() {
 		}
 	}
 	l.cond.Broadcast()
-	l.mu.Unlock()
 
 	if rotate && l.cfg.OnRotate != nil {
+		l.mu.Unlock()
 		l.cfg.OnRotate(segCount)
+		l.mu.Lock()
 	}
 }
 
@@ -548,7 +561,7 @@ func (l *Log) Segments() int {
 	return len(l.segs)
 }
 
-// Close flushes and fsyncs everything pending, stops the syncer, and
+// Close flushes and fsyncs everything pending, stops the async syncer, and
 // closes the active segment. Appends after Close are invalid.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -563,10 +576,14 @@ func (l *Log) Close() error {
 	l.wake()
 	<-l.done
 
-	// The syncer is gone; run one final flush directly so every appended
-	// record is durable before the file closes.
-	l.flush()
+	// The syncer is gone and no new leader can start; wait out a flush in
+	// flight, then run one final flush so every appended record is durable
+	// before the file closes.
 	l.mu.Lock()
+	for l.flushing {
+		l.cond.Wait()
+	}
+	l.flush()
 	f := l.file
 	l.mu.Unlock()
 	return f.Close()

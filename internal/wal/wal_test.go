@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -461,6 +462,103 @@ func TestModes(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSyncOpenStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	l, err := Open(Config{Dir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("sync-mode Open started %d goroutines", after-before)
+	}
+}
+
+func TestLoneCommitFlushesOnCaller(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir(), Metrics: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.AppendPush(1, 1, []byte("a"))
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// No goroutine exists that could have flushed for the caller: the
+	// record is durable because Commit wrote and fsynced it itself.
+	if d := l.DurableLSN(); d != 1 {
+		t.Fatalf("durable LSN = %d after a lone Commit", d)
+	}
+	if h, _ := l.Snapshot().Hist("sync.batch"); h.Count != 1 || h.Max != 1 {
+		t.Fatalf("sync.batch = %+v, want one fsync of one record", h)
+	}
+}
+
+// TestFlushFailurePoisonsFollowers closes the segment file while
+// committers are parked behind a flush: whoever leads next fails the
+// write, and then the leader and every follower get an error, nothing
+// becomes durable, and the log refuses later commits.
+func TestFlushFailurePoisonsFollowers(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stand in for a leader mid-fsync so the committers below park.
+	l.mu.Lock()
+	l.flushing = true
+	l.mu.Unlock()
+	const committers = 4
+	errs := make(chan error, committers)
+	for i := 0; i < committers; i++ {
+		go func(i int) {
+			l.AppendPush(uint64(i+1), int64(i), []byte("x"))
+			errs <- l.Commit()
+		}(i)
+	}
+	for {
+		l.mu.Lock()
+		parked := l.waiters
+		l.mu.Unlock()
+		if parked == committers {
+			break
+		}
+		runtime.Gosched()
+	}
+	l.mu.Lock()
+	l.file.Close()
+	l.flushing = false // the stand-in flush ends without advancing durable
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	for i := 0; i < committers; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a committer was ACKed by a failed flush")
+		}
+	}
+	if d := l.DurableLSN(); d != 0 {
+		t.Fatalf("durable LSN advanced to %d past a failed flush", d)
+	}
+	l.AppendPush(9, 9, []byte("late"))
+	if err := l.Commit(); err == nil {
+		t.Fatal("a poisoned log accepted a later commit")
+	}
+}
+
+func TestOpenQueueSweepsSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	stray := filepath.Join(dir, snapshotName(7)+".tmp")
+	if err := os.WriteFile(stray, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, _, err := OpenQueue(Config{Dir: dir}, &memPQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("stray snapshot temp file survived OpenQueue (stat err %v)", err)
 	}
 }
 

@@ -13,12 +13,13 @@ import (
 // concurrent committers. Sync mode pays one group-commit fsync per batch —
 // the eight-worker case is where the amortization shows, since all eight
 // appends share each disk barrier. Async mode is the in-memory cost of the
-// encode + batch handoff alone.
+// encode + batch handoff alone. rec/fsync is the group size each run
+// reached, read off the log's append.records counter and sync.batch probe.
 func BenchmarkWALAppend(b *testing.B) {
 	value := make([]byte, 64)
 	run := func(mode wal.Mode, workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			l, err := wal.Open(wal.Config{Dir: b.TempDir(), Mode: mode}, nil)
+			l, err := wal.Open(wal.Config{Dir: b.TempDir(), Mode: mode, Metrics: true}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -56,6 +57,10 @@ func BenchmarkWALAppend(b *testing.B) {
 				wg.Wait()
 			}
 			b.StopTimer()
+			snap := l.Snapshot()
+			if h, _ := snap.Hist("sync.batch"); h.Count > 0 {
+				b.ReportMetric(float64(snap.Counter("append.records"))/float64(h.Count), "rec/fsync")
+			}
 		}
 	}
 	b.Run("sync-w1", run(wal.ModeSync, 1))
