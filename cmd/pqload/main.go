@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:9400", "pqd address")
-		conns    = fs.Int("conns", 8, "pooled connections")
+		conns    = fs.Int("conns", 8, "pooled connections: round-robin per call, or with -batch-linger one linger window (one frame) per connection in turn")
 		workers  = fs.Int("workers", 16, "closed-loop worker goroutines")
 		duration = fs.Duration("duration", 10*time.Second, "measurement window")
 		rate     = fs.Int("rate", 0, "open-loop target ops/sec (0 = closed loop)")
@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		keyspace = fs.Int64("keyspace", 1<<20, "priorities drawn uniformly from [0, keyspace)")
 		seed     = fs.Int64("seed", 1, "workload RNG seed")
 		batchMax = fs.Int("batch", 0, "client-side op coalescing: pack up to this many pending ops per OpBatch frame (0 = off)")
-		linger   = fs.Duration("batch-linger", 0, "with -batch, how long the writer waits for more pending ops before flushing a short batch")
+		linger   = fs.Duration("batch-linger", 0, "with -batch, how long the writer waits for more pending ops before flushing a short batch; ops go to one connection per window instead of round-robin")
 		lease    = fs.Bool("lease", false, "consume via PopLease/Ack (at-least-once) instead of DeleteMin; needs a lease-enabled pqd, closed loop only")
 		leaseTTL = fs.Duration("lease-ttl", 0, "per-lease TTL sent with PopLease (0 = server default)")
 		abandon  = fs.Float64("lease-abandon", 0, "fraction of granted leases never acked — simulated consumer crashes the server must redeliver")

@@ -59,7 +59,10 @@ func (e *RemoteError) Error() string { return "client: server error: " + e.Msg }
 type Config struct {
 	// Addr is the server's TCP address ("host:port"). Required.
 	Addr string
-	// Conns is the pool size (default 1). Calls round-robin across it.
+	// Conns is the pool size (default 1). Without BatchLinger calls
+	// round-robin across it; with BatchLinger every call goes to the pool's
+	// current connection, and the pool moves on once per batch that
+	// connection's writer closes (see BatchLinger).
 	Conns int
 	// Window caps pipelined in-flight calls per connection (default 128).
 	// Submitting past it blocks — the client-side face of backpressure.
@@ -87,6 +90,13 @@ type Config struct {
 	// BatchLinger, if positive, is how long the writer waits after waking
 	// for more calls to join the outgoing write — trading per-op latency
 	// for batch width. Zero coalesces only what is already queued.
+	//
+	// With BatchLinger the pool fills one connection's window at a time:
+	// calls go to the current connection until its writer closes the batch,
+	// then to the next. One window becomes one full frame (one server read,
+	// apply and WAL commit) instead of Conns partial ones, and consecutive
+	// windows still land on different connections, which the server
+	// applies in parallel and group-commits together.
 	BatchLinger time.Duration
 	// Flight, if non-nil, turns on end-to-end tracing: every request frame
 	// carries a fresh trace ID and the client's wall-clock send time
@@ -127,7 +137,9 @@ func (cfg *Config) fillDefaults() {
 type Client struct {
 	cfg    Config
 	closed atomic.Bool
-	next   atomic.Uint64
+	// next, mod Conns, is the slot of the last call (round-robin) or, with
+	// BatchLinger, of the current connection.
+	next atomic.Uint64
 
 	mu    sync.Mutex
 	slots []*conn
@@ -138,7 +150,7 @@ type Client struct {
 func Dial(cfg Config) (*Client, error) {
 	cfg.fillDefaults()
 	cl := &Client{cfg: cfg, slots: make([]*conn, cfg.Conns)}
-	c, err := dialConn(cfg)
+	c, err := dialConn(cfg, cl.rotator(0))
 	if err != nil {
 		return nil, err
 	}
@@ -162,12 +174,18 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// getConn picks the next pooled connection, redialing dead slots.
+// getConn picks a pooled connection, redialing dead slots: the next one in
+// turn, or with BatchLinger the current one (see Config.BatchLinger).
 func (cl *Client) getConn() (*conn, error) {
 	if cl.closed.Load() {
 		return nil, ErrClosed
 	}
-	i := int(cl.next.Add(1) % uint64(len(cl.slots)))
+	var i int
+	if cl.cfg.BatchLinger > 0 {
+		i = int(cl.next.Load() % uint64(len(cl.slots)))
+	} else {
+		i = int(cl.next.Add(1) % uint64(len(cl.slots)))
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed.Load() {
@@ -175,7 +193,7 @@ func (cl *Client) getConn() (*conn, error) {
 	}
 	c := cl.slots[i]
 	if c == nil || c.isDead() {
-		nc, err := dialConn(cl.cfg)
+		nc, err := dialConn(cl.cfg, cl.rotator(i))
 		if err != nil {
 			return nil, err
 		}
@@ -183,6 +201,22 @@ func (cl *Client) getConn() (*conn, error) {
 		c = nc
 	}
 	return c, nil
+}
+
+// rotator returns the hook slot i's writer calls when it closes a batch:
+// nil without BatchLinger, else a step of the pool past slot i if slot i is
+// still the current one. Only the current connection moves the pool, so a
+// straggler frame on the previous one cannot cut the next window short.
+func (cl *Client) rotator(i int) func() {
+	if cl.cfg.BatchLinger <= 0 {
+		return nil
+	}
+	n := uint64(len(cl.slots))
+	return func() {
+		if v := cl.next.Load(); v%n == uint64(i) {
+			cl.next.CompareAndSwap(v, v+1)
+		}
+	}
 }
 
 // Result is one completed call's payload: Priority/Value/Found for
@@ -471,6 +505,7 @@ type conn struct {
 	maxFrame int
 	batchMax int
 	linger   time.Duration
+	rotate   func() // nil, or moves the pool on; see Client.rotator
 	fr       *flight.Recorder
 
 	ctx    context.Context
@@ -480,7 +515,7 @@ type conn struct {
 	err    error
 }
 
-func dialConn(cfg Config) (*conn, error) {
+func dialConn(cfg Config, rotate func()) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConn, err)
@@ -496,6 +531,7 @@ func dialConn(cfg Config) (*conn, error) {
 		maxFrame: cfg.MaxFrame,
 		batchMax: cfg.BatchMax,
 		linger:   cfg.BatchLinger,
+		rotate:   rotate,
 		fr:       cfg.Flight,
 		ctx:      ctx,
 		cancel:   cancel,
@@ -607,6 +643,11 @@ func (c *conn) writeLoop() {
 					break gather
 				}
 			}
+			// The batch is closed: later calls belong to the next window, which
+			// the pool sends to another connection while this one is written.
+			if c.rotate != nil {
+				c.rotate()
+			}
 			out = out[:0]
 			aborted := false
 			for i := 0; i < len(batch); {
@@ -714,6 +755,9 @@ func (c *conn) readLoop() {
 		ca := g.one
 		if ca == nil {
 			if err := c.completeBatch(g, f); err != nil {
+				// The group has left the FIFO, so drainPending cannot reach
+				// the calls the bad frame did not answer.
+				g.fail(err)
 				c.fail(err)
 				c.drainPending()
 				return
@@ -735,21 +779,26 @@ func (c *conn) readLoop() {
 // completeBatch fans one response frame out to a batch group's calls.
 // The normal answer is StatusBatch with one status entry per call, in
 // call order; a whole-frame BUSY/SHUTDOWN/ERR refusal completes every
-// call with that error. Anything else is a protocol violation that kills
-// the connection.
+// call with that error. Anything else — another kind, a count mismatch, a
+// torn entry — is a protocol violation that kills the connection; the
+// entries decoded before a torn one keep their answers.
 func (c *conn) completeBatch(g group, f wire.Frame) error {
 	switch f.Kind {
 	case wire.StatusBatch:
-		entries, err := wire.DecodeBatch(f)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrConn, err)
+		if f.Arg != int64(len(g.calls)) {
+			return fmt.Errorf("%w: batch answered %d of %d ops", ErrConn, f.Arg, len(g.calls))
 		}
-		if len(entries) != len(g.calls) {
-			return fmt.Errorf("%w: batch answered %d of %d ops", ErrConn, len(entries), len(g.calls))
-		}
-		for i, ca := range g.calls {
-			e := entries[i]
+		data := f.Data
+		for _, ca := range g.calls {
+			e, rest, err := wire.NextBatchEntry(data, false)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrConn, err)
+			}
+			data = rest
 			ca.complete(decodeResponse(ca.op, wire.Frame{Kind: e.Kind, Arg: e.Arg, Data: e.Data}))
+		}
+		if len(data) > 0 {
+			return fmt.Errorf("%w: %v: %d bytes after the last entry", ErrConn, wire.ErrBadBatch, len(data))
 		}
 		return nil
 	case wire.StatusBusy, wire.StatusShutdown, wire.StatusErr:

@@ -109,7 +109,9 @@ func NextBatchEntry(data []byte, request bool) (BatchEntry, []byte, error) {
 // AppendBatch encodes a whole batch frame — entries packed into one
 // OpBatch (request entries) or StatusBatch (response entries) frame —
 // and appends it to dst. trace/sendNano ride the ordinary trace trailer
-// when trace is non-zero. All entries must share a direction.
+// when trace is non-zero. All entries must share a direction. The entries
+// are encoded in place after the frame header, whose length prefix is
+// filled in last; on error dst is returned unextended.
 func AppendBatch(dst []byte, entries []BatchEntry, trace uint64, sendNano int64) ([]byte, error) {
 	if len(entries) == 0 || len(entries) > MaxBatchOps {
 		return dst, fmt.Errorf("%w: %d entries", ErrBadBatch, len(entries))
@@ -119,19 +121,25 @@ func AppendBatch(dst []byte, entries []BatchEntry, trace uint64, sendNano int64)
 	if !request {
 		kind = StatusBatch
 	}
-	payload := make([]byte, 0, len(entries)*entryHeaderSize)
+	start := len(dst)
+	// A batch kind with no data always encodes.
+	out, _ := Append(dst, Frame{Kind: kind, Arg: int64(len(entries)), Trace: trace, SendNano: sendNano})
+	header := len(out) - start
 	var err error
 	for _, e := range entries {
 		if !batchable(e.Kind, request) {
 			return dst, fmt.Errorf("%w: mixed directions (%v in a %v frame)", ErrBadBatch, e.Kind, kind)
 		}
-		payload, err = AppendBatchEntry(payload, e)
-		if err != nil {
+		if out, err = AppendBatchEntry(out, e); err != nil {
 			return dst, err
 		}
 	}
-	return Append(dst, Frame{Kind: kind, Arg: int64(len(entries)), Data: payload,
-		Trace: trace, SendNano: sendNano})
+	body := len(out) - start - lenSize
+	if body > DefaultMaxFrame {
+		return dst, fmt.Errorf("%w: %d byte payload", ErrFrameTooBig, len(out)-start-header)
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(body))
+	return out, nil
 }
 
 // DecodeBatch validates and unpacks a decoded OpBatch/StatusBatch frame
