@@ -24,7 +24,7 @@ race:
 # module that `./...` does not reach).
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
-	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/client/
+	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/
 	cd bench && go vet . && go test -short .
 
 # Build the network daemon and its load generator into bin/.
@@ -65,7 +65,7 @@ bench:
 
 # Regenerate every table and figure of the paper at full scale (~10 min).
 experiments:
-	go run ./cmd/skipbench -experiment all | tee experiments_full.txt
+	go run ./cmd/skipbench -experiment all
 
 # Quick end-to-end check: build, vet, tests, a fast benchmark pass and a
 # scaled-down experiment sweep.

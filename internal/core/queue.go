@@ -17,6 +17,8 @@
 //     skiplist deletion: top-down, two locks per level, unlinking the
 //     incoming pointer first and then pointing the removed node backwards so
 //     concurrent traversers that still hold a reference simply fall back.
+//     Unlike the paper, the per-level lock walk finds the predecessors
+//     itself, with no MaxLevel-deep search first.
 //
 // The relaxed variant of Section 5.4 is the same code with the timestamp
 // read and test compiled out; it may return an element inserted concurrently
@@ -371,8 +373,7 @@ func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, 
 }
 
 // search fills saved with, for each level, the last node before (key, seq)
-// (Figure 10 lines 1–9 / Figure 11 lines 15–22). saved must have length
-// MaxLevel.
+// (Figure 10 lines 1–9). saved must have length MaxLevel.
 func (q *Queue[K, V]) search(key K, seq uint64, saved []*node[K, V]) {
 	node1 := q.head
 	for i := q.cfg.MaxLevel - 1; i >= 0; i-- {
@@ -385,7 +386,7 @@ func (q *Queue[K, V]) search(key K, seq uint64, saved []*node[K, V]) {
 	}
 }
 
-// savedBuf returns the predecessor scratch for one operation: the caller's
+// savedBuf returns the predecessor scratch for one Insert: the caller's
 // stack array, or a heap slice only when MaxLevel was configured past it.
 func (q *Queue[K, V]) savedBuf(stack *[DefaultMaxLevel]*node[K, V]) []*node[K, V] {
 	if q.cfg.MaxLevel > len(stack) {
@@ -557,20 +558,17 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 }
 
 // remove physically unlinks a claimed node from every level (Figure 11
-// lines 15–37): search for the predecessors, take the whole-node lock so an
-// in-progress insertion finishes first, then unlink top-down holding the
-// predecessor's and the victim's level locks. The victim's forward pointer
-// is redirected backwards (line 32) so concurrent traversers holding a
-// reference to it fall back to a live node instead of skipping ahead past
-// unvisited keys.
+// lines 23–37): take the whole-node lock so an in-progress insertion
+// finishes first, then unlink top-down holding the predecessor's and the
+// victim's level locks, pointing the victim backwards (line 32) so
+// concurrent traversers holding it fall back to a live node. The search of
+// lines 15–22 is folded into the lock walk: each level starts from the
+// predecessor found one level up (the head on top), which precedes the
+// victim, so getLockFor walks on from it or from its backward pointer.
 func (q *Queue[K, V]) remove(victim *node[K, V]) {
-	var stack [DefaultMaxLevel]*node[K, V]
-	savedNodes := q.savedBuf(&stack)
-	q.search(victim.key, victim.seq, savedNodes)
-
 	victim.nodeMu.Lock() // Figure 11 line 27
-	for i := victim.level() - 1; i >= 0; i-- {
-		node1 := q.getLockFor(savedNodes[i], victim, i)
+	for i, node1 := victim.level()-1, q.head; i >= 0; i-- {
+		node1 = q.getLockFor(node1, victim, i)
 		victim.links[i].mu.Lock()
 		node1.storeNext(i, victim.loadNext(i))
 		victim.storeNext(i, node1) // point backwards (line 32)

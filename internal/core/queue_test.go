@@ -436,3 +436,79 @@ func TestStrictOrderingUnderConcurrency(t *testing.T) {
 		t.Fatalf("got %d distinct keys, want %d", len(all), n)
 	}
 }
+
+// linkedOn reports whether n is reachable from the head on level i.
+func linkedOn(q *Queue[int64, int64], n *node[int64, int64], i int) bool {
+	for m := q.head.loadNext(i); m != q.tail; m = m.loadNext(i) {
+		if m == n {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRemovePastMarkedPredecessors leaves the queue's first nodes claimed but
+// still linked, as removers that won the SWAP but have not unlinked yet
+// would, so the DeleteMin that follows must find predecessors other than the
+// head by walking past them. At least one marked node is taller than the
+// victim, so that walk runs on more than the bottom level.
+func TestRemovePastMarkedPredecessors(t *testing.T) {
+	const n = 64
+	q := New[int64, int64](Config{Seed: 5})
+	for k := int64(0); k < n; k++ {
+		q.Insert(k, k*10)
+	}
+	var nodes []*node[int64, int64]
+	for m := q.head.loadNext(0); m != q.tail; m = m.loadNext(0) {
+		nodes = append(nodes, m)
+	}
+
+	// k marked nodes, then the victim: the first victim of height two or
+	// more with a taller node before it.
+	k, tallest := -1, 0
+	for i, m := range nodes {
+		if m.level() >= 2 && tallest > m.level() {
+			k = i
+			break
+		}
+		tallest = max(tallest, m.level())
+	}
+	if k < 0 {
+		t.Fatal("seed builds no node preceded by a taller one; pick another seed")
+	}
+	marked, victim := nodes[:k], nodes[k]
+	for _, m := range marked {
+		m.deleted.Store(q.clock.Now())
+		q.size.Add(-1) // the claim, not the unlink, takes an element out of Len
+	}
+
+	key, val, ok := q.DeleteMin()
+	if !ok || key != victim.key || val != victim.key*10 {
+		t.Fatalf("DeleteMin = (%d,%d,%v), want (%d,%d,true)", key, val, ok, victim.key, victim.key*10)
+	}
+	if _, err := q.checkLevels(); err != nil {
+		t.Fatalf("after DeleteMin: %v", err)
+	}
+	for i := 0; i < q.MaxLevel(); i++ {
+		if linkedOn(q, victim, i) {
+			t.Fatalf("victim %d still linked on level %d", victim.key, i)
+		}
+	}
+	for _, m := range marked {
+		for i := 0; i < m.level(); i++ {
+			if !linkedOn(q, m, i) {
+				t.Fatalf("marked node %d unlinked from level %d by another node's removal", m.key, i)
+			}
+		}
+	}
+
+	for j := len(marked) - 1; j >= 0; j-- {
+		q.remove(marked[j])
+		if _, err := q.checkLevels(); err != nil {
+			t.Fatalf("after removing %d: %v", marked[j].key, err)
+		}
+	}
+	if cnt, err := q.checkLevels(); err != nil || cnt != q.Len() {
+		t.Fatalf("node count %d (err %v), Len %d", cnt, err, q.Len())
+	}
+}
