@@ -10,12 +10,16 @@ import "testing"
 // elim.hit_share; bench/README.md) runs uniform keys and has no hot-key
 // point yet.
 func BenchmarkElimHotKey(b *testing.B) {
+	type pushPopper interface {
+		Push(priority int64, value uint64)
+		Pop() (int64, uint64, bool)
+	}
 	for _, tc := range []struct {
 		name string
-		mk   func() multisetPQ
+		mk   func() pushPopper
 	}{
-		{"Strict", func() multisetPQ { return NewPQ[uint64](WithSeed(1)) }},
-		{"Elim", func() multisetPQ { return NewElimPQ[uint64](0, WithSeed(1)) }},
+		{"Strict", func() pushPopper { return NewPQ[uint64](WithSeed(1)) }},
+		{"Elim", func() pushPopper { return NewElimPQ[uint64](0, WithSeed(1)) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := tc.mk()

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -32,34 +30,15 @@ func TestRunVersion(t *testing.T) {
 // the WAL's final snapshot.
 func TestRunLeaseMode(t *testing.T) {
 	dir := t.TempDir()
-	w := &addrWriter{addrCh: make(chan string, 1)}
-	var stderr bytes.Buffer
-	exitc := make(chan int, 1)
-	go func() {
-		exitc <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-wal-dir", dir,
-			"-lease",
-			"-lease-ttl", "1h", // only the drain may release the in-flight lease
-			"-lease-tick", "5ms",
-			"-max-deliveries", "5",
-			"-drain-window", "100ms",
-			"-drain-timeout", "5s",
-			"-admin", "127.0.0.1:0",
-		}, w, &stderr)
-	}()
-
-	var addr string
-	select {
-	case addr = <-w.addrCh:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("daemon never announced its address; stderr: %s", stderr.String())
-	}
-	if !strings.Contains(w.String(), "pqd: lease: ttl=1h0m0s") || !strings.Contains(w.String(), "durable=true") {
-		t.Fatalf("missing lease boot line:\n%s", w.String())
+	d := boot(t, "-wal-dir", dir, "-lease",
+		"-lease-ttl", "1h", // only the drain may release the in-flight lease
+		"-lease-tick", "5ms", "-max-deliveries", "5",
+		"-drain-window", "100ms", "-drain-timeout", "5s", "-admin", "127.0.0.1:0")
+	if !strings.Contains(d.out.String(), "pqd: lease: ttl=1h0m0s") || !strings.Contains(d.out.String(), "durable=true") {
+		t.Fatalf("missing lease boot line:\n%s", d.out.String())
 	}
 
-	cl, err := client.Dial(client.Config{Addr: addr, Retries: -1})
+	cl, err := client.Dial(client.Config{Addr: d.addr, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,39 +64,15 @@ func TestRunLeaseMode(t *testing.T) {
 	}
 	// The second lease stays outstanding across the drain.
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exitc:
-		if code != 0 {
-			t.Fatalf("run exited %d; stderr: %s\nstdout:%s", code, stderr.String(), w.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
-	}
-	if !strings.Contains(w.String(), "pqd: lease: closed outstanding=0") {
-		t.Fatalf("drain did not release the in-flight lease:\n%s", w.String())
+	d.stop(t)
+	if !strings.Contains(d.out.String(), "pqd: lease: closed outstanding=0") {
+		t.Fatalf("drain did not release the in-flight lease:\n%s", d.out.String())
 	}
 
 	// Restart on the same WAL: the acked element is gone for good; the
 	// nacked-back element and the parked delayed element both survived.
-	w2 := &addrWriter{addrCh: make(chan string, 1)}
-	exitc2 := make(chan int, 1)
-	go func() {
-		exitc2 <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-wal-dir", dir,
-			"-lease", "-lease-tick", "5ms",
-			"-drain-window", "50ms",
-		}, w2, &stderr)
-	}()
-	select {
-	case addr = <-w2.addrCh:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("restart never announced; stderr: %s", stderr.String())
-	}
-	cl2, err := client.Dial(client.Config{Addr: addr, Retries: -1})
+	d = boot(t, "-wal-dir", dir, "-lease", "-lease-tick", "5ms", "-drain-window", "50ms")
+	cl2, err := client.Dial(client.Config{Addr: d.addr, Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,15 +88,5 @@ func TestRunLeaseMode(t *testing.T) {
 	if _, found, err := cl2.PopLease(0); err != nil || found {
 		t.Fatalf("immature element visible after recovery: %v/%v", found, err)
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exitc2:
-		if code != 0 {
-			t.Fatalf("restart exited %d; stderr: %s", code, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("restart did not exit after SIGTERM")
-	}
+	d.stop(t)
 }

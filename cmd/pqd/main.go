@@ -2,16 +2,10 @@
 // over TCP using the frame protocol of internal/wire (see docs/SERVER.md
 // for the protocol and operational semantics).
 //
-// Backend selection mirrors the repository's queue families:
-//
-//	pqd -backend skipqueue   # the paper's strict SkipQueue (default)
-//	pqd -backend relaxed     # SkipQueue without the timestamp mechanism
-//	pqd -backend lockfree    # the CAS-based successor
-//	pqd -backend glheap      # single-lock binary heap baseline
-//	pqd -backend sharded     # relaxed choice-of-two multi-queue (-shards)
-//	pqd -backend elim        # elimination front-end over skipqueue (-elim-slots)
-//	pqd -backend elimsharded # elimination front-end over sharded
-//	pqd -backend spray       # SprayList-style relaxed near-min deletion (-spray-k)
+// -backend names one row of internal/backends, the table of the
+// repository's queue families (default skipqueue, the paper's strict
+// SkipQueue); -shards, -elim-slots and -spray-k tune the rows that use
+// them.
 //
 // Backpressure: -max-conns bounds concurrent connections (excess gets one
 // BUSY frame), -max-inflight bounds frames applied per connection between
@@ -49,6 +43,7 @@ import (
 
 	"skipqueue"
 	"skipqueue/internal/admin"
+	"skipqueue/internal/backends"
 	"skipqueue/internal/flight"
 	"skipqueue/internal/lease"
 	"skipqueue/internal/obs"
@@ -58,49 +53,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// newBackend builds the queue family named by -backend. The second return
-// is the same object's observability surface. shards only applies to the
-// sharded-backed backends (0 = the default of two shards per GOMAXPROCS);
-// elimSlots only to the elimination front-ends (0 = one slot per core);
-// sprayK only to the spray backend (0 = GOMAXPROCS); fr, when non-nil,
-// receives the structure's contention events.
-func newBackend(name string, metrics bool, shards, elimSlots, sprayK int, fr *flight.Recorder) (server.Backend, skipqueue.Instrumented, error) {
-	var opts []skipqueue.Option
-	if metrics {
-		opts = append(opts, skipqueue.WithMetrics())
-	}
-	if fr != nil {
-		opts = append(opts, skipqueue.WithFlight(fr))
-	}
-	switch name {
-	case "skipqueue":
-		pq := skipqueue.NewPQ[[]byte](opts...)
-		return pq, pq, nil
-	case "relaxed":
-		pq := skipqueue.NewPQ[[]byte](append(opts, skipqueue.WithRelaxed())...)
-		return pq, pq, nil
-	case "lockfree":
-		pq := skipqueue.NewLockFreePQ[[]byte](opts...)
-		return pq, pq, nil
-	case "glheap":
-		pq := skipqueue.NewGlobalHeapPQ[[]byte](opts...)
-		return pq, pq, nil
-	case "sharded":
-		pq := skipqueue.NewShardedPQ[[]byte](shards, opts...)
-		return pq, pq, nil
-	case "elim":
-		pq := skipqueue.NewElimPQ[[]byte](elimSlots, opts...)
-		return pq, pq, nil
-	case "elimsharded":
-		pq := skipqueue.NewElimShardedPQ[[]byte](elimSlots, shards, opts...)
-		return pq, pq, nil
-	case "spray":
-		pq := skipqueue.NewSprayPQ[[]byte](sprayK, opts...)
-		return pq, pq, nil
-	}
-	return nil, nil, fmt.Errorf("unknown backend %q (want skipqueue, relaxed, lockfree, glheap, sharded, elim, elimsharded or spray)", name)
 }
 
 // publish registers fn under name in the expvar registry, tolerating
@@ -118,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:9400", "TCP listen address")
-		backendName = fs.String("backend", "skipqueue", "queue backend: skipqueue, relaxed, lockfree, glheap, sharded, elim, elimsharded, spray")
+		backendName = fs.String("backend", "skipqueue", "queue backend: "+backends.Names())
 		shards      = fs.Int("shards", 0, "shard count for the sharded backends (0 = two per GOMAXPROCS)")
 		elimSlots   = fs.Int("elim-slots", 0, "exchanger slots for the elim backends (0 = one per core)")
 		sprayK      = fs.Int("spray-k", 0, "contention width the spray backend shapes its walk for (0 = GOMAXPROCS)")
@@ -156,11 +108,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		serverFR = flight.New("server", 0, *flightSlots)
 		structFR = flight.New("structure", 0, *flightSlots)
 	}
-	backend, inst, err := newBackend(*backendName, metrics, *shards, *elimSlots, *sprayK, structFR)
+	row, err := backends.Lookup(*backendName)
 	if err != nil {
 		fmt.Fprintf(stderr, "pqd: %v\n", err)
 		return 2
 	}
+	var opts []skipqueue.Option
+	if metrics {
+		opts = append(opts, skipqueue.WithMetrics())
+	}
+	if structFR != nil {
+		opts = append(opts, skipqueue.WithFlight(structFR))
+	}
+	inst := row.New(backends.Params{Shards: *shards, ElimSlots: *elimSlots, SprayK: *sprayK, Opts: opts})
+	var backend server.Backend = inst
 
 	// With -wal-dir the selected backend is wrapped in the durable
 	// decorator: state recovered from disk is rebuilt into it before the

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"skipqueue"
+	"skipqueue/internal/backends"
 	"skipqueue/internal/client"
 )
 
@@ -45,44 +48,72 @@ func (w *addrWriter) String() string {
 	return w.buf.String()
 }
 
-// TestRunDrainsOnSIGTERM drives the real daemon entry point in-process:
-// start it, serve traffic, deliver an actual SIGTERM, and require a clean
-// drain (exit 0, late ops answered SHUTDOWN or refused, listener gone).
-func TestRunDrainsOnSIGTERM(t *testing.T) {
-	for _, backend := range []string{"skipqueue", "lockfree"} {
-		t.Run(backend, func(t *testing.T) {
-			w := &addrWriter{addrCh: make(chan string, 1)}
-			var stderr bytes.Buffer
-			exitc := make(chan int, 1)
-			go func() {
-				exitc <- run([]string{
-					"-addr", "127.0.0.1:0",
-					"-backend", backend,
-					"-drain-window", "100ms",
-					"-drain-timeout", "5s",
-					"-admin", "127.0.0.1:0",
-					"-flight", "256",
-				}, w, &stderr)
-			}()
+// daemon is one in-process run of pqd.
+type daemon struct {
+	addr   string
+	admin  string // empty without -admin
+	out    *addrWriter
+	stderr bytes.Buffer
+	exitc  chan int
+}
 
-			var addr string
-			select {
-			case addr = <-w.addrCh:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("daemon never announced its address; stderr: %s", stderr.String())
-			}
-			// The admin line is printed before the data-plane line, so it is
-			// already in the buffer.
-			am := adminRe.FindStringSubmatch(w.String())
-			if am == nil {
-				t.Fatalf("daemon never announced its admin address:\n%s", w.String())
-			}
-			adminAddr := am[1]
-			if code, _ := adminGet(t, adminAddr, "/healthz"); code != 200 {
+// boot starts run on an ephemeral data port with args added and waits for
+// the listening line.
+func boot(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{out: &addrWriter{addrCh: make(chan string, 1)}, exitc: make(chan int, 1)}
+	go func() { d.exitc <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), d.out, &d.stderr) }()
+	select {
+	case d.addr = <-d.out.addrCh:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("daemon never announced its address; stderr: %s", d.stderr.String())
+	}
+	// The admin line is printed before the data-plane line, so it is
+	// already in the buffer.
+	if m := adminRe.FindStringSubmatch(d.out.String()); m != nil {
+		d.admin = m[1]
+	} else if slices.Contains(args, "-admin") {
+		t.Fatalf("daemon never announced its admin address:\n%s", d.out.String())
+	}
+	return d
+}
+
+// wait requires the daemon to exit 0 within ten seconds.
+func (d *daemon) wait(t *testing.T) {
+	t.Helper()
+	select {
+	case code := <-d.exitc:
+		if code != 0 {
+			t.Fatalf("run exited %d, want 0; stderr: %s\nstdout: %s", code, d.stderr.String(), d.out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+}
+
+// stop delivers SIGTERM and waits for a clean exit.
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	d.wait(t)
+}
+
+// TestRunDrainsOnSIGTERM drives the real daemon entry point in-process for
+// every backend: start it, serve traffic, deliver an actual SIGTERM, and
+// require a clean drain (exit 0, late ops answered SHUTDOWN or refused,
+// listener gone).
+func TestRunDrainsOnSIGTERM(t *testing.T) {
+	for _, row := range backends.Rows {
+		t.Run(row.Name, func(t *testing.T) {
+			d := boot(t, "-backend", row.Name, "-drain-window", "100ms", "-drain-timeout", "5s",
+				"-admin", "127.0.0.1:0", "-flight", "256")
+			if code, _ := adminGet(t, d.admin, "/healthz"); code != 200 {
 				t.Fatalf("healthz before drain = %d, want 200", code)
 			}
 
-			cl, err := client.Dial(client.Config{Addr: addr, Retries: -1})
+			cl, err := client.Dial(client.Config{Addr: d.addr, Retries: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +149,7 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 			// only after the data plane has answered its last frame.
 			sawDraining := false
 			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-				code, err := adminGetErr(adminAddr, "/healthz")
+				code, err := adminGetErr(d.admin, "/healthz")
 				if err != nil {
 					break // admin listener retired after the drain
 				}
@@ -131,31 +162,21 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 				t.Error("healthz never reported draining during the drain window")
 			}
 
-			select {
-			case code := <-exitc:
-				if code != 0 {
-					t.Fatalf("run exited %d, want 0; stderr: %s", code, stderr.String())
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("daemon did not exit after SIGTERM")
-			}
-			if _, err := adminGetErr(adminAddr, "/healthz"); err == nil {
+			d.wait(t)
+			if _, err := adminGetErr(d.admin, "/healthz"); err == nil {
 				t.Fatal("admin listener still serving after exit")
 			}
-			if !strings.Contains(w.String(), "draining") {
-				t.Fatalf("stdout missing drain notice:\n%s", w.String())
-			}
-			if !strings.Contains(w.String(), "drained") {
-				t.Fatalf("stdout missing drain completion:\n%s", w.String())
-			}
-			if !strings.Contains(w.String(), "flight: anomalies=") {
-				t.Fatalf("stdout missing flight summary:\n%s", w.String())
+			for _, want := range []string{"draining", "drained", "flight: anomalies="} {
+				if !strings.Contains(d.out.String(), want) {
+					t.Fatalf("stdout missing %q:\n%s", want, d.out.String())
+				}
 			}
 		})
 	}
 }
 
-// TestRunBadBackend: an unknown backend is a usage error (exit 2).
+// TestRunBadBackend: an unknown backend is a usage error (exit 2) whose
+// message names every backend there is.
 func TestRunBadBackend(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-backend", "nope"}, &out, &errOut); code != 2 {
@@ -164,81 +185,78 @@ func TestRunBadBackend(t *testing.T) {
 	if !strings.Contains(errOut.String(), "unknown backend") {
 		t.Fatalf("stderr missing backend error: %s", errOut.String())
 	}
+	for _, row := range backends.Rows {
+		if !strings.Contains(errOut.String(), row.Name) {
+			t.Errorf("backend error does not name %q: %s", row.Name, errOut.String())
+		}
+	}
 }
 
-// TestRunAllBackends: every advertised backend selection constructs and
-// serves at least one op end to end.
+// TestRunAllBackends: every backend -backend can select constructs with
+// its probes on and serves at least one op.
 func TestRunAllBackends(t *testing.T) {
-	for _, backend := range []string{"skipqueue", "relaxed", "lockfree", "glheap", "sharded", "elim", "elimsharded", "spray"} {
-		t.Run(backend, func(t *testing.T) {
-			b, inst, err := newBackend(backend, true, 0, 0, 0, nil)
+	for _, r := range backends.Rows {
+		t.Run(r.Name, func(t *testing.T) {
+			row, err := backends.Lookup(r.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			b := row.New(backends.Params{Opts: []skipqueue.Option{skipqueue.WithMetrics()}})
 			b.Push(5, []byte("v"))
 			if p, v, ok := b.Pop(); !ok || p != 5 || string(v) != "v" {
 				t.Fatalf("Pop = %d/%q/%v", p, v, ok)
 			}
-			if !inst.Snapshot().Enabled {
+			if !b.Snapshot().Enabled {
 				t.Fatal("metrics snapshot not enabled")
 			}
 		})
 	}
 }
 
-// TestShardedBackendShards: -shards is honored, and the zero default
-// resolves to at least two shards.
-func TestShardedBackendShards(t *testing.T) {
-	b, _, err := newBackend("sharded", false, 6, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestBackendParams: every row that reads a tuning flag honors it, and the
+// flag's zero default resolves to a usable size. Each flag must reach at
+// least one row.
+func TestBackendParams(t *testing.T) {
+	params := []struct {
+		flag   string
+		field  string // in backends.Params
+		method string // the built queue's size accessor
+		min    int    // the zero default resolves to at least this
+	}{
+		{"shards", "Shards", "Shards", 2},
+		{"elim-slots", "ElimSlots", "Slots", 4},
+		{"spray-k", "SprayK", "K", 2},
 	}
-	if got := b.(*skipqueue.ShardedPQ[[]byte]).Shards(); got != 6 {
-		t.Fatalf("Shards = %d, want 6", got)
+	size := func(q backends.Queue, method string) (int, bool) {
+		m := reflect.ValueOf(q).MethodByName(method)
+		if !m.IsValid() {
+			return 0, false
+		}
+		return int(m.Call(nil)[0].Int()), true
 	}
-	b, _, err = newBackend("sharded", false, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	reached := map[string]bool{}
+	for _, row := range backends.Rows {
+		for _, pm := range params {
+			def, ok := size(row.New(backends.Params{}), pm.method)
+			if !ok {
+				continue
+			}
+			reached[pm.flag] = true
+			t.Run(row.Name+"/"+pm.flag, func(t *testing.T) {
+				if def < pm.min {
+					t.Fatalf("-%s 0 built %d, want >= %d", pm.flag, def, pm.min)
+				}
+				var p backends.Params
+				reflect.ValueOf(&p).Elem().FieldByName(pm.field).SetInt(6)
+				if got, _ := size(row.New(p), pm.method); got != 6 {
+					t.Fatalf("-%s 6 built %d", pm.flag, got)
+				}
+			})
+		}
 	}
-	if got := b.(*skipqueue.ShardedPQ[[]byte]).Shards(); got < 2 {
-		t.Fatalf("default Shards = %d, want >= 2", got)
-	}
-}
-
-// TestElimBackendSlots: -elim-slots is honored on both elimination
-// backends, and the zero default resolves to at least four slots.
-func TestElimBackendSlots(t *testing.T) {
-	b, _, err := newBackend("elim", false, 0, 6, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.(*skipqueue.ElimPQ[[]byte]).Slots(); got != 6 {
-		t.Fatalf("Slots = %d, want 6", got)
-	}
-	b, _, err = newBackend("elimsharded", false, 3, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.(*skipqueue.ElimPQ[[]byte]).Slots(); got < 4 {
-		t.Fatalf("default Slots = %d, want >= 4", got)
-	}
-}
-
-// TestSprayBackendK: -spray-k is honored, and the zero default resolves
-// to at least two deleters' worth of spray.
-func TestSprayBackendK(t *testing.T) {
-	b, _, err := newBackend("spray", false, 0, 0, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.(*skipqueue.SprayPQ[[]byte]).K(); got != 16 {
-		t.Fatalf("K = %d, want 16", got)
-	}
-	b, _, err = newBackend("spray", false, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.(*skipqueue.SprayPQ[[]byte]).K(); got < 2 {
-		t.Fatalf("default K = %d, want >= 2", got)
+	for _, pm := range params {
+		if !reached[pm.flag] {
+			t.Errorf("no backend reads -%s", pm.flag)
+		}
 	}
 }

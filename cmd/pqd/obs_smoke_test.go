@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,9 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"skipqueue/internal/admin"
 	"skipqueue/internal/client"
@@ -50,38 +47,43 @@ func adminGet(t *testing.T, addr, path string) (int, string) {
 // promLine validates one exposition line: comment, or `name{labels} value`.
 var promLine = regexp.MustCompile(`^(#.*|[a-zA-Z_][a-zA-Z0-9_]*(\{[^}]*\})? [-+]?[0-9.eE+Inf]+)$`)
 
+// scrapeGolden scrapes /metrics and requires well-formed exposition lines,
+// every metric name listed in testdata/<golden>, and each line in want.
+func scrapeGolden(t *testing.T, adminAddr, golden string, want ...string) {
+	t.Helper()
+	code, body := adminGet(t, adminAddr, "/metrics")
+	if code != 200 {
+		t.Fatalf("metrics status %d", code)
+	}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		if !promLine.MatchString(line) {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+	}
+	names, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(strings.Fields(string(names)), want...) {
+		if !strings.Contains(body, name) {
+			t.Errorf("exposition missing %q", name)
+		}
+	}
+	if t.Failed() {
+		t.Fatalf("full exposition:\n%s", body)
+	}
+}
+
 // TestObsSmoke boots the real daemon in-process with the full
 // observability surface on, drives traced traffic through a real client,
 // and validates every admin endpoint: /metrics against the golden metric
 // catalog, /healthz, and /debug/flight span content.
 func TestObsSmoke(t *testing.T) {
-	w := &addrWriter{addrCh: make(chan string, 1)}
-	var stderr bytes.Buffer
-	exitc := make(chan int, 1)
-	go func() {
-		exitc <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-admin", "127.0.0.1:0",
-			"-flight", "1024",
-			"-drain-window", "50ms",
-			"-wal-dir", t.TempDir(),
-			"-lease",
-		}, w, &stderr)
-	}()
-	var addr string
-	select {
-	case addr = <-w.addrCh:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("daemon never announced its address; stderr: %s", stderr.String())
-	}
-	am := adminRe.FindStringSubmatch(w.String())
-	if am == nil {
-		t.Fatalf("daemon never announced its admin address:\n%s", w.String())
-	}
-	adminAddr := am[1]
+	d := boot(t, "-admin", "127.0.0.1:0", "-flight", "1024", "-drain-window", "50ms",
+		"-wal-dir", t.TempDir(), "-lease")
 
 	cfr := flight.New("client", 0, 1024)
-	cl, err := client.Dial(client.Config{Addr: addr, Flight: cfr})
+	cl, err := client.Dial(client.Config{Addr: d.addr, Flight: cfr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,53 +111,31 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("Ack: %v", err)
 	}
 
-	if code, body := adminGet(t, adminAddr, "/healthz"); code != 200 || !strings.Contains(body, "ok") {
+	if code, body := adminGet(t, d.admin, "/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz = %d %q", code, body)
 	}
-
-	// /metrics: well-formed exposition containing every golden metric.
-	code, body := adminGet(t, adminAddr, "/metrics")
-	if code != 200 {
-		t.Fatalf("metrics status %d", code)
-	}
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if !promLine.MatchString(line) {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range strings.Fields(string(golden)) {
-		if !strings.Contains(body, name) {
-			t.Errorf("exposition missing golden metric %s", name)
-		}
-	}
-	if t.Failed() {
-		t.Fatalf("full exposition:\n%s", body)
-	}
+	scrapeGolden(t, d.admin, "metrics.golden")
 
 	// Second scrape grows rates from the delta window.
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if _, body := adminGet(t, adminAddr, "/metrics"); !strings.Contains(body, "pqd_skipqueue_server_frames_rate") {
+	if _, body := adminGet(t, d.admin, "/metrics"); !strings.Contains(body, "pqd_skipqueue_server_frames_rate") {
 		t.Fatalf("second scrape missing rate gauges:\n%s", body)
 	}
 
 	// /debug/flight: both recorders present, server spans recorded for the
 	// traced traffic.
-	_, fbody := adminGet(t, adminAddr, "/debug/flight")
+	_, fbody := adminGet(t, d.admin, "/debug/flight")
 	var p admin.FlightPayload
 	if err := json.Unmarshal([]byte(fbody), &p); err != nil {
 		t.Fatalf("flight payload does not decode: %v", err)
 	}
 	names := map[string]int{}
 	reads := 0
-	for _, d := range p.Recorders {
-		names[d.Name]++
-		for _, e := range d.Events {
+	for _, rec := range p.Recorders {
+		names[rec.Name]++
+		for _, e := range rec.Events {
 			if e.Kind == flight.KServerRead {
 				reads++
 			}
@@ -169,30 +149,61 @@ func TestObsSmoke(t *testing.T) {
 	}
 
 	// /debug/pprof and /debug/vars ride the same mux.
-	if code, _ := adminGet(t, adminAddr, "/debug/pprof/"); code != 200 {
+	if code, _ := adminGet(t, d.admin, "/debug/pprof/"); code != 200 {
 		t.Fatalf("pprof status %d", code)
 	}
-	if code, body := adminGet(t, adminAddr, "/debug/vars"); code != 200 || !strings.Contains(body, "pqd.server") {
+	if code, body := adminGet(t, d.admin, "/debug/vars"); code != 200 || !strings.Contains(body, "pqd.server") {
 		t.Fatalf("/debug/vars = %d, missing pqd.server", code)
 	}
 
 	cl.Close()
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exitc:
-		if code != 0 {
-			t.Fatalf("run exited %d; stderr: %s", code, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
-	}
+	d.stop(t)
 	// The WAL and lease boot and drain lines bracket the run.
 	for _, want := range []string{"pqd: wal: recovered", "pqd: wal: closed",
 		"pqd: lease: ttl=", "pqd: lease: closed"} {
-		if !strings.Contains(w.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, w.String())
+		if !strings.Contains(d.out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, d.out.String())
 		}
 	}
+}
+
+// TestObsSmokeSpray is the spray backend's slice of the observability
+// smoke: boot the daemon with -backend spray, drive real traffic, and
+// require every metric in testdata/metrics_spray.golden — the published
+// spray catalog (spray.walks, spray.collisions, claim.retries,
+// scan.fallbacks, the pop histogram) merged with the lock-free
+// substrate's probes under the skipqueue.spray set.
+func TestObsSmokeSpray(t *testing.T) {
+	d := boot(t, "-admin", "127.0.0.1:0", "-backend", "spray", "-spray-k", "4",
+		"-flight", "1024", "-drain-window", "50ms")
+
+	cl, err := client.Dial(client.Config{Addr: d.addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const ops = 200
+	for i := 0; i < ops; i++ {
+		if err := cl.Insert(int64(i%37), []byte("spray-smoke")); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	for i := 0; i < ops; i++ {
+		if _, _, found, err := cl.DeleteMin(); err != nil || !found {
+			t.Fatalf("DeleteMin %d: found=%v err=%v", i, found, err)
+		}
+	}
+	// One extra pop drains into the EMPTY fallback so pop.empties moves.
+	if _, _, found, err := cl.DeleteMin(); err != nil || found {
+		t.Fatalf("drained queue: found=%v err=%v", found, err)
+	}
+
+	// The traffic above ran a real workload, so the scan path must have
+	// delivered every element and certified the final EMPTY.
+	scrapeGolden(t, d.admin, "metrics_spray.golden",
+		"pqd_skipqueue_spray_scan_pops_total 200",
+		"pqd_skipqueue_spray_pop_empties_total 1")
+
+	cl.Close()
+	d.stop(t)
 }

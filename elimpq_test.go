@@ -10,7 +10,7 @@ import (
 func TestElimPQBasic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		q    multisetPQ
+		q    *ElimPQ[uint64]
 	}{
 		{"strict", NewElimPQ[uint64](4, WithSeed(1))},
 		{"sharded", NewElimShardedPQ[uint64](4, 4, WithSeed(1))},

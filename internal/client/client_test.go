@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"skipqueue"
+	"skipqueue/internal/backends"
 	"skipqueue/internal/client"
 	"skipqueue/internal/server"
 )
@@ -150,61 +151,71 @@ func TestShutdownTyped(t *testing.T) {
 	}
 }
 
-// TestPropertyVsLocalPQ is the protocol property test: a random op sequence
-// through client+server must behave identically to the same sequence on an
-// in-process PQ, op by op. Sequential submission makes both sides
-// deterministic (strict ordering, FIFO within equal priorities).
+// TestPropertyVsLocalPQ is the protocol property test, run against every
+// backend pqd serves: a random op sequence goes through client and server
+// one op at a time, and the backend's contract model checks every reply.
+// For an Exact backend that is op-for-op agreement with an in-process
+// skipqueue.PQ (strict order, FIFO within equal priorities); for a
+// Multiset backend, a held element per Pop, EMPTY iff nothing is held,
+// and an exact Len. A final drain must return everything held.
 func TestPropertyVsLocalPQ(t *testing.T) {
-	remote := skipqueue.NewPQ[[]byte]()
-	_, addr := startServer(t, server.Config{Backend: remote})
-	cl, err := client.Dial(client.Config{Addr: addr, Conns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	for _, row := range backends.Rows {
+		t.Run(row.Name, func(t *testing.T) {
+			remote := row.New(backends.Params{Shards: 8, ElimSlots: 4, SprayK: 8,
+				Opts: []skipqueue.Option{skipqueue.WithSeed(9)}})
+			_, addr := startServer(t, server.Config{Backend: remote})
+			cl, err := client.Dial(client.Config{Addr: addr, Conns: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
 
-	local := skipqueue.NewPQ[[]byte]()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // insert, biased to keep the queue non-trivial
-			prio := int64(rng.Intn(64) - 32) // small range forces duplicate priorities
-			val := []byte(fmt.Sprintf("v%d", i))
-			local.Push(prio, val)
-			if err := cl.Insert(prio, val); err != nil {
-				t.Fatalf("op %d Insert: %v", i, err)
+			m := row.Contract.Model()
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 5000; i++ {
+				if err := propertyStep(cl, m, rng, i); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
 			}
-		case 4, 5, 6:
-			lp, lv, lok := local.Pop()
-			rp, rv, rok, err := cl.DeleteMin()
-			if err != nil {
-				t.Fatalf("op %d DeleteMin: %v", i, err)
+			for held := m.Len(); held >= 0; held-- {
+				p, v, ok, err := cl.DeleteMin()
+				if err == nil {
+					err = m.Pop(p, v, ok)
+				}
+				if err != nil {
+					t.Fatalf("drain: %v", err)
+				}
 			}
-			if lok != rok || lp != rp || !bytes.Equal(lv, rv) {
-				t.Fatalf("op %d DeleteMin diverged: local %d/%q/%v, remote %d/%q/%v",
-					i, lp, lv, lok, rp, rv, rok)
-			}
-		case 7, 8:
-			lp, lv, lok := local.Peek()
-			rp, rv, rok, err := cl.Peek()
-			if err != nil {
-				t.Fatalf("op %d Peek: %v", i, err)
-			}
-			if lok != rok || lp != rp || !bytes.Equal(lv, rv) {
-				t.Fatalf("op %d Peek diverged: local %d/%q/%v, remote %d/%q/%v",
-					i, lp, lv, lok, rp, rv, rok)
-			}
-		case 9:
-			ln := local.Len()
-			rn, err := cl.Len()
-			if err != nil {
-				t.Fatalf("op %d Len: %v", i, err)
-			}
-			if ln != rn {
-				t.Fatalf("op %d Len diverged: local %d, remote %d", i, ln, rn)
-			}
-		}
+		})
 	}
+}
+
+// propertyStep issues one random op and checks its reply against m.
+func propertyStep(cl *client.Client, m *backends.Model, rng *rand.Rand, i int) error {
+	switch rng.Intn(10) {
+	case 0, 1, 2, 3: // insert, biased to keep the queue non-trivial
+		prio := int64(rng.Intn(64) - 32) // small range forces duplicate priorities
+		val := []byte(fmt.Sprintf("v%d", i))
+		m.Push(prio, val)
+		return cl.Insert(prio, val)
+	case 4, 5, 6:
+		p, v, ok, err := cl.DeleteMin()
+		if err != nil {
+			return err
+		}
+		return m.Pop(p, v, ok)
+	case 7, 8:
+		p, v, ok, err := cl.Peek()
+		if err != nil {
+			return err
+		}
+		return m.Peek(p, v, ok)
+	}
+	n, err := cl.Len()
+	if err == nil && n != m.Len() {
+		err = fmt.Errorf("Len = %d, want %d", n, m.Len())
+	}
+	return err
 }
 
 // TestConcurrentCallers: many goroutines over a small pool; every call

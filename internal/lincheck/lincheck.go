@@ -51,6 +51,10 @@
 // requires the pair to be well-formed — an Elim delete must consume an
 // Elim insert serialized before it, and a non-Elim delete can never
 // consume an Elim insert (eliminated elements are invisible to the queue).
+//
+// Relaxed histories, whose deletes may legally return a near-minimal
+// element, are not this package's: internal/quality checks their
+// conservation and rank envelopes.
 package lincheck
 
 import (

@@ -1,11 +1,12 @@
-// Package quality checks *relaxed* priority-queue histories — the
-// companion of internal/lincheck, which checks strict Definition 1
+// Package quality is the repository's one checker of *relaxed*
+// priority-queue histories; internal/lincheck checks strict Definition 1
 // histories. A relaxed queue (internal/sharded's choice-of-two ShardedPQ,
-// or the paper's Section 5.4 relaxed SkipQueue) is allowed to return an
-// element that is not the global minimum, so the strict checker's "did you
-// return the minimum of I−D" question is the wrong one. The questions that
-// remain meaningful, and that this package answers from a recorded
-// history, are the ones the k-LSM benchmarking literature settled on:
+// internal/spray's SprayList, or the paper's Section 5.4 relaxed
+// SkipQueue) is allowed to return an element that is not the global
+// minimum, so the strict checker's "did you return the minimum of I−D"
+// question is the wrong one. The questions that remain meaningful, and
+// that this package answers from a recorded history, are the ones the
+// k-LSM benchmarking literature settled on:
 //
 //  1. Conservation (hard invariant): every delivered element was inserted
 //     exactly once, nothing is delivered twice, and whatever was inserted
@@ -17,7 +18,8 @@
 //     strict queue scores 0 everywhere; choice-of-two sampling over P
 //     shards is expected to score O(P) on average with an O(P·log P)
 //     tail, and Report.CheckBound asserts a generously-constanted bound
-//     of exactly that shape on the mean and the p99.
+//     of exactly that shape on the mean and the p99 (CheckBoundSpray does
+//     the same for the SprayList's O(p·log³ p) envelope).
 //
 // Histories are sequences of Event values stamped at each operation's
 // serialization point (internal/sharded draws these from one global

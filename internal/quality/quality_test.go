@@ -33,7 +33,7 @@ func TestRanksExact(t *testing.T) {
 	if len(rep.Ranks) != 3 || rep.Ranks[0] != 2 || rep.Ranks[1] != 0 || rep.Ranks[2] != 0 {
 		t.Fatalf("Ranks = %v, want [2 0 0]", rep.Ranks)
 	}
-	if rep.MaxRank != 2 || rep.MeanRank < 0.66 || rep.MeanRank > 0.67 {
+	if rep.MaxRank != 2 || rep.P99Rank != 2 || rep.MeanRank < 0.66 || rep.MeanRank > 0.67 {
 		t.Fatalf("summary = %s", rep)
 	}
 	if rep.Empties != 1 || rep.FalseEmpties != 0 {
@@ -102,6 +102,10 @@ func TestDetectsViolations(t *testing.T) {
 		_, err := Analyze(nil, []Element{{Key: 1, ID: 5}})
 		wantErr(t, err, "never inserted")
 	})
+	t.Run("remainder already delivered", func(t *testing.T) {
+		_, err := Analyze([]Event{ins(1, 1, 1), del(1, 1, 2)}, []Element{{Key: 1, ID: 1}})
+		wantErr(t, err, "already delivered")
+	})
 	t.Run("remainder duplicated", func(t *testing.T) {
 		_, err := Analyze([]Event{ins(1, 1, 1), ins(1, 2, 2)},
 			[]Element{{Key: 1, ID: 1}, {Key: 1, ID: 1}})
@@ -111,6 +115,86 @@ func TestDetectsViolations(t *testing.T) {
 		_, err := Analyze([]Event{ins(1, 1, 1), ins(2, 1, 2)}, nil)
 		wantErr(t, err, "inserted twice")
 	})
+}
+
+// TestHealthyHistoryMutations: each single-fault corruption of a healthy
+// history that leaves a remainder must be named, while the healthy one
+// passes.
+func TestHealthyHistoryMutations(t *testing.T) {
+	healthy := []Event{ins(5, 1, 1), ins(3, 2, 2), del(3, 2, 3)}
+	remaining := []Element{{Key: 5, ID: 1}}
+	if _, err := Analyze(healthy, remaining); err != nil {
+		t.Fatalf("healthy history rejected: %v", err)
+	}
+	cases := []struct {
+		name      string
+		history   []Event
+		remaining []Element
+		want      string
+	}{
+		{"double delivery", append(healthy[:3:3], del(3, 2, 4)), remaining, "delivered twice"},
+		{"double insert", append(healthy[:3:3], ins(3, 2, 4)), remaining, "inserted twice"},
+		{"phantom delivery", append(healthy[:3:3], del(99, 9, 4)), remaining, "never inserted"},
+		{"lost element", healthy, nil, "lost"},
+		{"phantom remainder", healthy, []Element{{Key: 5, ID: 1}, {Key: 8, ID: 4}}, "never inserted"},
+		{"remainder drained twice", healthy, []Element{{Key: 5, ID: 1}, {Key: 5, ID: 1}}, "present twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Analyze(tc.history, tc.remaining)
+			wantErr(t, err, tc.want)
+		})
+	}
+}
+
+// TestOutOfOrderWithFalseEmpty: deliveries above the minimum and an EMPTY
+// while an element is live are both legal in a relaxed history; the report
+// ranks the one and counts the other.
+func TestOutOfOrderWithFalseEmpty(t *testing.T) {
+	rep, err := Analyze([]Event{
+		ins(5, 1, 1), ins(3, 2, 2), ins(9, 3, 3),
+		del(9, 3, 4), // rank 2: 3 and 5 live below it
+		del(3, 2, 5), // rank 0
+		empty(6),     // false: 5/1 still live
+		del(5, 1, 7), // rank 0
+		empty(8),     // true EMPTY
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Inserts != 3 || rep.Deletes != 3 || rep.Empties != 2 || rep.FalseEmpties != 1 {
+		t.Fatalf("counts: %s", rep)
+	}
+	if len(rep.Ranks) != 3 || rep.Ranks[0] != 2 || rep.Ranks[1] != 0 || rep.Ranks[2] != 0 {
+		t.Fatalf("Ranks = %v, want [2 0 0]", rep.Ranks)
+	}
+}
+
+// TestEqualKeysWithRemainder: equal keys are distinct elements under their
+// IDs, so one of them may remain while the others are delivered unranked.
+func TestEqualKeysWithRemainder(t *testing.T) {
+	rep, err := Analyze([]Event{
+		ins(7, 1, 1), ins(7, 2, 2), ins(7, 3, 3),
+		del(7, 2, 4), del(7, 1, 5),
+	}, []Element{{Key: 7, ID: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rep.Ranks {
+		if r != 0 {
+			t.Fatalf("rank[%d] = %d, want 0 among equal keys", i, r)
+		}
+	}
+}
+
+// TestInFlightDelivery: a delivery stamped before its insert is legal only
+// once the insert event arrives; without it the delivery is a phantom.
+func TestInFlightDelivery(t *testing.T) {
+	if _, err := Analyze([]Event{del(4, 1, 1), ins(4, 1, 2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Analyze([]Event{del(4, 1, 1)}, nil)
+	wantErr(t, err, "phantom")
 }
 
 // TestRemainderMatch: inserted-minus-delivered must equal the remainder.

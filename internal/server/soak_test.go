@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"skipqueue"
+	"skipqueue/internal/backends"
 	"skipqueue/internal/client"
 	"skipqueue/internal/quality"
 	"skipqueue/internal/server"
@@ -27,24 +27,14 @@ import (
 // connections' ops incorrectly, shows up here as a conservation failure
 // even when each client individually sees plausible responses.
 func TestSoakMixedClients(t *testing.T) {
-	backends := []struct {
-		name string
-		make func() server.Backend
-	}{
-		{"skipqueue", func() server.Backend { return skipqueue.NewPQ[[]byte]() }},
-		{"sharded", func() server.Backend { return skipqueue.NewShardedPQ[[]byte](0) }},
-		{"elim", func() server.Backend { return skipqueue.NewElimPQ[[]byte](0) }},
-		{"spray", func() server.Backend { return skipqueue.NewSprayPQ[[]byte](0) }},
-	}
 	duration := 60 * time.Second
 	if testing.Short() {
 		duration = 3 * time.Second
 	}
-	for _, bk := range backends {
-		bk := bk
-		t.Run(bk.name, func(t *testing.T) {
+	for _, row := range backends.Rows {
+		t.Run(row.Name, func(t *testing.T) {
 			t.Parallel()
-			soakBackend(t, bk.make(), duration)
+			soakBackend(t, row.New(backends.Params{}), duration)
 		})
 	}
 }

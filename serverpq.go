@@ -16,9 +16,9 @@ import (
 // (priority, global sequence) encoded into a string key (pqKey): duplicate
 // priorities coexist and are delivered FIFO within a priority.
 //
-// *PQ[[]byte], *LockFreePQ[[]byte] and *GlobalHeapPQ[[]byte] all satisfy
-// internal/server.Backend directly; cmd/pqd selects between them with its
-// -backend flag.
+// *LockFreePQ[[]byte] and *GlobalHeapPQ[[]byte] satisfy
+// internal/server.Backend directly, as every []byte multiset queue here
+// does; internal/backends lists the ones cmd/pqd's -backend flag serves.
 
 // pqKey encodes (priority, seq) as a 16-byte string that sorts
 // lexicographically in (priority, seq) order. The priority's sign bit is

@@ -1,49 +1,22 @@
-package skipqueue
+package skipqueue_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 
+	"skipqueue"
+	"skipqueue/internal/backends"
 	"skipqueue/internal/xrand"
 )
 
-// multisetPQ is the Push/Pop/Peek/Len surface every root multiset queue
-// shares (the same shape internal/server.Backend consumes).
-type multisetPQ interface {
-	Push(priority int64, value uint64)
-	Pop() (int64, uint64, bool)
-	Peek() (int64, uint64, bool)
-	Len() int
-}
-
-// stressBackends enumerates every multiset backend, including the relaxed
-// sharded one, under the construction each family expects.
-func stressBackends() []struct {
-	name string
-	mk   func() multisetPQ
-} {
-	return []struct {
-		name string
-		mk   func() multisetPQ
-	}{
-		{"skipqueue", func() multisetPQ { return NewPQ[uint64](WithSeed(1)) }},
-		{"relaxed", func() multisetPQ { return NewPQ[uint64](WithSeed(1), WithRelaxed()) }},
-		{"lockfree", func() multisetPQ { return NewLockFreePQ[uint64](WithSeed(1)) }},
-		{"glheap", func() multisetPQ { return NewGlobalHeapPQ[uint64](WithSeed(1)) }},
-		{"sharded", func() multisetPQ { return NewShardedPQ[uint64](8, WithSeed(1)) }},
-		{"elim", func() multisetPQ { return NewElimPQ[uint64](4, WithSeed(1)) }},
-		{"elim-sharded", func() multisetPQ { return NewElimShardedPQ[uint64](4, 8, WithSeed(1)) }},
-		{"spray", func() multisetPQ { return NewSprayPQ[uint64](8, WithSeed(1)) }},
-	}
-}
-
-// TestStressChurnMatrix is the table-driven churn matrix: every backend ×
-// 1..16 goroutines under a mixed Insert/DeleteMin/Peek workload, followed
-// by an exact multiset reconciliation — every pushed value is delivered or
-// drained exactly once, and nothing else ever appears. The scheduled CI
-// stress job runs this with -race -count=5; -short keeps the tier-1 and
-// race-PR runs fast.
+// TestStressChurnMatrix is the table-driven churn matrix: every backend
+// pqd serves × 1..16 goroutines under a mixed Insert/DeleteMin/Peek
+// workload, followed by an exact multiset reconciliation — every pushed
+// value is delivered or drained exactly once, and nothing else ever
+// appears. The scheduled CI stress job runs this with -race -count=5;
+// -short keeps the tier-1 and race-PR runs fast.
 func TestStressChurnMatrix(t *testing.T) {
 	goroutines := []int{1, 2, 4, 8, 16}
 	perWorker := uint64(2000)
@@ -51,19 +24,21 @@ func TestStressChurnMatrix(t *testing.T) {
 		goroutines = []int{1, 4}
 		perWorker = 500
 	}
-	for _, b := range stressBackends() {
+	for _, row := range backends.Rows {
 		for _, g := range goroutines {
-			t.Run(fmt.Sprintf("%s/g%d", b.name, g), func(t *testing.T) {
-				churn(t, b.mk(), g, perWorker)
+			t.Run(fmt.Sprintf("%s/g%d", row.Name, g), func(t *testing.T) {
+				q := row.New(backends.Params{Shards: 8, ElimSlots: 4, SprayK: 8,
+					Opts: []skipqueue.Option{skipqueue.WithSeed(1)}})
+				churn(t, q, g, perWorker)
 			})
 		}
 	}
 }
 
 // churn runs the mixed workload and reconciles. Values are globally unique
-// (worker index × stride + op index), so multiset conservation reduces to
-// set equality over delivered values.
-func churn(t *testing.T, q multisetPQ, workers int, perWorker uint64) {
+// 8-byte ids (worker index × stride + op index), so multiset conservation
+// reduces to set equality over delivered ids.
+func churn(t *testing.T, q backends.Queue, workers int, perWorker uint64) {
 	var mu sync.Mutex
 	delivered := map[uint64]bool{}
 	pushed := workers * int(perWorker)
@@ -76,11 +51,11 @@ func churn(t *testing.T, q multisetPQ, workers int, perWorker uint64) {
 			local := make([]uint64, 0, perWorker)
 			for i := uint64(0); i < perWorker; i++ {
 				id := uint64(w)*perWorker*16 + i
-				q.Push(rng.Int63()%4096, id)
+				q.Push(rng.Int63()%4096, binary.BigEndian.AppendUint64(nil, id))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4, 5: // pop often enough to churn, rarely enough to keep a backlog
 					if _, v, ok := q.Pop(); ok {
-						local = append(local, v)
+						local = append(local, binary.BigEndian.Uint64(v))
 					}
 				case 6:
 					q.Peek() // advisory; must not disturb conservation
@@ -92,7 +67,7 @@ func churn(t *testing.T, q multisetPQ, workers int, perWorker uint64) {
 			defer mu.Unlock()
 			for _, v := range local {
 				if delivered[v] {
-					t.Errorf("value %d delivered twice", v)
+					t.Errorf("id %d delivered twice", v)
 					return
 				}
 				delivered[v] = true
@@ -108,13 +83,14 @@ func churn(t *testing.T, q multisetPQ, workers int, perWorker uint64) {
 		if !ok {
 			break
 		}
-		if delivered[v] {
-			t.Fatalf("value %d delivered twice (drain)", v)
+		if id := binary.BigEndian.Uint64(v); delivered[id] {
+			t.Fatalf("id %d delivered twice (drain)", id)
+		} else {
+			delivered[id] = true
 		}
-		delivered[v] = true
 	}
 	if len(delivered) != pushed {
-		t.Fatalf("delivered %d distinct values, want %d", len(delivered), pushed)
+		t.Fatalf("delivered %d distinct ids, want %d", len(delivered), pushed)
 	}
 	if n := q.Len(); n != 0 {
 		t.Fatalf("Len after drain = %d, want 0", n)
