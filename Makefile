@@ -24,7 +24,7 @@ race:
 # module that `./...` does not reach).
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
-	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
+	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
 	cd bench && go vet . && go test -short .
 
 # Build the network daemon and its load generator into bin/.

@@ -22,14 +22,20 @@ type ordered interface {
 		~float32 | ~float64 | ~string
 }
 
+// item is one element; items order by key, then by seq.
 type item[K ordered, V any] struct {
 	key K
+	seq uint64
 	val V
 }
 
+func (a *item[K, V]) less(b *item[K, V]) bool {
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
+}
+
 // Heap is a mutex-guarded binary min-heap (multiset semantics: duplicate
-// keys coexist). All methods are safe for concurrent use; all of them
-// serialize on one lock, which is the point.
+// keys coexist, ordered among themselves by seq). All methods are safe for
+// concurrent use; all of them serialize on one lock, which is the point.
 type Heap[K ordered, V any] struct {
 	mu    sync.Mutex
 	items []item[K, V]
@@ -77,15 +83,19 @@ func (h *Heap[K, V]) ObsSnapshot() obs.Snapshot { return h.obs.set.Snapshot() }
 // Len returns the number of elements.
 func (h *Heap[K, V]) Len() int { return int(h.size.Load()) }
 
-// Insert adds an element.
-func (h *Heap[K, V]) Insert(key K, val V) {
+// Insert adds an element; it is InsertSeq with seq 0.
+func (h *Heap[K, V]) Insert(key K, val V) { h.InsertSeq(key, 0, val) }
+
+// InsertSeq adds an element at position (key, seq): elements with equal
+// keys leave in seq order, as in internal/core.
+func (h *Heap[K, V]) InsertSeq(key K, seq uint64, val V) {
 	var t0 time.Time
 	if h.obs.set.Enabled() {
 		t0 = time.Now()
 	}
 	h.mu.Lock()
 	h.obs.lockWait.Since(t0)
-	h.items = append(h.items, item[K, V]{key, val})
+	h.items = append(h.items, item[K, V]{key, seq, val})
 	h.siftUp(len(h.items) - 1)
 	h.mu.Unlock()
 	h.size.Add(1)
@@ -131,7 +141,7 @@ func (h *Heap[K, V]) PeekMin() (key K, val V, ok bool) {
 func (h *Heap[K, V]) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(h.items[i].key < h.items[parent].key) {
+		if !h.items[i].less(&h.items[parent]) {
 			return
 		}
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
@@ -144,10 +154,10 @@ func (h *Heap[K, V]) siftDown(i int) {
 	for {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < n && h.items[left].key < h.items[smallest].key {
+		if left < n && h.items[left].less(&h.items[smallest]) {
 			smallest = left
 		}
-		if right < n && h.items[right].key < h.items[smallest].key {
+		if right < n && h.items[right].less(&h.items[smallest]) {
 			smallest = right
 		}
 		if smallest == i {
@@ -163,7 +173,7 @@ func (h *Heap[K, V]) CheckInvariants() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := 1; i < len(h.items); i++ {
-		if h.items[i].key < h.items[(i-1)/2].key {
+		if h.items[i].less(&h.items[(i-1)/2]) {
 			return false
 		}
 	}

@@ -59,6 +59,26 @@ func TestDuplicates(t *testing.T) {
 	}
 }
 
+// TestInsertSeqOrder: equal keys leave in seq order, whatever the order
+// they were inserted in.
+func TestInsertSeqOrder(t *testing.T) {
+	h := New[int64, uint64]()
+	rng := rand.New(rand.NewSource(2))
+	for _, i := range rng.Perm(300) {
+		h.InsertSeq(int64(i%3), uint64(i), uint64(i))
+	}
+	for want := range [3]int64{} {
+		last := -1
+		for n := 0; n < 100; n++ {
+			k, v, ok := h.DeleteMin()
+			if !ok || k != int64(want) || int(v) <= last {
+				t.Fatalf("DeleteMin = %d,%d,%v after seq %d, want key %d", k, v, ok, last, want)
+			}
+			last = int(v)
+		}
+	}
+}
+
 func TestPropertyMatchesSort(t *testing.T) {
 	f := func(keys []int16) bool {
 		h := New[int64, int64]()

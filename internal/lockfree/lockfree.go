@@ -289,13 +289,6 @@ func (q *Queue[K, V]) Len() int { return int(q.size.Load()) }
 func (q *Queue[K, V]) Relaxed() bool { return q.cfg.Relaxed }
 
 // Stats returns a snapshot of the operation counters.
-// CASRetries returns just the CAS-retry counter. Contention-adaptive
-// callers (internal/spray) sample it around every Pop; the full Stats()
-// snapshot loads six atomics where this loads one.
-func (q *Queue[K, V]) CASRetries() uint64 {
-	return q.stCASRetries.Load()
-}
-
 func (q *Queue[K, V]) Stats() Stats {
 	return Stats{
 		Inserts:    q.stInserts.Load(),
@@ -563,9 +556,9 @@ retry:
 // remove marks every level of a claimed node top-down, then — for nodes
 // with towers — runs a search to physically unlink it (the search's
 // helping does the unlinking). Bottom-only nodes skip the search: every
-// level-0 scan (DeleteMin, DeleteSpray, the next find through here)
-// unlinks marked nodes it passes anyway, and one lazy unlink CAS on the
-// next scan is far cheaper than an eager full-height search per delete.
+// level-0 scan (DeleteMin, the next find through here) unlinks marked
+// nodes it passes anyway, and one lazy unlink CAS on the next scan is far
+// cheaper than an eager full-height search per delete.
 // Tower nodes keep the eager search because their upper-level links
 // lengthen every subsequent search path until someone cleans them.
 func (q *Queue[K, V]) remove(victim *node[K, V]) {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSequentialScanOrder: in ModeScan the queue degenerates to the
-// relaxed lock-free SkipQueue, so a quiescent drain is exactly sorted and
+// relaxed SkipQueue, so a quiescent drain is exactly sorted and
 // FIFO among equal priorities.
 func TestSequentialScanOrder(t *testing.T) {
 	q := New[int](Config{K: 8, Seed: 1, Mode: ModeScan})
@@ -107,24 +107,6 @@ func TestPeekLenEntries(t *testing.T) {
 	}
 	if es[0].Seq != 2 {
 		t.Fatalf("Entries[0].Seq = %d, want 2", es[0].Seq)
-	}
-}
-
-// TestKeyRoundTrip: the composite key preserves order and decodes back.
-func TestKeyRoundTrip(t *testing.T) {
-	prios := []int64{-1 << 62, -7, -1, 0, 1, 42, 1 << 62}
-	for i, p := range prios {
-		k := key(p, uint64(i)+9)
-		if keyPriority(k) != p || keySeq(k) != uint64(i)+9 {
-			t.Fatalf("round trip %d/%d -> %d/%d", p, i+9, keyPriority(k), keySeq(k))
-		}
-		if i > 0 && !(key(prios[i-1], 1<<63) < k) {
-			t.Fatalf("key order broken between %d and %d", prios[i-1], p)
-		}
-	}
-	// Same priority: seq breaks the tie FIFO.
-	if !(key(5, 1) < key(5, 2)) {
-		t.Fatal("equal-priority keys not FIFO ordered")
 	}
 }
 
@@ -284,5 +266,18 @@ func TestStressChurnSpray(t *testing.T) {
 		if q.Len() != 0 {
 			t.Fatalf("mode %d: Len = %d after drain", mode, q.Len())
 		}
+	}
+}
+
+// TestSprayPopAllocs: the forced spray path allocates nothing per Pop, as
+// the scan path does (the root TestPushPopAllocs covers the adaptive mode).
+func TestSprayPopAllocs(t *testing.T) {
+	q := New[[]byte](Config{K: 8, Seed: 1, Mode: ModeSpray})
+	value := make([]byte, 16)
+	for i := int64(0); i < 3000; i++ {
+		q.Push(i*7919%1000, value)
+	}
+	if n := testing.AllocsPerRun(1000, func() { q.Pop() }); n != 0 {
+		t.Errorf("spray Pop allocates %v times per call, want 0", n)
 	}
 }

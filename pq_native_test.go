@@ -10,8 +10,8 @@ import (
 )
 
 // TestPushPopAllocs pins the allocation shape of the native (priority, seq)
-// order: on a 1000-deep queue a Push allocates its node and nothing else,
-// and a Pop allocates nothing.
+// order: on a 1000-deep queue a Push allocates its node (the heap: at most
+// its amortized slice growth) and nothing else, and a Pop allocates nothing.
 func TestPushPopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -22,6 +22,8 @@ func TestPushPopAllocs(t *testing.T) {
 	}{
 		{"PQ", NewPQ[[]byte](WithSeed(1))},
 		{"ShardedPQ", NewShardedPQ[[]byte](4, WithSeed(1))},
+		{"SprayPQ", NewSprayPQ[[]byte](4, WithSeed(1))},
+		{"GlobalHeapPQ", NewGlobalHeapPQ[[]byte]()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			value := make([]byte, 16)

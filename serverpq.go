@@ -10,11 +10,12 @@ import (
 
 // This file adapts the queue families that have map (unique-key) semantics
 // to the multiset Push/Pop/Peek/Len surface that PQ offers and that the
-// pqd server subsystem (internal/server.Backend) consumes. PQ's skiplist
-// orders by (priority, sequence number) natively; these families (and
-// SprayPQ) still order by one key, so each pushed element gets its
-// (priority, global sequence) encoded into a string key (pqKey): duplicate
-// priorities coexist and are delivered FIFO within a priority.
+// pqd server subsystem (internal/server.Backend) consumes. Every element
+// gets a global sequence number, so duplicate priorities coexist and are
+// delivered FIFO within a priority. The global-lock heap orders by
+// (priority, seq) natively, as PQ's skiplist does; the lock-free skiplist
+// still orders by one key, so LockFreePQ encodes (priority, seq) into a
+// string key (pqKey).
 //
 // *LockFreePQ[[]byte] and *GlobalHeapPQ[[]byte] satisfy
 // internal/server.Backend directly, as every []byte multiset queue here
@@ -93,14 +94,14 @@ func (pq *LockFreePQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
 // apples-to-apples load tests. Construct with NewGlobalHeapPQ. All methods
 // are safe for concurrent use.
 type GlobalHeapPQ[V any] struct {
-	h   *glheap.Heap[string, V]
+	h   *glheap.Heap[int64, V]
 	seq atomic.Uint64
 }
 
 // NewGlobalHeapPQ returns an empty single-lock multiset priority queue. Of
 // the options only WithMetrics applies.
 func NewGlobalHeapPQ[V any](opts ...Option) *GlobalHeapPQ[V] {
-	h := glheap.New[string, V]()
+	h := glheap.New[int64, V]()
 	if baselineMetrics(opts) {
 		h.EnableMetrics()
 	}
@@ -109,26 +110,15 @@ func NewGlobalHeapPQ[V any](opts ...Option) *GlobalHeapPQ[V] {
 
 // Push adds value with the given priority.
 func (pq *GlobalHeapPQ[V]) Push(priority int64, value V) {
-	pq.h.Insert(pqKey(priority, pq.seq.Add(1)), value)
+	pq.h.InsertSeq(priority, pq.seq.Add(1), value)
 }
 
-// Pop removes and returns an element with the minimum priority.
-func (pq *GlobalHeapPQ[V]) Pop() (priority int64, value V, ok bool) {
-	k, v, ok := pq.h.DeleteMin()
-	if !ok {
-		return 0, value, false
-	}
-	return pqPriority(k), v, true
-}
+// Pop removes and returns an element with the minimum priority; earliest
+// pushed wins among equals.
+func (pq *GlobalHeapPQ[V]) Pop() (priority int64, value V, ok bool) { return pq.h.DeleteMin() }
 
 // Peek returns the minimum-priority element without removing it.
-func (pq *GlobalHeapPQ[V]) Peek() (priority int64, value V, ok bool) {
-	k, v, ok := pq.h.PeekMin()
-	if !ok {
-		return 0, value, false
-	}
-	return pqPriority(k), v, true
-}
+func (pq *GlobalHeapPQ[V]) Peek() (priority int64, value V, ok bool) { return pq.h.PeekMin() }
 
 // Len returns the number of elements.
 func (pq *GlobalHeapPQ[V]) Len() int { return pq.h.Len() }

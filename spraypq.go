@@ -6,13 +6,13 @@ import (
 )
 
 // SprayPQ is the SprayList-style relaxed priority queue of internal/spray:
-// one lock-free skiplist whose DeleteMin performs a randomized descending
+// one relaxed SkipQueue whose DeleteMin performs a randomized descending
 // "spray" walk of height O(log p) and total jump budget O(log³ p), then
-// claims a near-minimal node with the paper's logical-delete CAS. Where
+// claims a near-minimal node with the paper's logical-delete SWAP. Where
 // ShardedPQ buys head parallelism with P independent queues, SprayPQ keeps
 // one queue and decollides the deleters spatially; the delivered rank is
 // O(p·log³ p) w.h.p. (see docs/ALGORITHMS.md §12 and internal/quality's
-// spray envelope). Under low contention an adaptive CAS-failure EWMA
+// spray envelope). Under low contention an adaptive collision EWMA
 // routes Pop to the plain linear head scan instead, and EMPTY is only ever
 // certified by that full scan — never by a failed spray.
 //
@@ -62,7 +62,7 @@ func (pq *SprayPQ[V]) K() int { return pq.q.K() }
 
 // Snapshot reads the observability probes: the skipqueue.spray set
 // (walks, collisions, fallbacks, pop latency) merged with the underlying
-// lock-free queue's probes. Zero-valued without WithMetrics.
+// skipqueue.core probes. Zero-valued without WithMetrics.
 func (pq *SprayPQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
 
 // Unwrap exposes the internal spray queue for tests and harnesses that
