@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"skipqueue/internal/cheap"
-	"skipqueue/internal/core"
 	"skipqueue/internal/funnel"
 	"skipqueue/internal/glheap"
 )
@@ -32,19 +31,10 @@ type Heap[K Ordered, V any] struct {
 // skiplist-shape options are ignored.
 func NewHeap[K Ordered, V any](capacity int, opts ...Option) *Heap[K, V] {
 	h := cheap.New[K, V](capacity)
-	if baselineMetrics(opts) {
+	if resolve(opts).Metrics {
 		h.EnableMetrics()
 	}
 	return &Heap[K, V]{h: h}
-}
-
-// baselineMetrics resolves the one option the baseline structures share.
-func baselineMetrics(opts []Option) bool {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.Metrics
 }
 
 // Insert adds an element, or returns ErrFull.
@@ -86,7 +76,7 @@ type GlobalLockHeap[K Ordered, V any] struct {
 // WithMetrics applies.
 func NewGlobalLockHeap[K Ordered, V any](opts ...Option) *GlobalLockHeap[K, V] {
 	h := glheap.New[K, V]()
-	if baselineMetrics(opts) {
+	if resolve(opts).Metrics {
 		h.EnableMetrics()
 	}
 	return &GlobalLockHeap[K, V]{h: h}
@@ -121,7 +111,7 @@ type FunnelList[K Ordered, V any] struct {
 // applies.
 func NewFunnelList[K Ordered, V any](opts ...Option) *FunnelList[K, V] {
 	return &FunnelList[K, V]{l: funnel.New[K, V](funnel.Config{
-		Metrics: baselineMetrics(opts),
+		Metrics: resolve(opts).Metrics,
 	})}
 }
 
@@ -142,15 +132,3 @@ func (f *FunnelList[K, V]) Stats() FunnelStats { return f.l.Stats() }
 
 // Snapshot reads the observability probes (zero-valued without WithMetrics).
 func (f *FunnelList[K, V]) Snapshot() Snapshot { return f.l.ObsSnapshot() }
-
-// Every queue family exposes its probes through the same interface.
-var (
-	_ Instrumented = (*Queue[int, int])(nil)
-	_ Instrumented = (*PQ[int])(nil)
-	_ Instrumented = (*LockFree[int, int])(nil)
-	_ Instrumented = (*Heap[int, int])(nil)
-	_ Instrumented = (*GlobalLockHeap[int, int])(nil)
-	_ Instrumented = (*FunnelList[int, int])(nil)
-	_ Instrumented = (*Map[int, int])(nil)
-	_ Instrumented = (*SprayPQ[int])(nil)
-)

@@ -11,8 +11,8 @@ import (
 	"skipqueue/internal/xrand"
 )
 
-// BenchmarkPQMixed measures the multiset wrapper (composite string keys) on
-// the standard mixed workload.
+// BenchmarkPQMixed measures the multiset adapter (native (priority, seq)
+// order) on the standard mixed workload.
 func BenchmarkPQMixed(b *testing.B) {
 	pq := NewPQ[int64](WithSeed(1))
 	rng := xrand.NewRand(77)

@@ -46,6 +46,7 @@ import (
 	"skipqueue/internal/backends"
 	"skipqueue/internal/flight"
 	"skipqueue/internal/lease"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/obs"
 	"skipqueue/internal/server"
 	"skipqueue/internal/wal"
@@ -121,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = append(opts, skipqueue.WithFlight(structFR))
 	}
 	inst := row.New(backends.Params{Shards: *shards, ElimSlots: *elimSlots, SprayK: *sprayK, Opts: opts})
-	var backend server.Backend = inst
+	var backend multiset.Queue[[]byte] = inst
 
 	// With -wal-dir the selected backend is wrapped in the durable
 	// decorator: state recovered from disk is rebuilt into it before the

@@ -1,9 +1,6 @@
 package skipqueue
 
-import (
-	"skipqueue/internal/core"
-	"skipqueue/internal/elim"
-)
+import "skipqueue/internal/elim"
 
 // ElimPQ is the elimination front-end of internal/elim layered over a root
 // multiset queue: an Insert whose priority is at or below the queue's
@@ -24,7 +21,7 @@ import (
 // the multiset guarantees stay exact and eliminated deliveries stay inside
 // the same rank-error bound as the bare sharded queue.
 //
-// *ElimPQ[[]byte] satisfies internal/server.Backend, so pqd can serve it
+// *ElimPQ[[]byte] satisfies internal/multiset.Queue, so pqd can serve it
 // (-backend elim, -backend elimsharded). All methods are safe for
 // concurrent use.
 type ElimPQ[V any] struct {
@@ -37,10 +34,7 @@ type ElimPQ[V any] struct {
 // 4); the options configure the inner queue, with WithMetrics also enabling
 // the front-end's own "skipqueue.elim" probe set.
 func NewElimPQ[V any](slots int, opts ...Option) *ElimPQ[V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 	inner := NewPQ[V](opts...)
 	e := elim.New[V](inner, elim.Config{
 		Slots:   slots,
@@ -55,10 +49,7 @@ func NewElimPQ[V any](slots int, opts ...Option) *ElimPQ[V] {
 // ShardedPQ with the given shard count (0 selects two shards per
 // GOMAXPROCS). slots and opts are as in NewElimPQ.
 func NewElimShardedPQ[V any](slots, shards int, opts ...Option) *ElimPQ[V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 	inner := NewShardedPQ[V](shards, opts...)
 	e := elim.New[V](inner, elim.Config{
 		Slots:   slots,
@@ -99,5 +90,3 @@ func (pq *ElimPQ[V]) Snapshot() Snapshot {
 // Unwrap exposes the elimination layer for tests and harnesses that need
 // its tracer hook or its direct probe set.
 func (pq *ElimPQ[V]) Unwrap() *elim.PQ[V] { return pq.e }
-
-var _ Instrumented = (*ElimPQ[int])(nil)

@@ -13,7 +13,7 @@ import (
 	"strings"
 
 	"skipqueue"
-	"skipqueue/internal/server"
+	"skipqueue/internal/multiset"
 )
 
 // Contract is what one sequential client may rely on. Model checks it.
@@ -39,10 +39,10 @@ type Params struct {
 	Opts      []skipqueue.Option
 }
 
-// Queue is what every row builds: a server backend that also exposes its
-// probes.
+// Queue is what every row builds: a []byte multiset queue that also
+// exposes its probes.
 type Queue interface {
-	server.Backend
+	multiset.Queue[[]byte]
 	skipqueue.Instrumented
 }
 

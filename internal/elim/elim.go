@@ -59,17 +59,9 @@ import (
 	"time"
 
 	"skipqueue/internal/flight"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/obs"
 )
-
-// Backend is the multiset queue surface ElimPQ wraps — the same shape as
-// internal/server.Backend and the root PQ family, generic in the value.
-type Backend[V any] interface {
-	Push(priority int64, value V)
-	Pop() (priority int64, value V, ok bool)
-	Peek() (priority int64, value V, ok bool)
-	Len() int
-}
 
 // DefaultSlots is the exchanger array length when Config.Slots is zero.
 // Elimination arrays want to be small — a waiting Insert is found by a
@@ -228,7 +220,7 @@ func newProbes(enabled bool, fr *flight.Recorder) probes {
 // use. Construct with New.
 type PQ[V any] struct {
 	cfg   Config
-	inner Backend[V]
+	inner multiset.Queue[V]
 	slots []slot[V]
 
 	// est is the adaptive min-estimate that gates elimination attempts on
@@ -246,7 +238,7 @@ type PQ[V any] struct {
 }
 
 // New returns an elimination front-end over inner, configured by cfg.
-func New[V any](inner Backend[V], cfg Config) *PQ[V] {
+func New[V any](inner multiset.Queue[V], cfg Config) *PQ[V] {
 	cfg = cfg.withDefaults()
 	p := &PQ[V]{cfg: cfg, inner: inner, slots: make([]slot[V], cfg.Slots)}
 	p.est.Store(math.MaxInt64)
@@ -263,7 +255,7 @@ func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
 func (p *PQ[V]) Slots() int { return len(p.slots) }
 
 // Inner returns the wrapped queue.
-func (p *PQ[V]) Inner() Backend[V] { return p.inner }
+func (p *PQ[V]) Inner() multiset.Queue[V] { return p.inner }
 
 // now draws a serialization stamp (see Config.Clock).
 func (p *PQ[V]) now() int64 {

@@ -9,7 +9,7 @@ import (
 	"skipqueue/internal/lincheck"
 )
 
-// strictBackend adapts a strict core.Queue to the Backend surface. Keys
+// strictBackend adapts a strict core.Queue to the multiset.Queue surface. Keys
 // double as values so tests can assert the exchanged payload.
 type strictBackend struct{ q *core.Queue[int64, int64] }
 

@@ -87,8 +87,9 @@ func (h *Heap[K, V]) Len() int { return int(h.size.Load()) }
 func (h *Heap[K, V]) Insert(key K, val V) { h.InsertSeq(key, 0, val) }
 
 // InsertSeq adds an element at position (key, seq): elements with equal
-// keys leave in seq order, as in internal/core.
-func (h *Heap[K, V]) InsertSeq(key K, seq uint64, val V) {
+// keys leave in seq order, as in internal/core. It always reports true: a
+// heap keeps duplicates, so every call adds an element.
+func (h *Heap[K, V]) InsertSeq(key K, seq uint64, val V) bool {
 	var t0 time.Time
 	if h.obs.set.Enabled() {
 		t0 = time.Now()
@@ -100,6 +101,7 @@ func (h *Heap[K, V]) InsertSeq(key K, seq uint64, val V) {
 	h.mu.Unlock()
 	h.size.Add(1)
 	h.obs.insertLat.Since(t0)
+	return true
 }
 
 // DeleteMin removes and returns the minimum element.

@@ -7,7 +7,6 @@ package hist
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -176,18 +175,5 @@ func (h *H) Octaves() []Octave {
 		}
 		out = append(out, Octave{Lo: lo, Count: c})
 	}
-	return out
-}
-
-// Quantiles returns the requested quantiles in order; convenience for
-// table-driven reporting.
-func (h *H) Quantiles(qs ...float64) []time.Duration {
-	out := make([]time.Duration, len(qs))
-	sorted := append([]float64(nil), qs...)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	_ = sorted
 	return out
 }

@@ -9,7 +9,7 @@
 // Delayed inserts ride the same machinery: an element pushed with a
 // delay is durable immediately but invisible to pops until it matures.
 //
-// Table is a decorator over any Backend (the same Push/Pop/Peek/Len
+// Table is a decorator over any multiset.Queue (the Push/Pop/Peek/Len
 // surface internal/server drives). It owns three pieces of state:
 //
 //   - a value header threaded through the backend: every stored value is
@@ -42,21 +42,12 @@ import (
 	"time"
 
 	"skipqueue/internal/flight"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/obs"
 	"skipqueue/internal/timerwheel"
 )
 
-// Backend is the queue surface the table decorates — structurally
-// identical to internal/server.Backend and internal/wal.Backend (the
-// mirror keeps the dependency arrows pointing at this subsystem).
-type Backend interface {
-	Push(priority int64, value []byte)
-	Pop() (priority int64, value []byte, ok bool)
-	Peek() (priority int64, value []byte, ok bool)
-	Len() int
-}
-
-// Leaser is the durable lease surface a Backend may additionally
+// Leaser is the durable lease surface a decorated queue may additionally
 // implement (*wal.Queue does). LeaseMin claims the minimum element
 // without durably retiring it: it leaves the in-memory structure but
 // stays in the snapshot index, so a crash resurrects it. Ack retires it
@@ -204,7 +195,7 @@ const recentCap = 1024
 // for concurrent use.
 type Table struct {
 	cfg   Config
-	inner Backend
+	inner multiset.Queue[[]byte]
 	lsr   Leaser // nil on a plain backend
 	obs   probes
 	now   func() time.Time // injectable for tests
@@ -228,7 +219,7 @@ type Table struct {
 // New builds a lease table over inner. When inner also implements
 // Leaser (a *wal.Queue does), every lease transition is durable and a
 // crash redelivers rather than loses. Call Close when done.
-func New(cfg Config, inner Backend) *Table {
+func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 30 * time.Second
 	}
@@ -310,7 +301,7 @@ func (t *Table) requeueInner(token uint64, prio int64, stored []byte) {
 	t.inner.Push(prio, stored)
 }
 
-// --- Backend surface (what the server's plain opcodes drive) ----------
+// --- multiset.Queue surface (what the server's plain opcodes drive) ---
 
 // Push enqueues an immediately-ready element.
 func (t *Table) Push(priority int64, value []byte) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"skipqueue/internal/flight"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/wal"
 )
 
@@ -85,7 +86,7 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestTable(t *testing.T, cfg Config, inner Backend) (*Table, *fakeClock) {
+func newTestTable(t *testing.T, cfg Config, inner multiset.Queue[[]byte]) (*Table, *fakeClock) {
 	t.Helper()
 	cfg.Tick = -1
 	if cfg.TTL == 0 {

@@ -48,7 +48,10 @@ type markable[K ordered, V any] struct {
 }
 
 type node[K ordered, V any] struct {
+	// key, then seq, is the node's position (see before). Map-style callers
+	// leave seq zero; the multiset adapter gives every element its own.
 	key   K
+	seq   uint64
 	value V
 
 	// claimed is the DeleteMin arbitration word: zero while live, the
@@ -67,6 +70,17 @@ type node[K ordered, V any] struct {
 
 func (n *node[K, V]) loadNext(level int) *markable[K, V] {
 	return n.next[level].Load()
+}
+
+// before reports whether n sorts strictly before (key, seq): by key, then by
+// seq. The tail sorts after everything.
+func (n *node[K, V]) before(key K, seq uint64) bool {
+	return !n.isTail && (n.key < key || (n.key == key && n.seq < seq))
+}
+
+// at reports whether n sits exactly at (key, seq).
+func (n *node[K, V]) at(key K, seq uint64) bool {
+	return !n.isTail && n.key == key && n.seq == seq
 }
 
 // Config mirrors the lock-based queue's tunables.
@@ -188,14 +202,16 @@ func (q *Queue[K, V]) Obs() *obs.Set { return q.obs.set }
 // atomically, the set is not a consistent cut.
 func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot { return q.obs.set.Snapshot() }
 
-// TraceEvent mirrors core.TraceEvent for history checking: Stamp is the
-// insert completion stamp (drawn before its write) or the delete's claim
-// ticket (its response for an EMPTY delete); Done, for inserts, is drawn
-// after the stamp write completed; Start is the delete's initial clock
-// read.
+// TraceEvent mirrors core.TraceEvent for history checking: Key and Seq are
+// the inserted or the deleted element's position (Seq is zero for plain
+// Insert); Stamp is the insert completion stamp (drawn before its write) or
+// the delete's claim ticket (its response for an EMPTY delete); Done, for
+// inserts, is drawn after the stamp write completed; Start is the delete's
+// initial clock read.
 type TraceEvent[K ordered] struct {
 	Insert bool
 	Key    K
+	Seq    uint64
 	OK     bool
 	Stamp  int64
 	Done   int64
@@ -239,9 +255,9 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zero K
-	q.tail = q.newNode(zero, *new(V), cfg.MaxLevel)
+	q.tail = q.newNode(zero, 0, *new(V), cfg.MaxLevel)
 	q.tail.isTail = true
-	q.head = q.newNode(zero, *new(V), cfg.MaxLevel)
+	q.head = q.newNode(zero, 0, *new(V), cfg.MaxLevel)
 	for i := 0; i < cfg.MaxLevel; i++ {
 		q.head.next[i].Store(&markable[K, V]{next: q.tail})
 	}
@@ -251,8 +267,8 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	return q
 }
 
-func (q *Queue[K, V]) newNode(key K, value V, level int) *node[K, V] {
-	n := &node[K, V]{key: key, value: value, topLevel: level}
+func (q *Queue[K, V]) newNode(key K, seq uint64, value V, level int) *node[K, V] {
+	n := &node[K, V]{key: key, seq: seq, value: value, topLevel: level}
 	n.next = make([]atomic.Pointer[markable[K, V]], level)
 	n.stamp.Store(vclock.MaxTime)
 	return n
@@ -300,19 +316,11 @@ func (q *Queue[K, V]) Stats() Stats {
 	}
 }
 
-// less orders nodes: the tail is greater than everything.
-func (q *Queue[K, V]) less(n *node[K, V], key K) bool {
-	if n.isTail {
-		return false
-	}
-	return n.key < key
-}
-
-// find locates the predecessor and successor of key at every level,
+// find locates the predecessor and successor of (key, seq) at every level,
 // physically unlinking any marked node it passes (the helping protocol).
-// It reports whether an unmarked node with the exact key was found at the
-// bottom level. preds/succs must have length MaxLevel.
-func (q *Queue[K, V]) find(key K, target *node[K, V], preds, succs []*node[K, V]) bool {
+// It reports whether an unmarked node at exactly (key, seq) was found at
+// the bottom level. preds/succs must have length MaxLevel.
+func (q *Queue[K, V]) find(key K, seq uint64, target *node[K, V], preds, succs []*node[K, V]) bool {
 retry:
 	for {
 		pred := q.head
@@ -343,9 +351,10 @@ retry:
 					curr = mk.next
 					mk = curr.loadNext(level)
 				}
-				// Advance while curr orders before key (or, when hunting a
-				// specific node during removal, before that exact node).
-				if q.less(curr, key) || (target != nil && curr != target && !curr.isTail && !(key < curr.key)) {
+				// Advance while curr orders before (key, seq) (or, when
+				// hunting a specific node during removal, before that exact
+				// node).
+				if curr.before(key, seq) || (target != nil && curr != target && curr.at(key, seq)) {
 					pred = curr
 					curr = mk.next
 					continue
@@ -359,16 +368,25 @@ retry:
 		if target != nil {
 			return bottom == target
 		}
-		return !bottom.isTail && bottom.key == key
+		return bottom.at(key, seq)
 	}
 }
 
-// Insert adds key with value, or replaces the value of an existing unclaimed
-// key. It reports true when a new node was linked.
+// Insert adds key with value; it is InsertSeq with seq 0. It reports true
+// when a new node was linked, false when an unclaimed equal key already
+// exists (that node and its value stay).
+func (q *Queue[K, V]) Insert(key K, value V) bool {
+	return q.InsertSeq(key, 0, value)
+}
+
+// InsertSeq is Insert at position (key, seq): nodes order by key first and
+// seq second, so elements with equal keys and distinct seqs coexist and
+// drain in seq order, as in internal/core. Only an unclaimed node at an
+// equal (key, seq) makes it report false.
 //
 // As in the lock-based queue, a collision with a node already claimed by a
 // DeleteMin retries with a fresh node, so no insert is silently lost.
-func (q *Queue[K, V]) Insert(key K, value V) bool {
+func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 	var t0 time.Time
 	if q.obs.set.Enabled() {
 		t0 = time.Now()
@@ -376,10 +394,11 @@ func (q *Queue[K, V]) Insert(key K, value V) bool {
 	var predsA, succsA [maxLevelCap]*node[K, V]
 	preds, succs := predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel]
 	for {
-		if q.find(key, nil, preds, succs) {
-			// Key present: this lock-free variant treats the existing node
-			// as current if unclaimed. (A full lock-free replace would need
-			// per-node value CAS; the queue's workloads use unique keys.)
+		if q.find(key, seq, nil, preds, succs) {
+			// Position present: this lock-free variant treats the existing
+			// node as current if unclaimed. (A full lock-free replace would
+			// need per-node value CAS; the queue's workloads use unique
+			// positions.)
 			existing := succs[0]
 			if existing.claimed.Load() == 0 {
 				q.stUpdates.Add(1)
@@ -395,7 +414,7 @@ func (q *Queue[K, V]) Insert(key K, value V) bool {
 		}
 
 		topLevel := q.randomLevel()
-		nn := q.newNode(key, value, topLevel)
+		nn := q.newNode(key, seq, value, topLevel)
 		for i := 0; i < topLevel; i++ {
 			nn.next[i].Store(&markable[K, V]{next: succs[i]})
 		}
@@ -439,7 +458,7 @@ func (q *Queue[K, V]) Insert(key K, value V) bool {
 				q.stCASRetries.Add(1)
 				q.obs.casRetries.Add(1)
 				q.obs.fr.Record(flight.KCASRetry, 0, 0)
-				q.find(key, nn, preds, succs)
+				q.find(key, seq, nn, preds, succs)
 			}
 		}
 
@@ -449,7 +468,7 @@ func (q *Queue[K, V]) Insert(key K, value V) bool {
 		q.stInserts.Add(1)
 		q.obs.insertLat.Since(t0)
 		if q.tracer != nil {
-			q.tracer(TraceEvent[K]{Insert: true, Key: key, OK: true, Stamp: stamp, Done: q.clock.Now()})
+			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
 		return true
 	}
@@ -516,7 +535,7 @@ retry:
 					q.stDeleteMins.Add(1)
 					q.obs.deleteLat.Since(t0)
 					if q.tracer != nil {
-						q.tracer(TraceEvent[K]{Key: curr.key, OK: true, Start: t, Stamp: ticket})
+						q.tracer(TraceEvent[K]{Key: curr.key, Seq: curr.seq, OK: true, Start: t, Stamp: ticket})
 					}
 					return curr.key, curr.value, true
 				}
@@ -583,7 +602,7 @@ func (q *Queue[K, V]) remove(victim *node[K, V]) {
 		return
 	}
 	var predsA, succsA [maxLevelCap]*node[K, V]
-	q.find(victim.key, victim, predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel])
+	q.find(victim.key, victim.seq, victim, predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel])
 }
 
 // PeekMin returns the current minimum without removing it (advisory).
@@ -611,10 +630,10 @@ func (q *Queue[K, V]) CollectKeys(dst []K) []K {
 	return dst
 }
 
-// CheckInvariants verifies, on a quiescent queue, that every level is in key
-// order, that no unmarked upper-level node is missing from the bottom, and
-// that no claimed-but-linked node remains. It returns the number of live
-// bottom-level nodes.
+// CheckInvariants verifies, on a quiescent queue, that every level is in
+// (key, seq) order, that no unmarked upper-level node is missing from the
+// bottom, and that no claimed-but-linked node remains. It returns the
+// number of live bottom-level nodes.
 func (q *Queue[K, V]) CheckInvariants() (int, bool) {
 	onBottom := map[*node[K, V]]bool{}
 	count := 0
@@ -625,7 +644,7 @@ func (q *Queue[K, V]) CheckInvariants() (int, bool) {
 		onBottom[n] = true
 		count++
 		nx := n.loadNext(0).next
-		if !nx.isTail && !(n.key < nx.key) {
+		if !nx.isTail && !n.before(nx.key, nx.seq) {
 			return 0, false
 		}
 	}
@@ -638,7 +657,7 @@ func (q *Queue[K, V]) CheckInvariants() (int, bool) {
 			if !onBottom[n] {
 				return 0, false
 			}
-			if prev != nil && !(prev.key < n.key) {
+			if prev != nil && !prev.before(n.key, n.seq) {
 				return 0, false
 			}
 			prev = n

@@ -35,23 +35,10 @@ import (
 
 	"skipqueue/internal/flight"
 	"skipqueue/internal/lease"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/obs"
 	"skipqueue/internal/wire"
 )
-
-// Backend is the queue surface the server drives. *skipqueue.PQ[[]byte]
-// satisfies it directly, as do the adapters skipqueue.NewLockFreePQ and
-// skipqueue.NewGlobalHeapPQ — any multiset priority queue with these four
-// methods works. Implementations must be safe for concurrent use; the
-// server calls them from one goroutine per connection. Value slices passed
-// to Push are owned by the callee (the server copies them out of its read
-// buffer first).
-type Backend interface {
-	Push(priority int64, value []byte)
-	Pop() (priority int64, value []byte, ok bool)
-	Peek() (priority int64, value []byte, ok bool)
-	Len() int
-}
 
 // Durability is the write-ahead-log hook (satisfied by internal/wal.Queue
 // and *wal.Log). Commit is the ACK barrier: it returns once every
@@ -80,8 +67,11 @@ var ErrServerClosed = errors.New("server: closed")
 // Config configures a Server. Backend is required; zero values elsewhere
 // select the defaults above.
 type Config struct {
-	// Backend is the queue served. Required.
-	Backend Backend
+	// Backend is the queue served. Required. Every root-package []byte
+	// multiset queue (skipqueue.PQ, LockFreePQ, GlobalHeapPQ, ...) is one;
+	// the server calls it from one goroutine per connection, and a value
+	// passed to Push is a copy out of the read buffer that the backend owns.
+	Backend multiset.Queue[[]byte]
 	// MaxConns caps concurrent connections; further connections receive
 	// one BUSY frame and are closed.
 	MaxConns int

@@ -11,6 +11,7 @@ import (
 
 	"skipqueue/internal/backends"
 	"skipqueue/internal/client"
+	"skipqueue/internal/multiset"
 	"skipqueue/internal/quality"
 	"skipqueue/internal/server"
 )
@@ -41,7 +42,7 @@ func TestSoakMixedClients(t *testing.T) {
 
 // soakBackend runs the mixed-client soak against one backend and verifies
 // the full history.
-func soakBackend(t *testing.T, backend server.Backend, duration time.Duration) {
+func soakBackend(t *testing.T, backend multiset.Queue[[]byte], duration time.Duration) {
 	srv := server.New(server.Config{Backend: backend, Metrics: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -4,19 +4,9 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-)
 
-// Backend is the in-memory queue surface the durable wrapper drives. It is
-// structurally identical to internal/server.Backend, so every root-package
-// adapter (PQ, LockFreePQ, ShardedPQ, ElimPQ, ...) satisfies it; the
-// mirror definition keeps the dependency arrow pointing from the server to
-// the durability subsystem, not the other way around.
-type Backend interface {
-	Push(priority int64, value []byte)
-	Pop() (priority int64, value []byte, ok bool)
-	Peek() (priority int64, value []byte, ok bool)
-	Len() int
-}
+	"skipqueue/internal/multiset"
+)
 
 // idPrefixSize frames the element identity into the value stored in the
 // in-memory backend: Queue.Push prepends the 8-byte id, Pop/Peek strip it.
@@ -94,14 +84,14 @@ func (ix *index) rangeItems(f func(Item) bool) {
 	}
 }
 
-// Queue is the durable decorator around an in-memory Backend: every Push
-// and successful Pop is WAL-logged, the live multiset is indexed for
+// Queue is the durable decorator around an in-memory multiset.Queue: every
+// Push and successful Pop is WAL-logged, the live multiset is indexed for
 // snapshotting, and Commit exposes the group-commit barrier the server
 // calls before ACKing a batch. Construct with OpenQueue. All methods are
 // safe for concurrent use.
 type Queue struct {
 	log    *Log
-	inner  Backend
+	inner  multiset.Queue[[]byte]
 	seq    atomic.Uint64
 	idx    *index
 	snapMu sync.Mutex // one snapshot writer at a time
@@ -112,7 +102,7 @@ type Queue struct {
 // opens the log for appending, and returns the durable queue. The returned
 // RecoverResult reports what recovery found; a fresh directory recovers to
 // an empty queue.
-func OpenQueue(cfg Config, inner Backend) (*Queue, *RecoverResult, error) {
+func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult, error) {
 	rec, err := Recover(cfg.Dir, cfg.Flight)
 	if err != nil {
 		return nil, nil, err

@@ -18,7 +18,7 @@
 // (record.go) plus point-in-time snapshots of the live queue
 // (snapshot.go). Recovery (recover.go) loads the newest valid snapshot,
 // replays every retained segment, tolerates a torn final record, and
-// returns the live multiset. Queue (queue.go) is the server.Backend
+// returns the live multiset. Queue (queue.go) is the multiset.Queue
 // wrapper that ties it all together.
 //
 // Invariants the subsystem maintains (docs/PERSISTENCE.md proves them):

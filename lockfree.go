@@ -1,9 +1,6 @@
 package skipqueue
 
-import (
-	"skipqueue/internal/core"
-	"skipqueue/internal/lockfree"
-)
+import "skipqueue/internal/lockfree"
 
 // LockFree is the lock-free evolution of the SkipQueue: the same
 // claim-then-unlink algorithm built on a CAS-based lock-free skiplist
@@ -23,10 +20,7 @@ type LockFree[K Ordered, V any] struct {
 // NewLockFree returns an empty lock-free SkipQueue. It accepts the same
 // options as New (WithRelaxed, WithMaxLevel, WithP, WithSeed).
 func NewLockFree[K Ordered, V any](opts ...Option) *LockFree[K, V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 	return &LockFree[K, V]{q: lockfree.New[K, V](lockfree.Config{
 		MaxLevel: cfg.MaxLevel,
 		P:        cfg.P,

@@ -2,41 +2,9 @@ package skipqueue
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"testing"
 )
-
-// TestPQKeyDecodeAllocFree: pqPriority must not copy the key into a fresh
-// []byte — Pop calls it once per element.
-func TestPQKeyDecodeAllocFree(t *testing.T) {
-	key := pqKey(-42, 7)
-	if n := testing.AllocsPerRun(100, func() {
-		if pqPriority(key) != -42 {
-			t.Fatal("bad decode")
-		}
-	}); n != 0 {
-		t.Errorf("pqPriority allocates %v times per call, want 0", n)
-	}
-}
-
-// TestPQKeyRoundTrip checks pqPriority inverts pqKey across the full int64
-// range, including both sign-bit sides.
-func TestPQKeyRoundTrip(t *testing.T) {
-	priorities := []int64{
-		math.MinInt64, math.MinInt64 + 1, -1 << 32, -42, -1, 0, 1, 42,
-		1 << 32, math.MaxInt64 - 1, math.MaxInt64,
-	}
-	for _, p := range priorities {
-		if got := pqPriority(pqKey(p, 12345)); got != p {
-			t.Errorf("pqPriority(pqKey(%d)) = %d", p, got)
-		}
-	}
-	// Ordering: keys must sort by (priority, seq).
-	if !(pqKey(-1, 9) < pqKey(0, 0)) || !(pqKey(5, 1) < pqKey(5, 2)) {
-		t.Error("composite keys do not sort by (priority, seq)")
-	}
-}
 
 // TestSnapshotDisabledByDefault: without WithMetrics every family returns the
 // zero Snapshot and pays only nil checks.

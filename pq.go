@@ -4,7 +4,54 @@ import (
 	"sync/atomic"
 
 	"skipqueue/internal/core"
+	"skipqueue/internal/glheap"
+	"skipqueue/internal/lockfree"
 )
+
+// seqQueue is what the multiset adapter needs of a structure that orders
+// natively by (priority, seq): core.Queue, lockfree.Queue and glheap.Heap.
+// R is InsertSeq's result, which differs between them and which the
+// adapter ignores, since every Push takes a fresh seq.
+type seqQueue[V, R any] interface {
+	InsertSeq(priority int64, seq uint64, value V) R
+	DeleteMin() (priority int64, value V, ok bool)
+	PeekMin() (priority int64, value V, ok bool)
+	Len() int
+	ObsSnapshot() Snapshot
+}
+
+// multisetPQ is the one multiset adapter: each pushed element draws the
+// next sequence number, so elements order first by priority, then by
+// arrival, and duplicate priorities coexist. PQ, LockFreePQ and
+// GlobalHeapPQ embed it.
+type multisetPQ[Q seqQueue[V, R], V, R any] struct {
+	q   Q
+	seq atomic.Uint64
+}
+
+// Push adds value with the given priority. Duplicate priorities are fine.
+func (pq *multisetPQ[Q, V, R]) Push(priority int64, value V) {
+	pq.q.InsertSeq(priority, pq.seq.Add(1), value)
+}
+
+// Pop removes and returns an element with the minimum priority. Among equal
+// priorities, the earliest pushed wins. ok is false when the queue is empty.
+func (pq *multisetPQ[Q, V, R]) Pop() (priority int64, value V, ok bool) {
+	return pq.q.DeleteMin()
+}
+
+// Peek returns the minimum-priority element without removing it (advisory
+// under concurrency).
+func (pq *multisetPQ[Q, V, R]) Peek() (priority int64, value V, ok bool) {
+	return pq.q.PeekMin()
+}
+
+// Len returns the number of elements (exact when quiescent).
+func (pq *multisetPQ[Q, V, R]) Len() int { return pq.q.Len() }
+
+// Snapshot reads the underlying structure's observability probes
+// (zero-valued without WithMetrics).
+func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
 
 // PQ is a concurrent priority queue with multiset semantics: any number of
 // elements may share a priority, and equal-priority elements are delivered
@@ -17,46 +64,52 @@ import (
 // (priority, sequence number), and each pushed element draws the next
 // sequence number, so elements order first by priority, then by arrival.
 //
-// A *PQ[[]byte] satisfies internal/server.Backend, so it can be handed
-// directly to the pqd network daemon (cmd/pqd); LockFreePQ and GlobalHeapPQ
-// adapt the other queue families to the same surface.
+// PQ, LockFreePQ and GlobalHeapPQ are the same multiset layer over the
+// three queue families that order by (priority, seq). A *PQ[[]byte], like
+// the other two, satisfies internal/multiset.Queue, so it can be handed
+// directly to the pqd network daemon (cmd/pqd).
 type PQ[V any] struct {
-	q   *core.Queue[int64, V]
-	seq atomic.Uint64
+	multisetPQ[*core.Queue[int64, V], V, core.InsertResult]
 }
 
 // NewPQ returns an empty multiset priority queue.
 func NewPQ[V any](opts ...Option) *PQ[V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &PQ[V]{q: core.New[int64, V](cfg)}
+	pq := new(PQ[V])
+	pq.q = core.New[int64, V](resolve(opts))
+	return pq
 }
-
-// Push adds value with the given priority. Duplicate priorities are fine.
-func (pq *PQ[V]) Push(priority int64, value V) {
-	pq.q.InsertSeq(priority, pq.seq.Add(1), value)
-}
-
-// Pop removes and returns an element with the minimum priority. Among equal
-// priorities, the earliest pushed wins. ok is false when the queue is empty.
-func (pq *PQ[V]) Pop() (priority int64, value V, ok bool) {
-	return pq.q.DeleteMin()
-}
-
-// Peek returns the minimum-priority element without removing it (advisory
-// under concurrency).
-func (pq *PQ[V]) Peek() (priority int64, value V, ok bool) {
-	return pq.q.PeekMin()
-}
-
-// Len returns the number of elements (exact when quiescent).
-func (pq *PQ[V]) Len() int { return pq.q.Len() }
 
 // Stats returns the underlying queue's operation counters.
 func (pq *PQ[V]) Stats() Stats { return pq.q.Stats() }
 
-// Snapshot reads the underlying queue's observability probes (zero-valued
-// without WithMetrics).
-func (pq *PQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+// LockFreePQ is the multiset layer over LockFree, the CAS-based skiplist
+// queue: PQ's semantics (duplicate priorities, FIFO within a priority) with
+// LockFree's progress guarantee. Construct with NewLockFreePQ. All methods
+// are safe for concurrent use.
+type LockFreePQ[V any] struct {
+	multisetPQ[*lockfree.Queue[int64, V], V, bool]
+}
+
+// NewLockFreePQ returns an empty lock-free multiset priority queue. It
+// accepts the same options as NewLockFree.
+func NewLockFreePQ[V any](opts ...Option) *LockFreePQ[V] {
+	pq := new(LockFreePQ[V])
+	pq.q = NewLockFree[int64, V](opts...).q
+	return pq
+}
+
+// GlobalHeapPQ is the multiset layer over GlobalLockHeap, the single-lock
+// binary heap baseline. It exists so pqd can serve the naive baseline for
+// apples-to-apples load tests. Construct with NewGlobalHeapPQ. All methods
+// are safe for concurrent use.
+type GlobalHeapPQ[V any] struct {
+	multisetPQ[*glheap.Heap[int64, V], V, bool]
+}
+
+// NewGlobalHeapPQ returns an empty single-lock multiset priority queue. Of
+// the options only WithMetrics applies.
+func NewGlobalHeapPQ[V any](opts ...Option) *GlobalHeapPQ[V] {
+	pq := new(GlobalHeapPQ[V])
+	pq.q = NewGlobalLockHeap[int64, V](opts...).h
+	return pq
+}

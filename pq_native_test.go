@@ -7,6 +7,7 @@ import (
 
 	"skipqueue/internal/core"
 	"skipqueue/internal/lincheck"
+	"skipqueue/internal/lockfree"
 )
 
 // TestPushPopAllocs pins the allocation shape of the native (priority, seq)
@@ -47,54 +48,117 @@ func TestPushPopAllocs(t *testing.T) {
 	}
 }
 
-// TestPQDefinition1DuplicatePriorities records a concurrent run of PQ in
-// which eight goroutines push only four distinct priorities, and checks it
-// against Definition 1 under the composite order: an element's identity and
-// rank are its (priority, seq), packed order-preservingly into lincheck's
-// int64 key.
+// TestLockFreePQPushAllocs pins LockFreePQ's Push to exactly what
+// lockfree.Queue.InsertSeq allocates on the same seeded stream (node, tower
+// and one markable box per link), so the multiset adapter adds nothing of
+// its own.
+func TestLockFreePQPushAllocs(t *testing.T) {
+	value := make([]byte, 16)
+	stream := func(push func(priority int64, seq uint64)) func() {
+		var next int64
+		return func() {
+			next++
+			push(next*7919%1000, uint64(next))
+		}
+	}
+	measure := func(push func()) float64 {
+		for i := 0; i < 1000; i++ {
+			push()
+		}
+		return testing.AllocsPerRun(1000, push)
+	}
+	q := NewLockFree[int64, []byte](WithSeed(1)).q
+	direct := measure(stream(func(p int64, seq uint64) { q.InsertSeq(p, seq, value) }))
+	pq := NewLockFreePQ[[]byte](WithSeed(1))
+	adapted := measure(stream(func(p int64, _ uint64) { pq.Push(p, value) }))
+	if adapted != direct {
+		t.Errorf("LockFreePQ.Push allocates %v times per call, lockfree.Queue.InsertSeq %v", adapted, direct)
+	}
+}
+
+// TestPQDefinition1DuplicatePriorities records concurrent runs of the
+// strict multiset queues in which eight goroutines push only four distinct
+// priorities, and checks each against Definition 1 under the composite
+// order: an element's identity and rank are its (priority, seq), packed
+// order-preservingly into lincheck's int64 key. A traced sequential drain
+// ends each run, so conservation is checked against an empty remainder.
 func TestPQDefinition1DuplicatePriorities(t *testing.T) {
 	rank := func(priority int64, seq uint64) int64 { return priority<<32 | int64(seq) }
+	type strictPQ interface {
+		Push(priority int64, value int64)
+		Pop() (priority int64, value int64, ok bool)
+		Len() int
+	}
+	rows := []struct {
+		name string
+		// new builds a queue whose tracer feeds record.
+		new func(seed uint64, record func(lincheck.Op)) strictPQ
+	}{
+		{"PQ", func(seed uint64, record func(lincheck.Op)) strictPQ {
+			pq := NewPQ[int64](WithSeed(seed))
+			pq.q.SetTracer(func(ev core.TraceEvent[int64]) {
+				record(lincheck.Op{
+					Insert: ev.Insert, Key: rank(ev.Key, ev.Seq), OK: ev.OK,
+					Stamp: ev.Stamp, Done: ev.Done, Start: ev.Start,
+				})
+			})
+			return pq
+		}},
+		{"LockFreePQ", func(seed uint64, record func(lincheck.Op)) strictPQ {
+			pq := NewLockFreePQ[int64](WithSeed(seed))
+			pq.q.SetTracer(func(ev lockfree.TraceEvent[int64]) {
+				record(lincheck.Op{
+					Insert: ev.Insert, Key: rank(ev.Key, ev.Seq), OK: ev.OK,
+					Stamp: ev.Stamp, Done: ev.Done, Start: ev.Start,
+				})
+			})
+			return pq
+		}},
+	}
 	rounds := 10
 	if testing.Short() {
 		rounds = 3
 	}
-	for round := 0; round < rounds; round++ {
-		pq := NewPQ[int64](WithSeed(uint64(round + 1)))
-		var mu sync.Mutex
-		var history []lincheck.Op
-		pq.q.SetTracer(func(ev core.TraceEvent[int64]) {
-			mu.Lock()
-			history = append(history, lincheck.Op{
-				Insert: ev.Insert, Key: rank(ev.Key, ev.Seq), OK: ev.OK,
-				Stamp: ev.Stamp, Done: ev.Done, Start: ev.Start,
-			})
-			mu.Unlock()
-		})
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				var mu sync.Mutex
+				var history []lincheck.Op
+				pq := row.new(uint64(round+1), func(op lincheck.Op) {
+					mu.Lock()
+					history = append(history, op)
+					mu.Unlock()
+				})
 
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(round*100 + w)))
-				for i := 0; i < 1500; i++ {
-					if rng.Intn(2) == 0 {
-						pq.Push(int64(rng.Intn(4))-2, int64(i))
-					} else {
-						pq.Pop()
-					}
+				var wg sync.WaitGroup
+				for w := 0; w < 8; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(int64(round*100 + w)))
+						for i := 0; i < 1500; i++ {
+							if rng.Intn(2) == 0 {
+								pq.Push(int64(rng.Intn(4))-2, int64(i))
+							} else {
+								pq.Pop()
+							}
+						}
+					}(w)
 				}
-			}(w)
-		}
-		wg.Wait()
+				wg.Wait()
+				for _, _, ok := pq.Pop(); ok; _, _, ok = pq.Pop() {
+				}
+				if pq.Len() != 0 {
+					t.Fatalf("round %d: Len = %d after the drain", round, pq.Len())
+				}
 
-		if err := lincheck.Verify(history); err != nil {
-			t.Fatalf("round %d: Definition 1 violated: %v", round, err)
-		}
-		var remaining []int64
-		pq.q.Each(func(priority int64, seq uint64) { remaining = append(remaining, rank(priority, seq)) })
-		if err := lincheck.VerifyConservation(history, remaining); err != nil {
-			t.Fatalf("round %d: conservation violated: %v", round, err)
-		}
+				if err := lincheck.Verify(history); err != nil {
+					t.Fatalf("round %d: Definition 1 violated: %v", round, err)
+				}
+				if err := lincheck.VerifyConservation(history, nil); err != nil {
+					t.Fatalf("round %d: conservation violated: %v", round, err)
+				}
+			}
+		})
 	}
 }

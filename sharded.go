@@ -1,9 +1,6 @@
 package skipqueue
 
-import (
-	"skipqueue/internal/core"
-	"skipqueue/internal/sharded"
-)
+import "skipqueue/internal/sharded"
 
 // ShardedPQ is the relaxed, sharded multiset priority queue of
 // internal/sharded: inserts spread round-robin over P per-core SkipQueue
@@ -14,7 +11,7 @@ import (
 // multiset guarantees exact: nothing is lost, nothing is delivered twice,
 // and EMPTY is only reported after a scan of every shard.
 //
-// *ShardedPQ[[]byte] satisfies internal/server.Backend, so pqd can serve
+// *ShardedPQ[[]byte] satisfies internal/multiset.Queue, so pqd can serve
 // it (-backend sharded). Construct with NewShardedPQ. All methods are safe
 // for concurrent use.
 type ShardedPQ[V any] struct {
@@ -27,10 +24,7 @@ type ShardedPQ[V any] struct {
 // mechanism, since shard-local strictness cannot restore the global order
 // that sharding gives up.
 func NewShardedPQ[V any](shards int, opts ...Option) *ShardedPQ[V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 	return &ShardedPQ[V]{q: sharded.New[V](sharded.Config{
 		Shards:   shards,
 		MaxLevel: cfg.MaxLevel,
@@ -67,5 +61,3 @@ func (pq *ShardedPQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
 // Unwrap exposes the internal sharded queue for tests and harnesses that
 // need its tracer hook or per-shard introspection.
 func (pq *ShardedPQ[V]) Unwrap() *sharded.PQ[V] { return pq.q }
-
-var _ Instrumented = (*ShardedPQ[int])(nil)

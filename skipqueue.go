@@ -49,6 +49,15 @@ type Queue[K Ordered, V any] struct {
 // Option configures a Queue or PQ.
 type Option func(*core.Config)
 
+// resolve applies opts to a zero core.Config.
+func resolve(opts []Option) core.Config {
+	var cfg core.Config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // WithRelaxed disables the timestamp ordering mechanism. DeleteMin becomes
 // faster under contention but may return a concurrently inserted element
 // that sorts before the strict minimum.
@@ -105,21 +114,33 @@ type Stats = core.Stats
 // return. Render with its Table or String methods, or marshal it to JSON.
 type Snapshot = obs.Snapshot
 
-// Instrumented is implemented by every queue family in this package: Queue,
-// PQ, LockFree, Heap, GlobalLockHeap, FunnelList and Map all expose their
-// probes through the same Snapshot shape, so harnesses can compare structures
-// without per-type code.
+// Instrumented is implemented by every queue type in this package: Queue,
+// LockFree, Heap, GlobalLockHeap, FunnelList and Map, and the multiset
+// queues PQ, LockFreePQ, GlobalHeapPQ, ShardedPQ, SprayPQ and ElimPQ all
+// expose their probes through the same Snapshot shape, so harnesses can
+// compare structures without per-type code.
 type Instrumented interface {
 	Snapshot() Snapshot
 }
 
+var (
+	_ Instrumented = (*Queue[int, int])(nil)
+	_ Instrumented = (*LockFree[int, int])(nil)
+	_ Instrumented = (*Heap[int, int])(nil)
+	_ Instrumented = (*GlobalLockHeap[int, int])(nil)
+	_ Instrumented = (*FunnelList[int, int])(nil)
+	_ Instrumented = (*Map[int, int])(nil)
+	_ Instrumented = (*PQ[int])(nil)
+	_ Instrumented = (*LockFreePQ[int])(nil)
+	_ Instrumented = (*GlobalHeapPQ[int])(nil)
+	_ Instrumented = (*ShardedPQ[int])(nil)
+	_ Instrumented = (*SprayPQ[int])(nil)
+	_ Instrumented = (*ElimPQ[int])(nil)
+)
+
 // New returns an empty queue.
 func New[K Ordered, V any](opts ...Option) *Queue[K, V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &Queue[K, V]{q: core.New[K, V](cfg)}
+	return &Queue[K, V]{q: core.New[K, V](resolve(opts))}
 }
 
 // Insert adds key with value. If key is already present its value is

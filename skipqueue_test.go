@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestQueueBasics(t *testing.T) {
@@ -116,32 +115,6 @@ func TestPQNegativePriorities(t *testing.T) {
 		if !ok || p != want || int64(v) != want {
 			t.Fatalf("Pop = %d %d %v, want %d", p, v, ok, want)
 		}
-	}
-}
-
-func TestPQKeyEncodingProperty(t *testing.T) {
-	f := func(p1, p2 int64, s1, s2 uint64) bool {
-		k1, k2 := pqKey(p1, s1), pqKey(p2, s2)
-		switch {
-		case p1 < p2:
-			return k1 < k2
-		case p1 > p2:
-			return k1 > k2
-		case s1 < s2:
-			return k1 < k2
-		case s1 > s2:
-			return k1 > k2
-		default:
-			return k1 == k2
-		}
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-	// Round trip.
-	g := func(p int64, s uint64) bool { return pqPriority(pqKey(p, s)) == p }
-	if err := quick.Check(g, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

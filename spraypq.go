@@ -1,9 +1,6 @@
 package skipqueue
 
-import (
-	"skipqueue/internal/core"
-	"skipqueue/internal/spray"
-)
+import "skipqueue/internal/spray"
 
 // SprayPQ is the SprayList-style relaxed priority queue of internal/spray:
 // one relaxed SkipQueue whose DeleteMin performs a randomized descending
@@ -16,7 +13,7 @@ import (
 // routes Pop to the plain linear head scan instead, and EMPTY is only ever
 // certified by that full scan — never by a failed spray.
 //
-// *SprayPQ[[]byte] satisfies internal/server.Backend, so pqd can serve it
+// *SprayPQ[[]byte] satisfies internal/multiset.Queue, so pqd can serve it
 // (-backend spray). Construct with NewSprayPQ. All methods are safe for
 // concurrent use.
 type SprayPQ[V any] struct {
@@ -28,10 +25,7 @@ type SprayPQ[V any] struct {
 // underlying skiplist; WithRelaxed is implied — a claim drawn from a
 // random prefix cannot honor the timestamp mechanism's strict minimum.
 func NewSprayPQ[V any](k int, opts ...Option) *SprayPQ[V] {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := resolve(opts)
 	return &SprayPQ[V]{q: spray.New[V](spray.Config{
 		K:        k,
 		MaxLevel: cfg.MaxLevel,
