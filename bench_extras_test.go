@@ -1,4 +1,4 @@
-// Benchmarks for the secondary structures (PQ, Map, Bounded) and for the
+// Benchmarks for the secondary structures (PQ, Bounded) and for the
 // simulator's own event throughput. The figure-by-figure reproductions live
 // in bench_test.go.
 package skipqueue
@@ -28,32 +28,6 @@ func BenchmarkPQMixed(b *testing.B) {
 				pq.Push(r.Int63()%(1<<30), 1)
 			} else {
 				pq.Pop()
-			}
-		}
-	})
-}
-
-// BenchmarkMapOps measures the concurrent ordered map (the skiplist
-// substrate) on a read-heavy mix.
-func BenchmarkMapOps(b *testing.B) {
-	m := NewMap[int64, int64](MapSeed(1))
-	rng := xrand.NewRand(7)
-	for i := 0; i < 10000; i++ {
-		m.Set(rng.Int63()%(1<<20), 1)
-	}
-	b.ResetTimer()
-	var seed atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		r := xrand.NewRand(seed.Add(1))
-		for pb.Next() {
-			k := r.Int63() % (1 << 20)
-			switch r.Intn(10) {
-			case 0:
-				m.Set(k, k)
-			case 1:
-				m.Delete(k)
-			default:
-				m.Get(k)
 			}
 		}
 	})
@@ -100,33 +74,6 @@ func BenchmarkBoundedVsGeneral(b *testing.B) {
 				}
 			}
 		})
-	})
-}
-
-// BenchmarkRankedOps measures the order-statistics skiplist's positional
-// operations.
-func BenchmarkRankedOps(b *testing.B) {
-	r := NewRanked[int64, int64](MapSeed(3))
-	rng := xrand.NewRand(9)
-	for i := 0; i < 10000; i++ {
-		r.Set(rng.Int63()%(1<<30), 1)
-	}
-	b.Run("At", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.At(i % r.Len())
-		}
-	})
-	b.Run("Rank", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.Rank(int64(i) % (1 << 30))
-		}
-	})
-	b.Run("SetDelete", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := int64(1<<31) + int64(i)
-			r.Set(k, 1)
-			r.Delete(k)
-		}
 	})
 }
 

@@ -80,32 +80,6 @@ func ExampleBounded() {
 	// 0 urgent
 }
 
-func ExampleMap() {
-	m := skipqueue.NewMap[string, int]()
-	m.Set("pear", 3)
-	m.Set("apple", 1)
-	m.Set("quince", 9)
-	m.Range(func(k string, v int) bool {
-		fmt.Println(k, v)
-		return true
-	})
-	// Output:
-	// apple 1
-	// pear 3
-	// quince 9
-}
-
-func ExampleRanked() {
-	r := skipqueue.NewRanked[int, string]()
-	for _, k := range []int{50, 10, 40, 20, 30} {
-		r.Set(k, "v")
-	}
-	k, _, _ := r.At(2) // third-smallest key
-	fmt.Println(k, r.Rank(35))
-	// Output:
-	// 30 3
-}
-
 func ExampleHeap() {
 	h := skipqueue.NewHeap[int, string](1024) // fixed capacity: heaps pre-allocate
 	_ = h.Insert(2, "b")

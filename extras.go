@@ -1,133 +1,6 @@
 package skipqueue
 
-import (
-	"skipqueue/internal/bounded"
-	"skipqueue/internal/skiplist"
-)
-
-// This file exports the secondary structures that grew out of the paper's
-// substrate and related work: the concurrent skiplist as an ordered map, the
-// order-statistics skiplist of Pugh's cookbook, and the bounded-range bin
-// queue the paper contrasts itself with.
-
-// Map is a concurrent sorted map — Pugh's lock-based concurrent skiplist,
-// the substrate under the SkipQueue, usable in its own right. All methods
-// are safe for concurrent use.
-type Map[K Ordered, V any] struct {
-	l *skiplist.List[K, V]
-}
-
-// NewMap returns an empty concurrent sorted map.
-func NewMap[K Ordered, V any](opts ...MapOption) *Map[K, V] {
-	var o []skiplist.Option
-	for _, fn := range opts {
-		o = append(o, skiplist.Option(fn))
-	}
-	return &Map[K, V]{l: skiplist.New[K, V](o...)}
-}
-
-// MapOption configures a Map or Ranked list.
-type MapOption skiplist.Option
-
-// MapMaxLevel bounds tower heights.
-func MapMaxLevel(n int) MapOption { return MapOption(skiplist.WithMaxLevel(n)) }
-
-// MapP sets the geometric level probability (default 0.25, Pugh's
-// search-optimal choice).
-func MapP(p float64) MapOption { return MapOption(skiplist.WithP(p)) }
-
-// MapSeed seeds tower-height randomness.
-func MapSeed(s uint64) MapOption { return MapOption(skiplist.WithSeed(s)) }
-
-// MapMetrics enables the observability probes (per-operation latency and lock
-// contention), readable through Snapshot.
-func MapMetrics() MapOption { return MapOption(skiplist.WithMetrics()) }
-
-// Set inserts or updates key; it reports whether a new entry was created.
-func (m *Map[K, V]) Set(key K, value V) bool { return m.l.Set(key, value) }
-
-// Get returns the value stored at key.
-func (m *Map[K, V]) Get(key K) (V, bool) { return m.l.Get(key) }
-
-// Contains reports whether key is present.
-func (m *Map[K, V]) Contains(key K) bool { return m.l.Contains(key) }
-
-// Delete removes key and returns its value.
-func (m *Map[K, V]) Delete(key K) (V, bool) { return m.l.Delete(key) }
-
-// Min returns the smallest entry.
-func (m *Map[K, V]) Min() (K, V, bool) { return m.l.Min() }
-
-// Len returns the number of entries (snapshot).
-func (m *Map[K, V]) Len() int { return m.l.Len() }
-
-// Range calls fn in ascending key order until fn returns false (best-effort
-// snapshot under concurrency).
-func (m *Map[K, V]) Range(fn func(K, V) bool) { m.l.Range(fn) }
-
-// Keys returns all keys in ascending order (snapshot).
-func (m *Map[K, V]) Keys() []K { return m.l.Keys() }
-
-// Snapshot reads the observability probes (zero-valued without MapMetrics).
-func (m *Map[K, V]) Snapshot() Snapshot { return m.l.ObsSnapshot() }
-
-// Ranked is a sequential skiplist with order statistics: positional access,
-// rank queries, merge and split — the operations of Pugh's "A Skip List
-// Cookbook" that the paper's footnote 1 mentions as natural skiplist
-// extensions. Not safe for concurrent use; wrap with your own lock or keep
-// it goroutine-local.
-type Ranked[K Ordered, V any] struct {
-	l *skiplist.IndexedList[K, V]
-}
-
-// NewRanked returns an empty order-statistics skiplist.
-func NewRanked[K Ordered, V any](opts ...MapOption) *Ranked[K, V] {
-	var o []skiplist.Option
-	for _, fn := range opts {
-		o = append(o, skiplist.Option(fn))
-	}
-	return &Ranked[K, V]{l: skiplist.NewIndexed[K, V](o...)}
-}
-
-// Set inserts or updates key; it reports whether a new entry was created.
-func (r *Ranked[K, V]) Set(key K, value V) bool { return r.l.Set(key, value) }
-
-// Get returns the value stored at key.
-func (r *Ranked[K, V]) Get(key K) (V, bool) { return r.l.Get(key) }
-
-// Delete removes key and returns its value.
-func (r *Ranked[K, V]) Delete(key K) (V, bool) { return r.l.Delete(key) }
-
-// At returns the i-th smallest entry (0-based) in O(log n).
-func (r *Ranked[K, V]) At(i int) (K, V, bool) { return r.l.At(i) }
-
-// Rank returns the number of keys strictly smaller than key.
-func (r *Ranked[K, V]) Rank(key K) int { return r.l.Rank(key) }
-
-// DeleteMin removes and returns the smallest entry.
-func (r *Ranked[K, V]) DeleteMin() (K, V, bool) { return r.l.DeleteMin() }
-
-// Min returns the smallest entry.
-func (r *Ranked[K, V]) Min() (K, V, bool) { return r.l.Min() }
-
-// Len returns the number of entries.
-func (r *Ranked[K, V]) Len() int { return r.l.Len() }
-
-// Range calls fn in ascending key order until fn returns false.
-func (r *Ranked[K, V]) Range(fn func(K, V) bool) { r.l.Range(fn) }
-
-// Keys returns all keys in ascending order.
-func (r *Ranked[K, V]) Keys() []K { return r.l.Keys() }
-
-// Merge moves every entry of other into r (other is emptied); keys present
-// in both keep r's value.
-func (r *Ranked[K, V]) Merge(other *Ranked[K, V]) { r.l.Merge(other.l) }
-
-// SplitAt removes the entries at positions >= i and returns them as a new
-// list.
-func (r *Ranked[K, V]) SplitAt(i int) *Ranked[K, V] {
-	return &Ranked[K, V]{l: r.l.SplitAt(i)}
-}
+import "skipqueue/internal/bounded"
 
 // Bounded is a concurrent priority queue for the special case the paper
 // contrasts the SkipQueue with: priorities drawn from a small predetermined

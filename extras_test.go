@@ -2,119 +2,9 @@ package skipqueue
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
-
-func TestMapBasics(t *testing.T) {
-	m := NewMap[string, int](MapSeed(1), MapP(0.25), MapMaxLevel(12))
-	if m.Contains("a") {
-		t.Fatal("empty map contains a key")
-	}
-	if !m.Set("b", 2) || !m.Set("a", 1) || !m.Set("c", 3) {
-		t.Fatal("fresh Set reported update")
-	}
-	if m.Set("b", 22) {
-		t.Fatal("update reported insert")
-	}
-	if v, ok := m.Get("b"); !ok || v != 22 {
-		t.Fatalf("Get(b) = %d,%v", v, ok)
-	}
-	if k, v, ok := m.Min(); !ok || k != "a" || v != 1 {
-		t.Fatalf("Min = %q,%d,%v", k, v, ok)
-	}
-	keys := m.Keys()
-	if len(keys) != 3 || !sort.StringsAreSorted(keys) {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if v, ok := m.Delete("a"); !ok || v != 1 {
-		t.Fatalf("Delete(a) = %d,%v", v, ok)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	visited := 0
-	m.Range(func(string, int) bool { visited++; return true })
-	if visited != 2 {
-		t.Fatalf("Range visited %d", visited)
-	}
-}
-
-func TestMapConcurrent(t *testing.T) {
-	m := NewMap[int, int]()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 2000; i++ {
-				k := rng.Intn(256)
-				switch rng.Intn(3) {
-				case 0:
-					m.Set(k, k)
-				case 1:
-					if v, ok := m.Get(k); ok && v != k {
-						t.Errorf("Get(%d) = %d", k, v)
-					}
-				case 2:
-					m.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	keys := m.Keys()
-	if !sort.IntsAreSorted(keys) {
-		t.Fatal("keys unsorted after churn")
-	}
-}
-
-func TestRankedCookbookOps(t *testing.T) {
-	r := NewRanked[int, string](MapSeed(2))
-	for _, k := range []int{40, 10, 30, 20} {
-		r.Set(k, "v")
-	}
-	if k, _, ok := r.At(2); !ok || k != 30 {
-		t.Fatalf("At(2) = %d,%v", k, ok)
-	}
-	if got := r.Rank(25); got != 2 {
-		t.Fatalf("Rank(25) = %d", got)
-	}
-	if k, _, ok := r.DeleteMin(); !ok || k != 10 {
-		t.Fatalf("DeleteMin = %d,%v", k, ok)
-	}
-	other := NewRanked[int, string]()
-	other.Set(5, "five")
-	other.Set(50, "fifty")
-	r.Merge(other)
-	want := []int{5, 20, 30, 40, 50}
-	got := r.Keys()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after merge: %v", got)
-		}
-	}
-	hi := r.SplitAt(3)
-	if r.Len() != 3 || hi.Len() != 2 {
-		t.Fatalf("split: %d/%d", r.Len(), hi.Len())
-	}
-	if k, _, _ := hi.Min(); k != 40 {
-		t.Fatalf("high half min = %d", k)
-	}
-	if _, ok := r.Get(50); ok {
-		t.Fatal("low half kept a high key")
-	}
-	count := 0
-	r.Range(func(int, string) bool { count++; return true })
-	if count != 3 {
-		t.Fatalf("Range visited %d", count)
-	}
-	if _, ok := r.Delete(20); !ok {
-		t.Fatal("Delete(20) failed")
-	}
-}
 
 func TestBoundedWrapper(t *testing.T) {
 	b := NewBounded[string](16)

@@ -24,9 +24,12 @@
 // read and test compiled out; it may return an element inserted concurrently
 // with the DeleteMin if that element is smaller than the strict minimum.
 //
-// All locking is distributed: there is no root lock, no global counter, and
-// rebalancing is probabilistic, which is exactly the property the paper
-// exploits to scale past heap-based queues.
+// All locking is distributed: there is no root lock, and rebalancing is
+// probabilistic, which is the property the paper exploits to scale past
+// heap-based queues. The queue is not free of shared words, though: every
+// operation does atomic read-modify-writes on queue-wide counters (the
+// timestamp clock, size, levelSeed and the seven statsCounters). ROADMAP
+// item 16 inventories them.
 package core
 
 import (

@@ -338,14 +338,16 @@ func TestConcurrentMixed(t *testing.T) {
 
 // TestConcurrentDuplicateKeys hammers the update/delete arbitration protocol:
 // many goroutines insert the same small key set while others delete, and no
-// inserted value may ever be lost without being either delivered or still
-// present (as an update or element) at the end.
+// inserted node may ever be lost without being either delivered or still
+// present at the end: every Insert that reports Inserted adds one node, every
+// successful DeleteMin removes one, and Updated adds none.
 func TestConcurrentDuplicateKeys(t *testing.T) {
 	q := newIntQueue(t, Config{Seed: 23})
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
 	var delivered [workers][]int64
+	var inserted [workers]int
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -353,7 +355,9 @@ func TestConcurrentDuplicateKeys(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				if rng.Intn(2) == 0 {
-					q.Insert(int64(rng.Intn(8)), int64(w*perWorker+i))
+					if q.Insert(int64(rng.Intn(8)), int64(w*perWorker+i)) == Inserted {
+						inserted[w]++
+					}
 				} else {
 					if k, v, ok := q.DeleteMin(); ok {
 						if k < 0 || k > 7 {
@@ -369,7 +373,9 @@ func TestConcurrentDuplicateKeys(t *testing.T) {
 	// Every delivered value must be unique: a value handed out twice would
 	// mean an update raced a delete and both observed it.
 	seen := map[int64]bool{}
-	for _, d := range delivered {
+	totalInserted := 0
+	for w, d := range delivered {
+		totalInserted += inserted[w]
 		for _, v := range d {
 			if seen[v] {
 				t.Fatalf("value %d delivered twice", v)
@@ -377,8 +383,18 @@ func TestConcurrentDuplicateKeys(t *testing.T) {
 			seen[v] = true
 		}
 	}
-	if _, err := q.checkLevels(); err != nil {
+	// Conservation: a node lost to an update racing a delete would leave
+	// inserted > delivered + Len.
+	if totalInserted != len(seen)+q.Len() {
+		t.Fatalf("conservation failed: %d inserted, %d delivered, Len %d",
+			totalInserted, len(seen), q.Len())
+	}
+	count, err := q.checkLevels()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if count != q.Len() {
+		t.Fatalf("bottom level holds %d nodes, Len = %d", count, q.Len())
 	}
 }
 

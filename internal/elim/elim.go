@@ -254,9 +254,6 @@ func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
 // Slots returns the exchanger array length.
 func (p *PQ[V]) Slots() int { return len(p.slots) }
 
-// Inner returns the wrapped queue.
-func (p *PQ[V]) Inner() multiset.Queue[V] { return p.inner }
-
 // now draws a serialization stamp (see Config.Clock).
 func (p *PQ[V]) now() int64 {
 	if p.cfg.Clock != nil {

@@ -142,10 +142,6 @@ type Queue[K ordered, V any] struct {
 	// requires strict mode.
 	tracer func(TraceEvent[K])
 
-	// debug, when non-nil, receives every successful bottom-level
-	// structural transition (test diagnostics only).
-	debug func(kind string, node, oldNext, newNext K, seq int64)
-
 	stInserts    atomic.Uint64
 	stUpdates    atomic.Uint64
 	stDeleteMins atomic.Uint64
@@ -216,27 +212,6 @@ type TraceEvent[K ordered] struct {
 	Stamp  int64
 	Done   int64
 	Start  int64
-}
-
-// SetDebug installs a hook receiving every successful bottom-level CAS
-// (splice, mark, unlink, claim), sequenced by the queue clock. Test
-// diagnostics only; significant overhead.
-func (q *Queue[K, V]) SetDebug(fn func(kind string, node, oldNext, newNext K, seq int64)) {
-	q.debug = fn
-}
-
-func (q *Queue[K, V]) dbg(kind string, nd, oldNext, newNext *node[K, V]) {
-	if q.debug == nil {
-		return
-	}
-	var zk K
-	get := func(n *node[K, V]) K {
-		if n == nil || n.isTail {
-			return zk
-		}
-		return n.key
-	}
-	q.debug(kind, get(nd), get(oldNext), get(newNext), q.clock.Now())
 }
 
 // SetTracer installs fn to observe operations. Call before sharing the
@@ -345,9 +320,6 @@ retry:
 					}
 					q.stUnlinks.Add(1)
 					q.obs.unlinks.Add(1)
-					if level == 0 {
-						q.dbg("unlink-find", curr, pred, mk.next)
-					}
 					curr = mk.next
 					mk = curr.loadNext(level)
 				}
@@ -432,7 +404,6 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 			q.obs.fr.Record(flight.KCASRetry, 0, 0)
 			continue
 		}
-		q.dbg("splice", nn, preds[0], succs[0])
 
 		// Link the upper levels, refreshing the search on interference.
 		for level := 1; level < topLevel; level++ {
@@ -520,7 +491,6 @@ retry:
 				}
 				q.stUnlinks.Add(1)
 				q.obs.unlinks.Add(1)
-				q.dbg("unlink-scan", curr, pred, mk.next)
 				curr = mk.next
 				continue
 			}
@@ -529,7 +499,6 @@ retry:
 			if (q.cfg.Relaxed || stampV < t) && claimV == 0 {
 				ticket := q.clock.Now()
 				if curr.claimed.CompareAndSwap(0, ticket) {
-					q.dbg("claim", curr, pred, nil)
 					q.remove(curr)
 					q.size.Add(-1)
 					q.stDeleteMins.Add(1)
@@ -550,14 +519,6 @@ retry:
 					q.obs.claimedSkips.Add(1)
 				} else {
 					q.obs.youngSkips.Add(1)
-				}
-			}
-			if q.debug != nil && !q.cfg.Relaxed {
-				var zk K
-				if stampV >= t {
-					q.debug("skip-young", curr.key, pred.key, zk, stampV)
-				} else {
-					q.debug("skip-claimed", curr.key, pred.key, zk, claimV)
 				}
 			}
 			pred = curr
@@ -588,9 +549,6 @@ func (q *Queue[K, V]) remove(victim *node[K, V]) {
 				break
 			}
 			if victim.next[level].CompareAndSwap(mk, &markable[K, V]{next: mk.next, marked: true}) {
-				if level == 0 {
-					q.dbg("mark", victim, nil, mk.next)
-				}
 				break
 			}
 			q.stCASRetries.Add(1)

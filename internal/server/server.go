@@ -218,7 +218,7 @@ type Server struct {
 	connWG sync.WaitGroup
 }
 
-// New returns an unstarted server; call Serve or ListenAndServe.
+// New returns an unstarted server; call Serve with a listener.
 // It panics if cfg.Backend is nil — that is a programming error, not a
 // runtime condition.
 func New(cfg Config) *Server {
@@ -269,15 +269,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// ListenAndServe listens on the TCP address addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Shutdown or Close. It always

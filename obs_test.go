@@ -16,7 +16,6 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 		"Heap":           NewHeap[int64, int](1 << 10),
 		"GlobalLockHeap": NewGlobalLockHeap[int64, int](),
 		"FunnelList":     NewFunnelList[int64, int](),
-		"Map":            NewMap[int64, int](),
 	} {
 		if s := q.Snapshot(); s.Enabled {
 			t.Errorf("%s: metrics enabled without WithMetrics", name)
@@ -92,26 +91,5 @@ func TestSnapshotAllFamilies(t *testing.T) {
 		if s.String() == "" {
 			t.Errorf("%s: empty table rendering", name)
 		}
-	}
-}
-
-// TestMapSnapshot covers the Map family separately (different method names).
-func TestMapSnapshot(t *testing.T) {
-	m := NewMap[int64, int](MapMetrics())
-	for i := int64(0); i < 100; i++ {
-		m.Set(i, 0)
-	}
-	for i := int64(0); i < 100; i++ {
-		m.Delete(i)
-	}
-	s := m.Snapshot()
-	if !s.Enabled {
-		t.Fatal("snapshot not enabled")
-	}
-	if h, ok := s.Hist("set"); !ok || h.Count != 100 {
-		t.Errorf("set hist count = %d, want 100", h.Count)
-	}
-	if h, ok := s.Hist("delete"); !ok || h.Count != 100 {
-		t.Errorf("delete hist count = %d, want 100", h.Count)
 	}
 }

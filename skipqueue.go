@@ -3,10 +3,12 @@
 // Priority Queues", IPPS 2000).
 //
 // The central type is Queue: a priority queue built on Pugh's lock-based
-// concurrent skiplist, in which all locking is distributed — no root lock,
-// no global counter — so Insert and DeleteMin throughput scales with the
-// number of concurrent goroutines far beyond what heap-based designs
-// sustain. DeleteMin claims the first unmarked bottom-level node with an
+// concurrent skiplist, in which all locking is distributed — there is no
+// root lock — so Insert and DeleteMin throughput scales with the number of
+// concurrent goroutines far beyond what heap-based designs sustain. (Each
+// operation still updates a few queue-wide atomic words: the timestamp
+// clock, the size and the statistics counters; ROADMAP item 16 lists them.)
+// DeleteMin claims the first unmarked bottom-level node with an
 // atomic swap on its deleted flag and then physically unlinks it with the
 // ordinary skiplist deletion.
 //
@@ -115,8 +117,8 @@ type Stats = core.Stats
 type Snapshot = obs.Snapshot
 
 // Instrumented is implemented by every queue type in this package: Queue,
-// LockFree, Heap, GlobalLockHeap, FunnelList and Map, and the multiset
-// queues PQ, LockFreePQ, GlobalHeapPQ, ShardedPQ, SprayPQ and ElimPQ all
+// LockFree, Heap, GlobalLockHeap and FunnelList, and the multiset queues
+// PQ, LockFreePQ, GlobalHeapPQ, ShardedPQ, SprayPQ and ElimPQ all
 // expose their probes through the same Snapshot shape, so harnesses can
 // compare structures without per-type code.
 type Instrumented interface {
@@ -129,7 +131,6 @@ var (
 	_ Instrumented = (*Heap[int, int])(nil)
 	_ Instrumented = (*GlobalLockHeap[int, int])(nil)
 	_ Instrumented = (*FunnelList[int, int])(nil)
-	_ Instrumented = (*Map[int, int])(nil)
 	_ Instrumented = (*PQ[int])(nil)
 	_ Instrumented = (*LockFreePQ[int])(nil)
 	_ Instrumented = (*GlobalHeapPQ[int])(nil)
