@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		walSnapSegs = fs.Int("wal-snapshot-segments", 0, "segments retained before a rotation triggers snapshot compaction (0 = default 4, negative = never)")
 		leaseOn     = fs.Bool("lease", false, "enable the at-least-once lease protocol (PopLease/Ack/Nack/Extend/InsertDelay)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "default lease duration when the client does not request one")
-		leaseTick   = fs.Duration("lease-tick", 10*time.Millisecond, "lease expiry sweep granularity")
+		leaseTick   = fs.Duration("lease-tick", 10*time.Millisecond, "minimum gap between lease expiry sweeps")
 		maxDeliver  = fs.Int("max-deliveries", 0, "deliveries before an unacked element is dead-lettered (0 = never)")
 		version     = fs.Bool("version", false, "print build information and exit")
 	)

@@ -372,7 +372,7 @@ func TestConsumerCrashRedelivery(t *testing.T) {
 	// within one TTL of the drain's start, so a drain that then sees the
 	// queue stay empty for 2×TTL has seen every redelivery. With
 	// -lease-crash-deadline the drain must also be over within 2×TTL plus
-	// sweep granularity and scheduling slack.
+	// the minimum sweep gap and scheduling slack.
 	quiet := 2 * *leaseTTL
 	start := time.Now()
 	lastFound := start

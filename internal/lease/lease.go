@@ -18,8 +18,9 @@
 //     backend is a *wal.Queue, through crashes and snapshot compaction —
 //     without any side table to keep consistent;
 //   - a lease map keyed by table-issued lease IDs, each entry holding
-//     the element and a deadline timer in a hierarchical timing wheel
-//     (internal/timerwheel), so grant, ack and expiry are all O(1);
+//     the element and its slot in a binary min-heap of deadlines (lease
+//     expiries and delayed maturities alike), so grant, ack and extend
+//     are O(log n) and a sweep pops exactly the deadlines that are due;
 //   - a dead-letter FIFO for elements over the delivery budget.
 //
 // Durability composes through the Leaser interface, implemented by
@@ -32,19 +33,20 @@
 //
 // A table is safe for concurrent use; one mutex serializes it. At the
 // server's operation rates (hundreds of thousands of ops/s) the
-// critical sections — map ops plus O(1) wheel ops — are far from the
-// bottleneck, and the expiry sweep runs on a coarse ticker.
+// critical sections — map ops plus O(log n) heap ops — are far from the
+// bottleneck. The expiry sweep runs on one timer armed to the earliest
+// deadline, so a table with nothing leased or delayed never wakes.
 package lease
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"time"
 
 	"skipqueue/internal/flight"
 	"skipqueue/internal/multiset"
 	"skipqueue/internal/obs"
-	"skipqueue/internal/timerwheel"
 )
 
 // Leaser is the durable lease surface a decorated queue may additionally
@@ -72,9 +74,10 @@ type Config struct {
 	// TTL is the default lease duration PopLease grants when the client
 	// does not request one. Default 30s.
 	TTL time.Duration
-	// Tick is the expiry sweep granularity: lease deadlines and delayed
-	// maturities resolve to one tick. Default 10ms. Negative disables
-	// the background sweeper (tests drive Sweep directly).
+	// Tick is the minimum gap between background expiry sweeps: a lease
+	// expires at most Tick after its deadline, and a sync-WAL table
+	// commits at most one sweep per Tick. Default 10ms. Negative disables
+	// the background sweep (tests drive Sweep directly).
 	Tick time.Duration
 	// MaxDeliveries diverts an element to the dead-letter queue once it
 	// has been delivered this many times without an ack. 0 = never.
@@ -120,7 +123,7 @@ type entry struct {
 	deliveries uint32 // completed+current deliveries (this grant included)
 	deadline   time.Time
 	granted    time.Time
-	timer      timerwheel.Handle
+	pos        int  // index in Table.due
 	fromDead   bool // granted off the dead-letter queue
 }
 
@@ -132,7 +135,7 @@ type delayedEntry struct {
 	value      []byte
 	deliveries uint32
 	readyMilli int64
-	timer      timerwheel.Handle
+	pos        int // index in Table.due
 }
 
 // deadItem is one dead-lettered element. Its durable token stays leased
@@ -201,9 +204,9 @@ type Table struct {
 	now   func() time.Time // injectable for tests
 
 	mu      sync.Mutex
-	wheel   *timerwheel.Wheel
-	start   time.Time // tick 0 of the wheel
-	seq     uint64    // lease ID / wheel payload allocator
+	due     deadlines // every lease deadline and delayed maturity
+	start   time.Time // deadlines are nanosecond offsets from start
+	seq     uint64    // lease / delayed-entry ID allocator
 	leases  map[uint64]*entry
 	delayed map[uint64]*delayedEntry
 	dead    []deadItem
@@ -212,8 +215,10 @@ type Table struct {
 	recent     map[uint64]time.Time
 	recentFIFO []uint64
 
-	stop chan struct{}
-	done chan struct{}
+	timer  *time.Timer    // background sweep; nil when off or closed
+	wake   int64          // offset the timer is armed for; noWake if not
+	floor  int64          // earliest offset the next background sweep may run
+	sweeps sync.WaitGroup // background sweeps in flight, for Close
 }
 
 // New builds a lease table over inner. When inner also implements
@@ -223,10 +228,7 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 30 * time.Second
 	}
-	sweep := cfg.Tick >= 0
-	if cfg.Tick <= 0 {
-		// Tick stays the wheel granularity even when the background
-		// sweeper is disabled (negative) — Sweep is then driven by hand.
+	if cfg.Tick == 0 {
 		cfg.Tick = 10 * time.Millisecond
 	}
 	if cfg.StormThreshold <= 0 {
@@ -237,19 +239,17 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 		inner:   inner,
 		obs:     newProbes(cfg.Metrics),
 		now:     time.Now,
-		wheel:   timerwheel.New(0),
 		leases:  map[uint64]*entry{},
 		delayed: map[uint64]*delayedEntry{},
 		recent:  map[uint64]time.Time{},
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		wake:    noWake,
 	}
 	t.lsr, _ = inner.(Leaser)
 	t.start = t.now()
-	if sweep {
-		go t.sweeper()
-	} else {
-		close(t.done)
+	if cfg.Tick > 0 {
+		// Created disarmed: the first deadline arms it (armLocked).
+		t.timer = time.AfterFunc(time.Hour, t.fire)
+		t.timer.Stop()
 	}
 	return t
 }
@@ -261,15 +261,10 @@ func (t *Table) Snapshot() obs.Snapshot { return t.obs.set.Snapshot() }
 // implements Leaser).
 func (t *Table) Durable() bool { return t.lsr != nil }
 
-// tickOf maps a wall-clock instant to the wheel tick that must not fire
-// before it (ceiling, so a deadline never expires early).
-func (t *Table) tickOf(at time.Time) int64 {
-	d := at.Sub(t.start)
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + t.cfg.Tick - 1) / t.cfg.Tick)
-}
+// since maps an instant to its deadline-heap offset. Instants read off
+// the table's clock carry a monotonic reading, so a wall-clock step
+// cannot move a lease deadline.
+func (t *Table) since(at time.Time) int64 { return int64(at.Sub(t.start)) }
 
 // --- backend indirection (durable when the backend allows it) ---------
 
@@ -322,7 +317,7 @@ func (t *Table) PushDelayed(priority int64, delay time.Duration, value []byte) {
 
 // Pop retires the minimum *ready* element immediately — DeleteMin
 // semantics, no lease. Immature elements encountered on the way are
-// sifted into the timer wheel (staying crash-live on a durable backend)
+// parked on the deadline heap (staying crash-live on a durable backend)
 // and surface again at maturity.
 func (t *Table) Pop() (int64, []byte, bool) {
 	t.mu.Lock()
@@ -369,18 +364,21 @@ func (t *Table) Len() int {
 	return t.inner.Len() + parked
 }
 
-// siftLocked parks an immature element into the wheel and reports true;
-// mature elements return false untouched. Caller holds t.mu.
+// siftLocked parks an immature element on the deadline heap and reports
+// true; mature elements return false untouched. Caller holds t.mu.
 func (t *Table) siftLocked(token uint64, prio int64, deliveries uint32, readyMilli int64, value []byte) bool {
-	if readyMilli == 0 || readyMilli <= t.now().UnixMilli() {
+	now := t.now()
+	if readyMilli == 0 || readyMilli <= now.UnixMilli() {
 		return false
 	}
 	t.seq++
 	id := t.seq
 	d := &delayedEntry{token: token, prio: prio, value: value,
 		deliveries: deliveries, readyMilli: readyMilli}
-	d.timer = t.wheel.Schedule(t.tickOf(time.UnixMilli(readyMilli)), id)
 	t.delayed[id] = d
+	at := t.since(time.UnixMilli(readyMilli))
+	t.due.push(at, id, &d.pos)
+	t.armLocked(at, t.since(now))
 	return true
 }
 
@@ -415,6 +413,7 @@ func (t *Table) PopLease(ttl time.Duration, dead bool) (leaseID uint64, prio int
 			return 0, 0, time.Time{}, nil, false
 		}
 		it := t.dead[0]
+		t.dead[0] = deadItem{} // unpin the value from the backing array
 		t.dead = t.dead[1:]
 		return t.grantLocked(it.token, it.prio, it.deliveries, it.value, ttl, true)
 	}
@@ -449,8 +448,10 @@ func (t *Table) grantLocked(token uint64, prio int64, completed uint32, value []
 		granted:    now,
 		fromDead:   fromDead,
 	}
-	e.timer = t.wheel.Schedule(t.tickOf(e.deadline), id)
 	t.leases[id] = e
+	at := t.since(e.deadline)
+	t.due.push(at, id, &e.pos)
+	t.armLocked(at, t.since(now))
 	t.obs.grants.Inc()
 	return id, prio, e.deadline, value, true
 }
@@ -467,7 +468,7 @@ func (t *Table) Ack(leaseID uint64) bool {
 		return false
 	}
 	delete(t.leases, leaseID)
-	t.wheel.Cancel(e.timer)
+	t.unscheduleLocked(e.pos)
 	t.ackInner(e.token)
 	t.obs.acks.Inc()
 	t.obs.held.Observe(t.now().Sub(e.granted))
@@ -487,7 +488,7 @@ func (t *Table) Nack(leaseID uint64) bool {
 		return false
 	}
 	delete(t.leases, leaseID)
-	t.wheel.Cancel(e.timer)
+	t.unscheduleLocked(e.pos)
 	t.releaseLocked(e)
 	t.obs.nacks.Inc()
 	t.mu.Unlock()
@@ -508,9 +509,12 @@ func (t *Table) Extend(leaseID uint64, ttl time.Duration) (time.Time, bool) {
 		t.mu.Unlock()
 		return time.Time{}, false
 	}
-	t.wheel.Cancel(e.timer)
-	e.deadline = t.now().Add(ttl)
-	e.timer = t.wheel.Schedule(t.tickOf(e.deadline), leaseID)
+	now := t.now()
+	e.deadline = now.Add(ttl)
+	at := t.since(e.deadline)
+	t.due[e.pos].at = at
+	t.due.fix(e.pos)
+	t.armLocked(at, t.since(now))
 	t.obs.extends.Inc()
 	deadline := e.deadline
 	t.mu.Unlock()
@@ -549,30 +553,68 @@ func (t *Table) releaseLocked(e *entry) {
 
 // --- expiry -----------------------------------------------------------
 
-// sweeper drives the wheel from a wall-clock ticker.
-func (t *Table) sweeper() {
-	defer close(t.done)
-	tk := time.NewTicker(t.cfg.Tick)
-	defer tk.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tk.C:
-			t.Sweep()
-		}
+// noWake marks the background timer disarmed.
+const noWake = math.MaxInt64
+
+// unscheduleLocked drops heap slot i, disarming the timer once nothing
+// is left to expire. Caller holds t.mu.
+func (t *Table) unscheduleLocked(i int) {
+	t.due.remove(i)
+	if len(t.due) == 0 {
+		t.disarmLocked()
 	}
 }
 
-// Sweep advances the wheel to the current time, expiring overdue leases
-// (requeue + delivery bump) and maturing delayed elements. It runs on
-// the background ticker; exposed for tests and for tick-less tables.
+func (t *Table) disarmLocked() {
+	if t.wake != noWake {
+		t.timer.Stop()
+		t.wake = noWake
+	}
+}
+
+// armLocked makes the background timer fire by deadline at, or by
+// t.floor if that is later. It resets the timer only when that comes
+// before the time already armed, so while leases stay live, traffic
+// with one TTL touches the timer about once per TTL. Caller holds t.mu.
+func (t *Table) armLocked(at, now int64) {
+	if t.timer == nil {
+		return
+	}
+	at = max(at, t.floor)
+	if at >= t.wake {
+		return
+	}
+	t.wake = at
+	t.timer.Reset(time.Duration(at - now))
+}
+
+// fire is the timer's callback: one background Sweep, unless Close has
+// stopped the table.
+func (t *Table) fire() {
+	t.mu.Lock()
+	if t.timer == nil {
+		t.mu.Unlock()
+		return
+	}
+	t.sweeps.Add(1)
+	t.mu.Unlock()
+	defer t.sweeps.Done()
+	t.Sweep()
+}
+
+// Sweep expires every lease whose deadline has come (requeue + delivery
+// bump) and matures every delayed element whose time has come, then
+// re-arms the background timer for the next deadline, at least Tick
+// from now. It runs on that timer; exposed for tests and for tables
+// without one.
 func (t *Table) Sweep() {
 	now := t.now()
-	target := int64(now.Sub(t.start) / t.cfg.Tick) // floor: never fire early
+	at := t.since(now)
 	t.mu.Lock()
 	expired, matured := 0, 0
-	t.wheel.Advance(target, func(id uint64, _ int64) {
+	for len(t.due) > 0 && t.due[0].at <= at {
+		id := t.due[0].id
+		t.due.remove(0)
 		if e, ok := t.leases[id]; ok {
 			delete(t.leases, id)
 			t.rememberLocked(id, now)
@@ -583,7 +625,7 @@ func (t *Table) Sweep() {
 			// the rate-limited capture from a real storm/race pull.
 			t.cfg.Flight.Record(flight.KLeaseExpire, 0, int64(e.deliveries))
 			expired++
-			return
+			continue
 		}
 		if d, ok := t.delayed[id]; ok {
 			delete(t.delayed, id)
@@ -591,7 +633,12 @@ func (t *Table) Sweep() {
 			t.obs.delayReady.Inc()
 			matured++
 		}
-	})
+	}
+	t.floor = at + int64(t.cfg.Tick)
+	t.disarmLocked()
+	if len(t.due) > 0 {
+		t.armLocked(t.due[0].at, at)
+	}
 	if expired >= t.cfg.StormThreshold {
 		t.obs.storms.Inc()
 		t.cfg.Flight.Anomaly(flight.KRedeliveryStorm, 0, int64(expired))
@@ -630,13 +677,13 @@ func (t *Table) NackAll() int {
 	n := len(t.leases)
 	for id, e := range t.leases {
 		delete(t.leases, id)
-		t.wheel.Cancel(e.timer)
+		t.unscheduleLocked(e.pos)
 		t.releaseLocked(e)
 		t.obs.nacks.Inc()
 	}
 	for id, d := range t.delayed {
 		delete(t.delayed, id)
-		t.wheel.Cancel(d.timer)
+		t.unscheduleLocked(d.pos)
 		t.requeueInner(d.token, d.prio, wrapValue(d.deliveries, d.readyMilli, d.value))
 	}
 	return n
@@ -656,13 +703,69 @@ func (t *Table) DeadLen() int {
 	return len(t.dead)
 }
 
-// Close stops the expiry sweeper. It does not touch outstanding leases;
-// call NackAll first on a graceful drain.
+// Close stops the background sweep and waits for one in flight. It does
+// not touch outstanding leases; call NackAll first on a graceful drain.
 func (t *Table) Close() {
-	select {
-	case <-t.stop:
-	default:
-		close(t.stop)
+	t.mu.Lock()
+	t.disarmLocked()
+	t.timer = nil
+	t.mu.Unlock()
+	t.sweeps.Wait()
+}
+
+// --- the deadline heap ------------------------------------------------
+
+// deadlines is a binary min-heap of pending deadlines: lease expiries
+// and delayed maturities. A slot keeps its deadline inline (nanoseconds
+// since Table.start), so sifting compares integers without chasing a
+// pointer, and points at its owner's heap index, which every move keeps
+// current.
+type deadlines []slot
+
+type slot struct {
+	at  int64
+	id  uint64 // lease or delayed-entry ID
+	pos *int
+}
+
+func (h *deadlines) push(at int64, id uint64, pos *int) {
+	*pos = len(*h)
+	*h = append(*h, slot{at, id, pos})
+	h.fix(*pos)
+}
+
+// remove deletes slot i.
+func (h *deadlines) remove(i int) {
+	last := len(*h) - 1
+	h.swap(i, last)
+	(*h)[last] = slot{}
+	*h = (*h)[:last]
+	if i < last {
+		h.fix(i)
 	}
-	<-t.done
+}
+
+// fix moves slot i, whose deadline is new, up or down to its place.
+func (h deadlines) fix(i int) {
+	for i > 0 && h[(i-1)/2].at > h[i].at {
+		h.swap(i, (i-1)/2)
+		i = (i - 1) / 2
+	}
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && h[c+1].at < h[c].at {
+			c++
+		}
+		if c >= len(h) || h[i].at <= h[c].at {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+func (h deadlines) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	*h[i].pos = i
+	*h[j].pos = j
 }

@@ -2,7 +2,9 @@ package lease
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -335,7 +337,7 @@ func TestNackAllDrain(t *testing.T) {
 		tbl.Push(int64(i), []byte{byte('a' + i)})
 	}
 	// Lowest priority but immature: the first PopLease sifts it into
-	// the wheel before granting a ready element.
+	// the deadline heap before granting a ready element.
 	tbl.PushDelayed(-1, time.Hour, []byte("parked"))
 	for i := 0; i < 3; i++ {
 		if _, _, _, _, ok := tbl.PopLease(0, false); !ok {
@@ -559,3 +561,186 @@ type atomic64 struct {
 
 func (a *atomic64) add(d int) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+
+// TestDeadlineExact: a lease is held until the instant of its deadline
+// and expires at it, whatever the offset of the grant from the table's
+// start.
+func TestDeadlineExact(t *testing.T) {
+	tbl, clk := newTestTable(t, Config{}, &memPQ{})
+	tbl.Push(1, []byte("x"))
+	clk.advance(3 * time.Millisecond)
+	_, _, deadline, _, ok := tbl.PopLease(100*time.Millisecond, false)
+	if !ok {
+		t.Fatal("grant failed")
+	}
+	clk.tick(tbl, deadline.Sub(clk.now())-time.Nanosecond)
+	if tbl.Outstanding() != 1 {
+		t.Fatal("lease expired 1ns before its deadline")
+	}
+	clk.tick(tbl, time.Nanosecond)
+	if tbl.Outstanding() != 0 || tbl.Len() != 1 {
+		t.Fatalf("at the deadline: Outstanding=%d Len=%d, want expired and requeued", tbl.Outstanding(), tbl.Len())
+	}
+}
+
+// TestExtendEarlierDeadline: an Extend shorter than the time left moves
+// the deadline earlier, and the lease expires at the new deadline.
+func TestExtendEarlierDeadline(t *testing.T) {
+	tbl, clk := newTestTable(t, Config{TTL: time.Hour}, &memPQ{})
+	tbl.Push(1, []byte("x"))
+	clk.advance(3 * time.Millisecond)
+	id, _, _, _, _ := tbl.PopLease(0, false)
+	deadline, ok := tbl.Extend(id, 20*time.Millisecond)
+	if !ok || !deadline.Equal(clk.now().Add(20*time.Millisecond)) {
+		t.Fatalf("extend = %v/%v", deadline, ok)
+	}
+	clk.tick(tbl, deadline.Sub(clk.now())-time.Nanosecond)
+	if tbl.Outstanding() != 1 {
+		t.Fatal("lease expired before its new deadline")
+	}
+	clk.tick(tbl, time.Nanosecond)
+	if tbl.Outstanding() != 0 {
+		t.Fatal("lease held past its new, earlier deadline")
+	}
+}
+
+// TestExtendEarlierRearmsTimer is the real-clock form: a one-hour lease
+// shortened to 20ms must be expired by the background timer, which has
+// to re-arm for the earlier deadline.
+func TestExtendEarlierRearmsTimer(t *testing.T) {
+	tbl := New(Config{TTL: time.Hour, Tick: 5 * time.Millisecond}, &memPQ{})
+	defer tbl.Close()
+	tbl.Push(1, []byte("x"))
+	id, _, _, _, _ := tbl.PopLease(0, false)
+	if _, ok := tbl.Extend(id, 20*time.Millisecond); !ok {
+		t.Fatal("extend failed")
+	}
+	limit := time.Now().Add(time.Second)
+	for tbl.Outstanding() != 0 {
+		if time.Now().After(limit) {
+			t.Fatal("lease shortened to 20ms still held after 1s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if tbl.Len() != 1 {
+		t.Fatalf("Len=%d after expiry, want the element requeued", tbl.Len())
+	}
+}
+
+// TestTimerArmedOnlyWhilePending: the background timer is armed only
+// while a lease or a delayed element is pending.
+func TestTimerArmedOnlyWhilePending(t *testing.T) {
+	tbl := New(Config{TTL: time.Hour, Tick: 5 * time.Millisecond}, &memPQ{})
+	defer tbl.Close()
+	armed := func() bool {
+		tbl.mu.Lock()
+		defer tbl.mu.Unlock()
+		return tbl.wake != noWake
+	}
+	if armed() {
+		t.Fatal("a new table armed its timer")
+	}
+	tbl.Push(1, []byte("x"))
+	id, _, _, _, _ := tbl.PopLease(0, false)
+	if !armed() {
+		t.Fatal("no timer armed for a live lease")
+	}
+	tbl.Ack(id)
+	if armed() {
+		t.Fatal("timer still armed after the last lease was acked")
+	}
+	tbl.PushDelayed(1, time.Hour, []byte("later"))
+	if _, _, ok := tbl.Pop(); ok {
+		t.Fatal("immature element popped")
+	}
+	if !armed() {
+		t.Fatal("no timer armed for a parked delayed element")
+	}
+	tbl.NackAll()
+	if armed() {
+		t.Fatal("timer still armed after NackAll emptied the table")
+	}
+	tbl.Sweep()
+	if armed() {
+		t.Fatal("a sweep of an empty table armed the timer")
+	}
+}
+
+// TestDeadLetterDrainUnpinsValue: popping a dead letter clears its slot,
+// so the dead queue's backing array does not keep the value reachable.
+func TestDeadLetterDrainUnpinsValue(t *testing.T) {
+	tbl, clk := newTestTable(t, Config{TTL: 50 * time.Millisecond, MaxDeliveries: 1}, &memPQ{})
+	tbl.Push(1, []byte("poison"))
+	tbl.PopLease(0, false)
+	clk.tick(tbl, time.Second) // MaxDeliveries=1: straight to the dead queue
+	tbl.mu.Lock()
+	orig := tbl.dead
+	tbl.mu.Unlock()
+	if len(orig) != 1 {
+		t.Fatalf("DeadLen=%d, want 1", len(orig))
+	}
+	if _, _, _, _, ok := tbl.PopLease(0, true); !ok {
+		t.Fatal("dead-letter grant failed")
+	}
+	if orig[0].value != nil {
+		t.Fatal("drained dead letter still pinned by the dead queue's backing array")
+	}
+}
+
+// TestDeadlinesHeap drives the deadline heap with random pushes, removes
+// and re-keys, checking heap order, every owner's index, and that popping
+// the root yields the deadlines in sorted order.
+func TestDeadlinesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h deadlines
+	pos := map[uint64]*int{}
+	at := map[uint64]int64{}
+	check := func() {
+		t.Helper()
+		for i, s := range h {
+			if *s.pos != i {
+				t.Fatalf("slot %d (id %d) has index %d", i, s.id, *s.pos)
+			}
+			if i > 0 && h[(i-1)/2].at > s.at {
+				t.Fatalf("slot %d's deadline %d precedes its parent's", i, s.at)
+			}
+		}
+		if len(h) != len(pos) {
+			t.Fatalf("heap holds %d slots, want %d", len(h), len(pos))
+		}
+	}
+	var seq uint64
+	for op := 0; op < 20_000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(h) == 0:
+			seq++
+			p := new(int)
+			pos[seq], at[seq] = p, rng.Int63n(1000)
+			h.push(at[seq], seq, p)
+		case r < 8:
+			id := h[rng.Intn(len(h))].id
+			h.remove(*pos[id])
+			delete(pos, id)
+			delete(at, id)
+		default:
+			id := h[rng.Intn(len(h))].id
+			at[id] = rng.Int63n(1000)
+			h[*pos[id]].at = at[id]
+			h.fix(*pos[id])
+		}
+		check()
+	}
+	want := make([]int64, 0, len(at))
+	for _, a := range at {
+		want = append(want, a)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	for i, w := range want {
+		if h[0].at != w {
+			t.Fatalf("pop %d = %d, want %d", i, h[0].at, w)
+		}
+		delete(pos, h[0].id)
+		h.remove(0)
+		check()
+	}
+}

@@ -9,7 +9,7 @@
 //     least one delivery of the element, and no delivery of the element
 //     serializes after its ack.
 //  3. Nothing is lost: after a drained run, every inserted element is
-//     either acked or still present (main queue, timer wheel, or
+//     either acked or still present (main queue, delay heap, or
 //     dead-letter queue). AnalyzeAtLeastOnceCrash tolerates a bounded
 //     allowance for acks that went durable while the consumer's own
 //     record of them died with its process.
