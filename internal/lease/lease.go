@@ -52,7 +52,7 @@ import (
 // Leaser is the durable lease surface a decorated queue may additionally
 // implement (*wal.Queue does). LeaseMin claims the minimum element
 // without durably retiring it: it leaves the in-memory structure but
-// stays in the snapshot index, so a crash resurrects it. Ack retires it
+// stays live in the log, so a crash resurrects it. Ack retires it
 // for good; Requeue returns it with a rewritten stored value. The token
 // is the element's durable identity.
 type Leaser interface {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 
 	"skipqueue/internal/wire"
 )
@@ -126,6 +128,15 @@ func appendRequeueRecord(dst []byte, id uint64, prio int64, value []byte) []byte
 	return dst
 }
 
+// frameLen validates a frame header and returns its body length.
+func frameLen(hdr []byte) (int, error) {
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n < popBodySize || n > maxRecordBody {
+		return 0, fmt.Errorf("%w: body length %d", ErrTornRecord, n)
+	}
+	return n, nil
+}
+
 // decodeRecord decodes one framed record from the front of data, returning
 // the record and the total frame size consumed. Any invalid byte — short
 // frame, oversized length, CRC mismatch, unknown op, malformed body —
@@ -134,9 +145,9 @@ func decodeRecord(data []byte) (record, int, error) {
 	if len(data) < recordHdrSize {
 		return record{}, 0, fmt.Errorf("%w: %d header bytes", ErrTornRecord, len(data))
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	if n < popBodySize || n > maxRecordBody {
-		return record{}, 0, fmt.Errorf("%w: body length %d", ErrTornRecord, n)
+	n, err := frameLen(data)
+	if err != nil {
+		return record{}, 0, err
 	}
 	if len(data) < recordHdrSize+n {
 		return record{}, 0, fmt.Errorf("%w: %d of %d body bytes", ErrTornRecord, len(data)-recordHdrSize, n)
@@ -164,22 +175,45 @@ func decodeRecord(data []byte) (record, int, error) {
 	return rec, recordHdrSize + n, nil
 }
 
-// scanRecords decodes consecutive records from data, calling fn for each.
-// It returns the number of cleanly consumed bytes and the number of
-// records, stopping at the first invalid record (err != nil, wrapping
-// ErrTornRecord) or when fn returns false. The bytes past the returned
-// offset are exactly the torn/garbage tail a recovery should truncate.
-func scanRecords(data []byte, fn func(rec record) bool) (consumed, records int, err error) {
-	for len(data[consumed:]) > 0 {
-		rec, n, derr := decodeRecord(data[consumed:])
-		if derr != nil {
-			return consumed, records, derr
+// readRecords decodes consecutive records from r, calling fn for each, and
+// returns the number of cleanly consumed bytes and records. It holds one
+// frame at a time in a reused buffer, so rec.value is valid only during
+// fn. It stops at a clean end of r (err == nil) or at the first invalid
+// or short record (err wraps ErrTornRecord); the bytes past the returned
+// offset are exactly the torn/garbage tail a recovery should truncate. Any
+// other read error is returned as is: it says nothing about the data.
+func readRecords(r io.Reader, fn func(rec record)) (consumed int64, records int, err error) {
+	frame := make([]byte, recordHdrSize, 256)
+	for {
+		if _, err := io.ReadFull(r, frame[:recordHdrSize]); err != nil {
+			if err == io.EOF {
+				return consumed, records, nil
+			}
+			return consumed, records, shortRead(err, "header")
 		}
-		consumed += n
+		n, err := frameLen(frame)
+		if err != nil {
+			return consumed, records, err
+		}
+		frame = slices.Grow(frame[:recordHdrSize], n)[:recordHdrSize+n]
+		if _, err := io.ReadFull(r, frame[recordHdrSize:]); err != nil {
+			return consumed, records, shortRead(err, "body")
+		}
+		rec, size, err := decodeRecord(frame)
+		if err != nil {
+			return consumed, records, err
+		}
+		consumed += int64(size)
 		records++
-		if fn != nil && !fn(rec) {
-			return consumed, records, nil
-		}
+		fn(rec)
 	}
-	return consumed, records, nil
+}
+
+// shortRead classifies a failed io.ReadFull: running out of bytes is a
+// torn record, anything else an I/O error.
+func shortRead(err error, what string) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: short %s", ErrTornRecord, what)
+	}
+	return err
 }

@@ -15,11 +15,12 @@
 // latency/safety dial a deployment wants.
 //
 // Storage is a sequence of segment files framed by CRC32-C records
-// (record.go) plus point-in-time snapshots of the live queue
-// (snapshot.go). Recovery (recover.go) loads the newest valid snapshot,
-// replays every retained segment, tolerates a torn final record, and
-// returns the live multiset. Queue (queue.go) is the multiset.Queue
-// wrapper that ties it all together.
+// (record.go) plus snapshots of the live queue (snapshot.go). Recovery
+// (recover.go) replays every retained segment and the newest valid
+// snapshot, both streamed, tolerates a torn final record, and returns the
+// live multiset. Queue (queue.go) is the multiset.Queue wrapper that ties
+// it all together; it keeps no copy of the live multiset, because a
+// snapshot is compacted from the log itself by the same replay.
 //
 // Invariants the subsystem maintains (docs/PERSISTENCE.md proves them):
 //
@@ -28,9 +29,10 @@
 //     covered by an fsync.
 //  2. A pop record is appended only after its element left the in-memory
 //     structure, and its push record always precedes it in LSN order.
-//  3. A snapshot taken with cut C plus the segments holding records > C
-//     reconstruct exactly the live multiset; segments entirely ≤ C are
-//     deletable.
+//  3. A snapshot's cut C is a segment boundary: it is the replay of the
+//     previous snapshot and every segment holding records ≤ C, so with the
+//     segments after C it reconstructs exactly the live multiset, and the
+//     segments it read are deletable.
 package wal
 
 import (
@@ -38,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -107,12 +110,12 @@ type Config struct {
 	// stall (sync.stalls) and captured as a flight anomaly.
 	StallAfter time.Duration
 	// OnRotate, if non-nil, is called on the flushing goroutine after each
-	// segment rotation with the number of on-disk segments. Queue uses it
-	// to trigger snapshot compaction; callbacks must not block.
+	// size-triggered segment rotation with the number of on-disk segments.
+	// Queue uses it to trigger compaction; callbacks must not block.
 	OnRotate func(segments int)
 	// SnapshotSegments is the compaction trigger for OpenQueue: once the
-	// on-disk segment count exceeds it, a snapshot is written in the
-	// background and the now-redundant prefix of segments is deleted.
+	// on-disk segment count exceeds it, the sealed segments are compacted
+	// into a snapshot in the background and then deleted.
 	// 0 selects the default (4); negative disables automatic snapshots
 	// (they still happen on Close).
 	SnapshotSegments int
@@ -507,27 +510,65 @@ func (l *Log) flush() {
 		l.lastFlush = d
 	}
 	l.segSize += int64(len(batch))
-	rotate := l.segSize >= l.cfg.SegmentBytes
-	var segCount int
-	if rotate {
-		old := l.file
-		if err := l.openSegment(l.lastLSN + 1); err != nil {
-			// Could not create the next segment; keep writing the old one.
-			l.file = old
-			rotate = false
-		} else {
-			old.Close()
-			l.obs.rotated.Inc()
-			segCount = len(l.segs)
-		}
-	}
+	rotated := l.segSize >= l.cfg.SegmentBytes && l.rotate() == nil
 	l.cond.Broadcast()
 
-	if rotate && l.cfg.OnRotate != nil {
+	if rotated && l.cfg.OnRotate != nil {
+		segCount := len(l.segs)
 		l.mu.Unlock()
 		l.cfg.OnRotate(segCount)
 		l.mu.Lock()
 	}
+}
+
+// rotate seals the active segment and opens the next one. The caller holds
+// l.mu and no flush is in flight, so every record through l.durable is in
+// the old file and the next one written is l.durable+1, even when records
+// appended during the last flush are already pending. On error the old
+// segment stays active.
+func (l *Log) rotate() error {
+	old := l.file
+	if err := l.openSegment(l.durable + 1); err != nil {
+		l.file = old
+		return err
+	}
+	old.Close()
+	l.obs.rotated.Inc()
+	return nil
+}
+
+// seal puts every record appended before the call into a sealed segment:
+// Sync waits out a flush in flight and leads a flush of the pending batch,
+// then seal rotates under l.mu if the active segment holds any record.
+func (l *Log) seal() error {
+	if err := l.Sync(); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.flushing {
+		l.cond.Wait()
+	}
+	if l.closed {
+		return fmt.Errorf("wal: log closed")
+	}
+	if l.segSize == segHdrSize {
+		return nil
+	}
+	return l.rotate()
+}
+
+// sealed returns the segments no flush writes to again — all but the
+// active one, or every segment once the log is closed — and the LSN of
+// the last record in them.
+func (l *Log) sealed() ([]segment, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return slices.Clone(l.segs), l.durable
+	}
+	n := len(l.segs) - 1
+	return slices.Clone(l.segs[:n]), l.segs[n].start - 1
 }
 
 // dropSegmentsBefore deletes the longest prefix of segments whose records
