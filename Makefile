@@ -18,12 +18,14 @@ race:
 	go test -race ./...
 
 # One target that gates a change: vet, full tests, the race detector on the
-# concurrency-heavy packages and on the root's stress matrix (-short; it is
+# concurrency-heavy packages (the durable path's lease table, WAL and server
+# among them) and on the root's stress matrix (-short; it is
 # where the exchanger's slot race lived unseen), and the benchmark module's
 # vet and smoke (the line CI's bench-module job runs; bench/ is a nested
 # module that `./...` does not reach).
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
+	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/
 	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
 	cd bench && go vet . && go test -short .
 

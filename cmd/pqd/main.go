@@ -155,8 +155,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// With -lease the (possibly WAL-wrapped) backend is decorated once
 	// more: the table owns delivery counts, delayed visibility, and the
-	// dead-letter queue, and the server exposes the protocol opcodes.
-	// Over a wal.Queue the table's grants/acks/requeues are durable.
+	// dead-letter queue, and the server, finding it as its backend,
+	// exposes the protocol opcodes. Over a wal.Queue the table's acks and
+	// requeues are durable and its Commit is the wal.Queue's.
 	var leaseTbl *lease.Table
 	if *leaseOn {
 		leaseTbl = lease.New(lease.Config{
@@ -171,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*leaseTTL, *leaseTick, *maxDeliver, leaseTbl.Durable())
 	}
 
-	srvCfg := server.Config{
+	srv := server.New(server.Config{
 		Backend:     backend,
 		MaxConns:    *maxConns,
 		MaxInflight: *maxInflight,
@@ -181,12 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Flight:      serverFR,
 		SLO:         *slo,
 		BatchMaxOps: *batchMax,
-		Lease:       leaseTbl,
-	}
-	if durable != nil {
-		srvCfg.WAL = durable
-	}
-	srv := server.New(srvCfg)
+	})
 
 	// draining feeds /healthz; it flips the instant a drain signal arrives,
 	// before the data plane starts refusing, so load balancers stop routing

@@ -23,7 +23,7 @@ func startServer(t *testing.T, lcfg *lease.Config) (string, *lease.Table) {
 	var tbl *lease.Table
 	if lcfg != nil {
 		tbl = lease.New(*lcfg, cfg.Backend)
-		cfg.Backend, cfg.Lease = tbl, tbl
+		cfg.Backend = tbl
 	}
 	srv := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

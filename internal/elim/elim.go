@@ -490,10 +490,6 @@ func (p *PQ[V]) Peek() (priority int64, value V, ok bool) { return p.inner.Peek(
 // offers are in-flight Pushes and do not count).
 func (p *PQ[V]) Len() int { return p.inner.Len() }
 
-// Obs returns the elimination layer's probe set (nil without
-// Config.Metrics).
-func (p *PQ[V]) Obs() *obs.Set { return p.obs.set }
-
 // ObsSnapshot reads the elimination layer's probes. The inner queue's
 // probes are its own; root adapters merge the two.
 func (p *PQ[V]) ObsSnapshot() obs.Snapshot { return p.obs.set.Snapshot() }

@@ -73,9 +73,6 @@ func New[K ordered, V any]() *Heap[K, V] {
 // shared between goroutines.
 func (h *Heap[K, V]) EnableMetrics() { h.obs = newProbes() }
 
-// Obs returns the heap's probe set (nil without EnableMetrics).
-func (h *Heap[K, V]) Obs() *obs.Set { return h.obs.set }
-
 // ObsSnapshot reads every probe once (relaxed snapshot; see core.Queue.Stats
 // for the discipline).
 func (h *Heap[K, V]) ObsSnapshot() obs.Snapshot { return h.obs.set.Snapshot() }

@@ -13,8 +13,8 @@
 //     lost-element allowance.
 //
 // Every fifth cycle also kill -9s the daemon itself, so recovery has to
-// reconstruct in-flight leases from the WAL's lease records before the
-// consumers reconnect.
+// bring back in-flight leases' elements, which no WAL record retired,
+// before the consumers reconnect.
 //
 // The consumer subprocess speaks a line protocol on stdout — "lease
 // id=<id> key=<key>", "acking id=<id>", "acked id=<id>" — and each line
@@ -369,8 +369,8 @@ func TestConsumerCrashRedelivery(t *testing.T) {
 		c1.lines.Wait()
 		c2.lines.Wait()
 
-		// Every fifth cycle the daemon dies too: recovery must rebuild
-		// the in-flight leases' elements from WAL lease records.
+		// Every fifth cycle the daemon dies too: recovery must bring back
+		// the in-flight leases' elements, which no WAL record retired.
 		if cycle%5 == 4 {
 			p.kill()
 			if s := p.stderr.String(); strings.Contains(s, "panic") {

@@ -24,12 +24,15 @@
 //   - a dead-letter FIFO for elements over the delivery budget.
 //
 // Durability composes through the Leaser interface, implemented by
-// *wal.Queue: LeaseMin claims the min while keeping it snapshot-live,
-// Ack retires it durably, Requeue rewrites it (carrying the bumped
-// delivery header). A crash at ANY point between grant and ack leaves
-// the element live on disk, so recovery conservatively redelivers —
-// never loses — in-flight work. On a plain in-memory backend the same
-// protocol runs without the durability (token 0, no-op acks).
+// *wal.Queue: LeaseMin claims the min and logs nothing, so the element
+// stays live on disk; Ack retires it durably, Requeue rewrites it
+// (carrying the bumped delivery header). A crash at ANY point between
+// grant and ack leaves the element live on disk, so recovery
+// conservatively redelivers — never loses — in-flight work. New wraps
+// a plain in-memory backend in a Leaser without the durability (token
+// 0, no-op acks), so the table runs one protocol over either. Commit
+// and Sync forward to the backend's barrier, which is how the server
+// finds it.
 //
 // A table is safe for concurrent use; one mutex serializes it. At the
 // server's operation rates (hundreds of thousands of ops/s) the
@@ -67,7 +70,26 @@ type Leaser interface {
 	// or schedules it (async mode). Sweep calls it after requeueing,
 	// because no client request follows a sweep to commit for it.
 	Commit() error
+	// Sync makes every transition recorded so far durable regardless of
+	// mode: the drain path's final barrier.
+	Sync() error
 }
+
+// volatile is the Leaser New wraps a plain backend in: a claim is a Pop,
+// a requeue a Push, and nothing is durable, so the rest are no-ops.
+type volatile struct{ q multiset.Queue[[]byte] }
+
+func (v volatile) LeaseMin() (uint64, int64, []byte, bool) {
+	prio, stored, ok := v.q.Pop()
+	return 0, prio, stored, ok
+}
+
+func (v volatile) Requeue(_ uint64, prio int64, stored []byte) { v.q.Push(prio, stored) }
+
+func (volatile) Ack(uint64)                    {}
+func (volatile) Rewrite(uint64, int64, []byte) {}
+func (volatile) Commit() error                 { return nil }
+func (volatile) Sync() error                   { return nil }
 
 // Config configures a Table.
 type Config struct {
@@ -115,37 +137,24 @@ func unwrapValue(stored []byte) (deliveries uint32, readyMilli int64, value []by
 		stored[hdrSize:]
 }
 
-// entry is one outstanding lease.
-type entry struct {
+// item is one element claimed from the backend and held by the table:
+// out on a lease, parked until its ready time, or dead-lettered. Its
+// durable token is never acked while the table holds it, so the element
+// stays crash-live.
+type item struct {
 	token      uint64 // durable identity (0 on a plain backend)
 	prio       int64
-	value      []byte // bare value, header stripped
-	deliveries uint32 // completed+current deliveries (this grant included)
-	deadline   time.Time
-	granted    time.Time
-	pos        int  // index in Table.due
-	fromDead   bool // granted off the dead-letter queue
+	value      []byte    // bare value, header stripped
+	deadline   time.Time // leased: when the lease expires
+	granted    time.Time // leased: when it was granted
+	pos        int       // leased or parked: index in Table.due
+	readyMilli int64     // parked: maturity time (UnixMilli)
+	deliveries uint32    // completed deliveries; a lease counts its own
+	fromDead   bool      // leased off the dead-letter queue
 }
 
-// delayedEntry is one immature element sifted out of the backend,
-// parked until its ready time.
-type delayedEntry struct {
-	token      uint64
-	prio       int64
-	value      []byte
-	deliveries uint32
-	readyMilli int64
-	pos        int // index in Table.due
-}
-
-// deadItem is one dead-lettered element. Its durable token stays leased
-// (never acked) so the element remains crash-live until drained.
-type deadItem struct {
-	token      uint64
-	prio       int64
-	value      []byte
-	deliveries uint32
-}
+// stored is the element's backend value: its header plus the bare value.
+func (it *item) stored() []byte { return wrapValue(it.deliveries, it.readyMilli, it.value) }
 
 // probes is the "skipqueue.lease" observability set.
 type probes struct {
@@ -199,17 +208,17 @@ const recentCap = 1024
 type Table struct {
 	cfg   Config
 	inner multiset.Queue[[]byte]
-	lsr   Leaser // nil on a plain backend
+	lsr   Leaser // inner, or inner wrapped in volatile
 	obs   probes
 	now   func() time.Time // injectable for tests
 
 	mu      sync.Mutex
 	due     deadlines // every lease deadline and delayed maturity
 	start   time.Time // deadlines are nanosecond offsets from start
-	seq     uint64    // lease / delayed-entry ID allocator
-	leases  map[uint64]*entry
-	delayed map[uint64]*delayedEntry
-	dead    []deadItem
+	seq     uint64    // lease / parked-item ID allocator
+	leases  map[uint64]*item
+	delayed map[uint64]*item
+	dead    []*item
 
 	// recently expired lease IDs, for KLeaseAckRace: id → expiry time.
 	recent     map[uint64]time.Time
@@ -239,12 +248,16 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 		inner:   inner,
 		obs:     newProbes(cfg.Metrics),
 		now:     time.Now,
-		leases:  map[uint64]*entry{},
-		delayed: map[uint64]*delayedEntry{},
+		leases:  map[uint64]*item{},
+		delayed: map[uint64]*item{},
 		recent:  map[uint64]time.Time{},
 		wake:    noWake,
 	}
-	t.lsr, _ = inner.(Leaser)
+	if lsr, ok := inner.(Leaser); ok {
+		t.lsr = lsr
+	} else {
+		t.lsr = volatile{inner}
+	}
 	t.start = t.now()
 	if cfg.Tick > 0 {
 		// Created disarmed: the first deadline arms it (armLocked).
@@ -259,42 +272,24 @@ func (t *Table) Snapshot() obs.Snapshot { return t.obs.set.Snapshot() }
 
 // Durable reports whether lease transitions are crash-safe (the backend
 // implements Leaser).
-func (t *Table) Durable() bool { return t.lsr != nil }
+func (t *Table) Durable() bool {
+	_, plain := t.lsr.(volatile)
+	return !plain
+}
+
+// Commit is the backend's commit barrier (Leaser.Commit): it returns once
+// every transition applied before the call is durable, or at once on an
+// async or plain backend. The server calls it before ACKing a batch.
+func (t *Table) Commit() error { return t.lsr.Commit() }
+
+// Sync makes every transition applied before the call durable regardless
+// of the backend's mode (Leaser.Sync).
+func (t *Table) Sync() error { return t.lsr.Sync() }
 
 // since maps an instant to its deadline-heap offset. Instants read off
 // the table's clock carry a monotonic reading, so a wall-clock step
 // cannot move a lease deadline.
 func (t *Table) since(at time.Time) int64 { return int64(at.Sub(t.start)) }
-
-// --- backend indirection (durable when the backend allows it) ---------
-
-func (t *Table) leaseInner() (token uint64, prio int64, stored []byte, ok bool) {
-	if t.lsr != nil {
-		return t.lsr.LeaseMin()
-	}
-	prio, stored, ok = t.inner.Pop()
-	return 0, prio, stored, ok
-}
-
-func (t *Table) ackInner(token uint64) {
-	if t.lsr != nil {
-		t.lsr.Ack(token)
-	}
-}
-
-func (t *Table) rewriteInner(token uint64, prio int64, stored []byte) {
-	if t.lsr != nil {
-		t.lsr.Rewrite(token, prio, stored)
-	}
-}
-
-func (t *Table) requeueInner(token uint64, prio int64, stored []byte) {
-	if t.lsr != nil {
-		t.lsr.Requeue(token, prio, stored)
-		return
-	}
-	t.inner.Push(prio, stored)
-}
 
 // --- multiset.Queue surface (what the server's plain opcodes drive) ---
 
@@ -316,30 +311,17 @@ func (t *Table) PushDelayed(priority int64, delay time.Duration, value []byte) {
 }
 
 // Pop retires the minimum *ready* element immediately — DeleteMin
-// semantics, no lease. Immature elements encountered on the way are
-// parked on the deadline heap (staying crash-live on a durable backend)
-// and surface again at maturity.
+// semantics, no lease: claim, then ack on the spot. On a durable backend
+// only the ack is logged, one record like a plain pop.
 func (t *Table) Pop() (int64, []byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for {
-		token, prio, stored, ok := t.leaseInner()
-		if !ok {
-			return 0, nil, false
-		}
-		deliveries, ready, value := unwrapValue(stored)
-		if t.siftLocked(token, prio, deliveries, ready, value) {
-			continue
-		}
-		if t.divertLocked(token, prio, deliveries, value) {
-			continue
-		}
-		// Retire on the spot. On a durable backend this is lease+ack —
-		// two records, but a crash between them duplicates instead of
-		// losing, strictly the safer failure for a retired element.
-		t.ackInner(token)
-		return prio, value, true
+	it, ok := t.claimLocked()
+	if !ok {
+		return 0, nil, false
 	}
+	t.lsr.Ack(it.token)
+	return it.prio, it.value, true
 }
 
 // Peek returns the minimum element without consuming it. It may show an
@@ -364,35 +346,62 @@ func (t *Table) Len() int {
 	return t.inner.Len() + parked
 }
 
-// siftLocked parks an immature element on the deadline heap and reports
-// true; mature elements return false untouched. Caller holds t.mu.
-func (t *Table) siftLocked(token uint64, prio int64, deliveries uint32, readyMilli int64, value []byte) bool {
+// claimLocked claims the minimum ready element from the backend — the
+// one claim loop Pop and PopLease share. Immature elements met on the
+// way are parked on the deadline heap and surface again at maturity;
+// over-budget ones divert to the dead-letter FIFO. Both stay claimed,
+// so crash-live on a durable backend. Caller holds t.mu.
+func (t *Table) claimLocked() (item, bool) {
+	for {
+		token, prio, stored, ok := t.lsr.LeaseMin()
+		if !ok {
+			return item{}, false
+		}
+		deliveries, ready, value := unwrapValue(stored)
+		// it stays off the heap: only parking and diverting, which keep
+		// the element, copy it there.
+		it := item{token: token, prio: prio, value: value, deliveries: deliveries, readyMilli: ready}
+		if ready != 0 && t.parkLocked(it) {
+			continue
+		}
+		if t.overBudget(deliveries) {
+			d := it
+			t.divertLocked(&d)
+			continue
+		}
+		return it, true
+	}
+}
+
+// parkLocked puts an immature element on the deadline heap and reports
+// true; a mature one returns false untouched. Caller holds t.mu.
+func (t *Table) parkLocked(it item) bool {
 	now := t.now()
-	if readyMilli == 0 || readyMilli <= now.UnixMilli() {
+	if it.readyMilli <= now.UnixMilli() {
 		return false
 	}
+	p := new(item)
+	*p = it
 	t.seq++
-	id := t.seq
-	d := &delayedEntry{token: token, prio: prio, value: value,
-		deliveries: deliveries, readyMilli: readyMilli}
-	t.delayed[id] = d
-	at := t.since(time.UnixMilli(readyMilli))
-	t.due.push(at, id, &d.pos)
+	t.delayed[t.seq] = p
+	at := t.since(time.UnixMilli(it.readyMilli))
+	t.due.push(at, t.seq, &p.pos)
 	t.armLocked(at, t.since(now))
 	return true
 }
 
-// divertLocked sends an over-budget element to the dead-letter FIFO and
-// reports true. The durable token stays leased (never acked), so the
-// dead letter remains crash-live until drained. Caller holds t.mu.
-func (t *Table) divertLocked(token uint64, prio int64, deliveries uint32, value []byte) bool {
-	if t.cfg.MaxDeliveries <= 0 || int(deliveries) < t.cfg.MaxDeliveries {
-		return false
-	}
-	t.dead = append(t.dead, deadItem{token: token, prio: prio, value: value, deliveries: deliveries})
+// overBudget reports whether an element delivered this many times must
+// go to the dead-letter FIFO.
+func (t *Table) overBudget(deliveries uint32) bool {
+	return t.cfg.MaxDeliveries > 0 && int(deliveries) >= t.cfg.MaxDeliveries
+}
+
+// divertLocked sends an over-budget element to the dead-letter FIFO.
+// Caller holds t.mu.
+func (t *Table) divertLocked(it *item) {
+	t.dead = append(t.dead, it)
 	t.obs.deadLetters.Inc()
-	t.cfg.Flight.Anomaly(flight.KDeadLetter, 0, int64(deliveries))
-	return true
+	t.cfg.Flight.Anomaly(flight.KDeadLetter, 0, int64(it.deliveries))
 }
 
 // --- the lease protocol ----------------------------------------------
@@ -408,52 +417,33 @@ func (t *Table) PopLease(ttl time.Duration, dead bool) (leaseID uint64, prio int
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var e *item
 	if dead {
 		if len(t.dead) == 0 {
 			return 0, 0, time.Time{}, nil, false
 		}
-		it := t.dead[0]
-		t.dead[0] = deadItem{} // unpin the value from the backing array
+		e = t.dead[0]
+		t.dead[0] = nil // unpin the item from the backing array
 		t.dead = t.dead[1:]
-		return t.grantLocked(it.token, it.prio, it.deliveries, it.value, ttl, true)
-	}
-	for {
-		token, p, stored, popped := t.leaseInner()
-		if !popped {
+		e.fromDead = true
+	} else {
+		it, ok := t.claimLocked()
+		if !ok {
 			return 0, 0, time.Time{}, nil, false
 		}
-		deliveries, ready, v := unwrapValue(stored)
-		if t.siftLocked(token, p, deliveries, ready, v) {
-			continue
-		}
-		if t.divertLocked(token, p, deliveries, v) {
-			continue
-		}
-		return t.grantLocked(token, p, deliveries, v, ttl, false)
+		e = &it
 	}
-}
-
-// grantLocked issues a lease over an element already claimed from the
-// backend. Caller holds t.mu.
-func (t *Table) grantLocked(token uint64, prio int64, completed uint32, value []byte, ttl time.Duration, fromDead bool) (uint64, int64, time.Time, []byte, bool) {
 	now := t.now()
 	t.seq++
 	id := t.seq
-	e := &entry{
-		token:      token,
-		prio:       prio,
-		value:      value,
-		deliveries: completed + 1,
-		deadline:   now.Add(ttl),
-		granted:    now,
-		fromDead:   fromDead,
-	}
+	e.deliveries++
+	e.deadline, e.granted = now.Add(ttl), now
 	t.leases[id] = e
 	at := t.since(e.deadline)
 	t.due.push(at, id, &e.pos)
 	t.armLocked(at, t.since(now))
 	t.obs.grants.Inc()
-	return id, prio, e.deadline, value, true
+	return id, e.prio, e.deadline, e.value, true
 }
 
 // Ack retires a leased element for good. false means the lease is not
@@ -469,7 +459,7 @@ func (t *Table) Ack(leaseID uint64) bool {
 	}
 	delete(t.leases, leaseID)
 	t.unscheduleLocked(e.pos)
-	t.ackInner(e.token)
+	t.lsr.Ack(e.token)
 	t.obs.acks.Inc()
 	t.obs.held.Observe(t.now().Sub(e.granted))
 	t.obs.deliveries.ObserveN(uint64(e.deliveries))
@@ -535,20 +525,21 @@ func (t *Table) missLocked(leaseID uint64) {
 // releaseLocked sends a no-longer-leased element where it belongs:
 // dead-letter FIFO when it came from there or is over budget, otherwise
 // back to its queue with the delivery header bumped. Caller holds t.mu.
-func (t *Table) releaseLocked(e *entry) {
-	if e.fromDead || (t.cfg.MaxDeliveries > 0 && int(e.deliveries) >= t.cfg.MaxDeliveries) {
-		t.dead = append(t.dead, deadItem{token: e.token, prio: e.prio, value: e.value, deliveries: e.deliveries})
-		// The grant bumped the delivery count in memory only; persist it
-		// so a crash resurrects the element already over budget (the
-		// first pop attempt after recovery re-diverts it).
-		t.rewriteInner(e.token, e.prio, wrapValue(e.deliveries, 0, e.value))
-		if !e.fromDead {
-			t.obs.deadLetters.Inc()
-			t.cfg.Flight.Anomaly(flight.KDeadLetter, 0, int64(e.deliveries))
-		}
+func (t *Table) releaseLocked(e *item) {
+	e.readyMilli = 0
+	if !e.fromDead && !t.overBudget(e.deliveries) {
+		t.lsr.Requeue(e.token, e.prio, e.stored())
 		return
 	}
-	t.requeueInner(e.token, e.prio, wrapValue(e.deliveries, 0, e.value))
+	// The grant bumped the delivery count in memory only; persist it so a
+	// crash resurrects the element already over budget (the first pop
+	// attempt after recovery re-diverts it).
+	t.lsr.Rewrite(e.token, e.prio, e.stored())
+	if e.fromDead {
+		t.dead = append(t.dead, e)
+	} else {
+		t.divertLocked(e)
+	}
 }
 
 // --- expiry -----------------------------------------------------------
@@ -629,7 +620,7 @@ func (t *Table) Sweep() {
 		}
 		if d, ok := t.delayed[id]; ok {
 			delete(t.delayed, id)
-			t.requeueInner(d.token, d.prio, wrapValue(d.deliveries, d.readyMilli, d.value))
+			t.lsr.Requeue(d.token, d.prio, d.stored())
 			t.obs.delayReady.Inc()
 			matured++
 		}
@@ -647,7 +638,7 @@ func (t *Table) Sweep() {
 	// Commit outside t.mu: a sync-mode commit may lead an fsync, and the
 	// table must not stall behind it. A failed commit has poisoned the
 	// log, and every later client commit reports it.
-	if t.lsr != nil && expired+matured > 0 {
+	if expired+matured > 0 {
 		_ = t.lsr.Commit()
 	}
 }
@@ -684,7 +675,7 @@ func (t *Table) NackAll() int {
 	for id, d := range t.delayed {
 		delete(t.delayed, id)
 		t.unscheduleLocked(d.pos)
-		t.requeueInner(d.token, d.prio, wrapValue(d.deliveries, d.readyMilli, d.value))
+		t.lsr.Requeue(d.token, d.prio, d.stored())
 	}
 	return n
 }
@@ -724,7 +715,7 @@ type deadlines []slot
 
 type slot struct {
 	at  int64
-	id  uint64 // lease or delayed-entry ID
+	id  uint64 // lease or parked-item ID
 	pos *int
 }
 

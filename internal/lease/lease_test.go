@@ -401,11 +401,10 @@ func TestDurableLeaseFlow(t *testing.T) {
 	if got := tbl2.Len(); got != 2 {
 		t.Fatalf("recovered Len=%d, want 2 (abandoned + nacked)", got)
 	}
-	// The abandoned lease (job-2) redelivers with count 2 — its first
-	// delivery died with the crash but was still counted durably? No:
-	// the lease record is liveness-neutral and carries no count, so the
-	// count conservatively restarts at the last *requeued* header. The
-	// nacked element carries its bump.
+	// The abandoned lease (job-2) redelivers with count 1: a grant logs
+	// nothing, so its delivery died with the crash uncounted and the count
+	// restarts at the last *requeued* header. The nacked element carries
+	// its bump.
 	seen := map[string]uint32{}
 	for {
 		id, _, _, v, ok := tbl2.PopLease(0, false)
@@ -454,12 +453,46 @@ func TestSweepCommitsRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Records != 3 || rec.Leases != 0 || len(rec.Items) != 1 {
-		t.Fatalf("after sweep: records=%d leases=%d items=%d, want push+lease+requeue durable",
-			rec.Records, rec.Leases, len(rec.Items))
+	if rec.Records != 2 || len(rec.Items) != 1 {
+		t.Fatalf("after sweep: records=%d items=%d, want push+requeue durable",
+			rec.Records, len(rec.Items))
 	}
 	if n, _, v := unwrapValue(rec.Items[0].Value); n != 1 || string(v) != "job" {
 		t.Fatalf("recovered %q with deliveries=%d, want the requeued header", v, n)
+	}
+}
+
+// TestRecordsPerCycle: over a wal.Queue, a delivery costs its push and one
+// retiring record whether it is a plain Pop or a PopLease plus its Ack —
+// a grant appends nothing.
+func TestRecordsPerCycle(t *testing.T) {
+	const n = 50
+	for _, leased := range []bool{false, true} {
+		q, _, err := wal.OpenQueue(wal.Config{Dir: t.TempDir(), Metrics: true}, &memPQ{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := New(Config{Tick: -1}, q)
+		for i := 0; i < n; i++ {
+			tbl.Push(int64(i), []byte("job"))
+		}
+		for i := 0; i < n; i++ {
+			if leased {
+				id, _, _, _, ok := tbl.PopLease(0, false)
+				if !ok || !tbl.Ack(id) {
+					t.Fatalf("cycle %d: grant or ack failed", i)
+				}
+			} else if _, _, ok := tbl.Pop(); !ok {
+				t.Fatalf("pop %d failed", i)
+			}
+		}
+		if got := q.Log().Snapshot().Counter("append.records"); got != 2*n {
+			t.Fatalf("leased=%v: %d pushes and pops appended %d records, want %d", leased, n, got, 2*n)
+		}
+		tbl.Close()
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -682,7 +715,7 @@ func TestDeadLetterDrainUnpinsValue(t *testing.T) {
 	if _, _, _, _, ok := tbl.PopLease(0, true); !ok {
 		t.Fatal("dead-letter grant failed")
 	}
-	if orig[0].value != nil {
+	if orig[0] != nil {
 		t.Fatal("drained dead letter still pinned by the dead queue's backing array")
 	}
 }

@@ -190,9 +190,6 @@ func newProbes(enabled bool, fr *flight.Recorder) probes {
 	}
 }
 
-// Obs returns the queue's probe set (nil when built without Config.Metrics).
-func (q *Queue[K, V]) Obs() *obs.Set { return q.obs.set }
-
 // ObsSnapshot reads every probe once. The snapshot follows the relaxed
 // discipline documented on core.Queue.Stats: each probe is loaded
 // atomically, the set is not a consistent cut.

@@ -3,8 +3,8 @@
 // A connection's reader gathers its micro-batch — every frame already
 // buffered, OpBatch frames decoded into their entries, insert values
 // copied out of the read buffer — into a task, applies it against the
-// backend on its own goroutine, and, when the batch mutated and a WAL is
-// attached, waits on WAL.Commit before it writes the replies. The reader
+// backend on its own goroutine, and, when the batch mutated a durable
+// backend, waits on its Commit before it writes the replies. The reader
 // performs the socket write too, so one slow client never head-of-line
 // blocks another connection's responses, and per-connection FIFO is free.
 //
@@ -92,8 +92,8 @@ func (t *task) addFrame(f wire.Frame, maxOps int) {
 }
 
 // apply executes every gathered frame of the task against the backend
-// and builds its response buffer. Durable ACK: when the task mutated and a
-// WAL is attached, one Commit covers all of its mutations, sharing its
+// and builds its response buffer. Durable ACK: when the task mutated a
+// durable backend, one Commit covers all of its mutations, sharing its
 // fsync with whichever other connections are committing. On a commit
 // failure the caller must drop the connection without replying: an
 // un-ACKed operation is indeterminate to the client, which is exactly what
@@ -107,8 +107,8 @@ func (s *Server) apply(t *task) error {
 	}
 	s.bobs.runOps.ObserveN(uint64(t.nops))
 	s.bobs.flushes.Inc()
-	if mutated && s.cfg.WAL != nil {
-		return s.cfg.WAL.Commit()
+	if mutated && s.dur != nil {
+		return s.dur.Commit()
 	}
 	return nil
 }

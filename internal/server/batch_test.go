@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"skipqueue"
 	"skipqueue/internal/client"
 	"skipqueue/internal/server"
 	"skipqueue/internal/wire"
@@ -196,12 +197,18 @@ func TestBatchDuringDrain(t *testing.T) {
 	<-done
 }
 
-// countingWAL counts Commit calls — the proof that a whole batch rides
-// one durability barrier — and fails each one with commitErr, if set.
+// countingWAL is a backend with a commit barrier that counts Commit calls
+// — the proof that a whole batch rides one durability barrier — and fails
+// each one with commitErr, if set.
 type countingWAL struct {
+	*skipqueue.PQ[[]byte]
 	commits   atomic.Int64
 	syncs     atomic.Int64
 	commitErr error
+}
+
+func newCountingWAL(commitErr error) *countingWAL {
+	return &countingWAL{PQ: skipqueue.NewPQ[[]byte](), commitErr: commitErr}
 }
 
 func (w *countingWAL) Commit() error { w.commits.Add(1); return w.commitErr }
@@ -210,8 +217,8 @@ func (w *countingWAL) Sync() error   { w.syncs.Add(1); return nil }
 // TestBatchOneCommit: one applied batch of many mutations costs exactly
 // one WAL Commit, and a batch with no mutations costs none.
 func TestBatchOneCommit(t *testing.T) {
-	wal := &countingWAL{}
-	_, _, addr := startServer(t, server.Config{WAL: wal})
+	wal := newCountingWAL(nil)
+	_, addr := serve(t, server.Config{Backend: wal})
 	nc := rawConn(t, addr)
 
 	entries := make([]wire.BatchEntry, 64)
@@ -264,8 +271,8 @@ func TestCommitFailureDropsConn(t *testing.T) {
 	}
 	for name, req := range map[string][]byte{"single-op": single, "batch": batch} {
 		t.Run(name, func(t *testing.T) {
-			wal := &countingWAL{commitErr: errors.New("disk gone")}
-			_, _, addr := startServer(t, server.Config{WAL: wal})
+			wal := newCountingWAL(errors.New("disk gone"))
+			_, addr := serve(t, server.Config{Backend: wal})
 			nc := rawConn(t, addr)
 			if _, err := nc.Write(req); err != nil {
 				t.Fatal(err)

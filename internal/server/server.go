@@ -40,11 +40,11 @@ import (
 	"skipqueue/internal/wire"
 )
 
-// Durability is the write-ahead-log hook (satisfied by internal/wal.Queue
-// and *wal.Log). Commit is the ACK barrier: it returns once every
-// operation applied before the call is durable (or immediately, in the
-// WAL's async mode). Sync forces durability regardless of mode — the
-// drain path's final barrier.
+// Durability is the commit barrier a Backend may implement (*wal.Queue
+// does, and so does a *lease.Table, forwarding to its backend). Commit is
+// the ACK barrier: it returns once every operation applied before the
+// call is durable (or immediately, in the WAL's async mode). Sync forces
+// durability regardless of mode — the drain path's final barrier.
 type Durability interface {
 	Commit() error
 	Sync() error
@@ -71,6 +71,11 @@ type Config struct {
 	// multiset queue (skipqueue.PQ, LockFreePQ, GlobalHeapPQ, ...) is one;
 	// the server calls it from one goroutine per connection, and a value
 	// passed to Push is a copy out of the read buffer that the backend owns.
+	// A Backend that implements Durability makes ACKs durable: a mutating
+	// micro-batch waits for one Commit before its replies, so one
+	// group-commit fsync covers it. A *lease.Table enables the lease
+	// opcodes (otherwise answered StatusErr), and Shutdown nacks its
+	// leases back before the final Sync.
 	Backend multiset.Queue[[]byte]
 	// MaxConns caps concurrent connections; further connections receive
 	// one BUSY frame and are closed.
@@ -97,24 +102,10 @@ type Config struct {
 	// capture (flight.KSLOBreach, arg = the span in nanoseconds). Only
 	// meaningful together with Flight.
 	SLO time.Duration
-	// WAL, if non-nil, makes ACKs durable: after a micro-batch that
-	// mutated the backend, the server waits for WAL.Commit before writing
-	// the batch's responses, so one group-commit fsync covers the whole
-	// batch (and, under concurrency, the batches of other connections in
-	// the same sync window). Configure the Backend as the matching
-	// wal.Queue wrapper — the server only drives the barrier.
-	WAL Durability
 	// BatchMaxOps caps operations per OpBatch frame (0 selects
 	// DefaultBatchMaxOps); a larger batch is answered StatusErr without
 	// touching the backend.
 	BatchMaxOps int
-	// Lease, if non-nil, enables the at-least-once opcodes (PopLease, Ack,
-	// Nack, Extend, InsertDelay) against this table. Configure Backend as
-	// the same table so plain and leased opcodes see one queue. Shutdown
-	// nacks every outstanding lease back before the final WAL sync, so a
-	// drained server redelivers in-flight work on restart instead of
-	// leaking it. Without it lease opcodes are answered StatusErr.
-	Lease *lease.Table
 }
 
 // probes are the server's observability hooks, nil without Config.Metrics.
@@ -204,9 +195,11 @@ func newBatchProbes(enabled bool) batchProbes {
 
 // Server serves one Backend over the wire protocol. Construct with New.
 type Server struct {
-	cfg  Config
-	obs  probes
-	bobs batchProbes
+	cfg   Config
+	dur   Durability   // Backend's commit barrier, nil if it has none
+	lease *lease.Table // Backend as a lease table, nil if it is not one
+	obs   probes
+	bobs  batchProbes
 
 	draining atomic.Bool
 
@@ -243,12 +236,15 @@ func New(cfg Config) *Server {
 	if cfg.BatchMaxOps > wire.MaxBatchOps {
 		cfg.BatchMaxOps = wire.MaxBatchOps
 	}
-	return &Server{
+	s := &Server{
 		cfg:   cfg,
 		obs:   newProbes(cfg.Metrics),
 		bobs:  newBatchProbes(cfg.Metrics),
 		conns: map[net.Conn]struct{}{},
 	}
+	s.dur, _ = cfg.Backend.(Durability)
+	s.lease, _ = cfg.Backend.(*lease.Table)
+	return s
 }
 
 // Snapshot reads the server's probes (zero Snapshot without Config.Metrics).
@@ -480,7 +476,7 @@ func (s *Server) applyOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rar
 // table is required; without one the opcodes are a configuration error,
 // not a queue condition, so they answer StatusErr rather than NOLEASE.
 func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
-	lt := s.cfg.Lease
+	lt := s.lease
 	if lt == nil {
 		s.obs.bad.Inc()
 		return wire.StatusErr, 0, []byte("lease protocol not enabled"), false
@@ -493,8 +489,9 @@ func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind
 		if !ok {
 			return wire.StatusEmpty, 0, nil, false
 		}
-		// A grant is a durable state change (the element left the queue
-		// but stays lease-live in the WAL index).
+		// A grant logs nothing, yet counts as a mutation: the commit it
+		// forces makes the granted element's own push durable before a
+		// consumer sees the element.
 		return wire.StatusLeased, prio, wire.AppendLeaseGrant(nil, id, deadline.UnixNano(), value), true
 	case wire.OpAck:
 		s.obs.ack.Inc()
@@ -550,8 +547,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// forced durable before any late frame is answered with SHUTDOWN. A
 	// client seeing SHUTDOWN may give up on the server for good, so the
 	// state it was ACKed up to that point must already be on disk.
-	if s.cfg.WAL != nil {
-		s.cfg.WAL.Sync()
+	if s.dur != nil {
+		s.dur.Sync()
 	}
 
 	s.mu.Lock()
@@ -577,16 +574,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// every outstanding lease back into the queue so the final sync below
 	// covers the requeues and a restart redelivers in-flight work
 	// immediately instead of waiting out dead consumers' TTLs.
-	if s.cfg.Lease != nil {
-		if n := s.cfg.Lease.NackAll(); n > 0 {
+	if s.lease != nil {
+		if n := s.lease.NackAll(); n > 0 {
 			s.obs.drainNacked.Add(uint64(n))
 		}
 	}
 	// Final barrier: every handler has returned, so every append has
 	// happened; one Sync makes the whole drained state durable even in
 	// async WAL mode (where per-batch Commits never waited).
-	if s.cfg.WAL != nil {
-		if serr := s.cfg.WAL.Sync(); err == nil {
+	if s.dur != nil {
+		if serr := s.dur.Sync(); err == nil {
 			err = serr
 		}
 	}

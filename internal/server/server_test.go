@@ -20,6 +20,13 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *skipqueue.PQ
 	t.Helper()
 	backend := skipqueue.NewPQ[[]byte]()
 	cfg.Backend = backend
+	srv, addr := serve(t, cfg)
+	return srv, backend, addr
+}
+
+// serve boots a loopback server over cfg.Backend, closed at cleanup.
+func serve(t *testing.T, cfg server.Config) (*server.Server, string) {
+	t.Helper()
 	srv := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,7 +45,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *skipqueue.PQ
 			t.Error("Serve did not return after Close")
 		}
 	})
-	return srv, backend, ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 // TestBasicOps drives every op through a real client connection.

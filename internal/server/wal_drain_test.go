@@ -31,7 +31,6 @@ func TestWALDrainRestart(t *testing.T) {
 			}
 			srv := server.New(server.Config{
 				Backend:     q,
-				WAL:         q,
 				DrainWindow: 50 * time.Millisecond,
 			})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -124,7 +123,7 @@ func TestGroupCommitAcrossConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Backend: q, WAL: q})
+	srv := server.New(server.Config{Backend: q})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

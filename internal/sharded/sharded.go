@@ -362,9 +362,6 @@ func (p *PQ[V]) ShardLens() []int {
 	return lens
 }
 
-// Obs returns the sharded layer's probe set (nil without Config.Metrics).
-func (p *PQ[V]) Obs() *obs.Set { return p.obs.set }
-
 // ObsSnapshot reads the sharded-layer probes and folds in every shard's
 // core probes (counters summed across shards), so one snapshot shows both
 // the sampling behaviour and the aggregate skiplist contention underneath.

@@ -360,9 +360,6 @@ func (p *PQ[V]) Entries() []Entry {
 // admin surface; instantaneous and advisory).
 func (p *PQ[V]) Contended() bool { return p.contended() }
 
-// Obs returns the spray layer's probe set (nil without Config.Metrics).
-func (p *PQ[V]) Obs() *obs.Set { return p.obs.set }
-
 // ObsSnapshot reads the spray-layer probes and folds in the core queue's
 // own probes, so one snapshot shows the spray/scan split and the
 // skiplist contention underneath.

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSnapshotGolden pins the snapshot format: the streaming writer must
@@ -377,6 +378,105 @@ func TestCompactionFailsOnUnreadableSnapshot(t *testing.T) {
 		t.Fatal("compaction over a truncated snapshot reported success")
 	}
 	unchanged("truncated")
+}
+
+// TestFailedCompactionCounted: a background compaction that cannot read
+// its snapshot (swapped for a directory, as above) counts one
+// snapshots.failed; once the file is back, the next one succeeds and the
+// failure count stays put.
+func TestFailedCompactionCounted(t *testing.T) {
+	dir := t.TempDir()
+	q, _, err := OpenQueue(Config{Dir: dir, SegmentBytes: 512, SnapshotSegments: -1, Metrics: true}, &memPQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(int64(i), []byte(fmt.Sprintf("v%d", i)))
+			if err := q.Sync(); err != nil { // one flush per record: many segments
+				t.Fatal(err)
+			}
+		}
+	}
+	push(30)
+	if err := q.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	push(30)
+	snap := q.snap
+	if err := os.Rename(snap, snap+".saved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snap, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	q.maybeSnapshot()
+	counters := func() (failed, written uint64) {
+		s := q.Log().Snapshot()
+		return s.Counter("snapshots.failed"), s.Counter("snapshots")
+	}
+	if failed, written := counters(); failed != 1 || written != 1 {
+		t.Fatalf("after a failed compaction: snapshots.failed=%d snapshots=%d, want 1 and 1", failed, written)
+	}
+	os.Remove(snap)
+	if err := os.Rename(snap+".saved", snap); err != nil {
+		t.Fatal(err)
+	}
+	q.maybeSnapshot()
+	if failed, written := counters(); failed != 1 || written != 2 {
+		t.Fatalf("after the retry: snapshots.failed=%d snapshots=%d, want 1 and 2", failed, written)
+	}
+}
+
+// TestCompactAtOpen: restarts that never fill a segment pile up one
+// segment each, and no rotation ever compacts them. Reopening with the
+// trigger below the pile must start the compaction itself, and the
+// compacted log must recover exactly what the pile did.
+func TestCompactAtOpen(t *testing.T) {
+	const restarts, trigger = 5, 2
+	dir := t.TempDir()
+	for i := 0; i < restarts; i++ {
+		q, _, err := OpenQueue(Config{Dir: dir, SnapshotSegments: -1}, &memPQ{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Push(int64(i), []byte(fmt.Sprintf("r%d", i)))
+		q.Pop()
+		q.Push(int64(-i), []byte(fmt.Sprintf("s%d", i)))
+		if err := q.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		q.log.Close() // abandon: no final compaction
+	}
+	want, _ := recovered(t, dir)
+
+	q, _, err := OpenQueue(Config{Dir: dir, SnapshotSegments: trigger, Metrics: true}, &memPQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Log().Segments() > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d segments after reopening, want the pile compacted away", q.Log().Segments())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	q.snapMu.Lock() // wait out the compaction's file removals
+	q.snapMu.Unlock()
+	q.log.Close()
+	if n := q.Log().Snapshot().Counter("snapshots"); n != 1 {
+		t.Fatalf("snapshots = %d, want 1", n)
+	}
+	got, rec := recovered(t, dir)
+	if rec.SnapshotLSN == 0 || len(got) != len(want) {
+		t.Fatalf("recovered %d elements (snapshot cut %d), want %d from a snapshot", len(got), rec.SnapshotLSN, len(want))
+	}
+	for id, w := range want {
+		if got[id] != w {
+			t.Fatalf("element %d recovered as %q, want %q", id, got[id], w)
+		}
+	}
 }
 
 // BenchmarkCompact times one compaction of a 4-segment log with 50 % pops

@@ -2,12 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestLeaseRecordCodec: the three lease-protocol records round-trip and
-// reject corruption like the originals.
+// reject corruption like the originals (opLease is only ever read now, but
+// older logs carry it).
 func TestLeaseRecordCodec(t *testing.T) {
 	var buf []byte
 	buf = appendIDRecord(buf, opLease, 7)
@@ -86,10 +89,7 @@ func TestQueueLeaseRecovery(t *testing.T) {
 	}
 	q.log.Close() // simulated crash: no Queue.Close snapshot
 
-	q2, rec := open()
-	if rec.Leases != 1 {
-		t.Fatalf("recovery saw %d in-flight leases, want 1 (the abandoned one)", rec.Leases)
-	}
+	q2, _ := open()
 	if q2.Len() != 2 {
 		t.Fatalf("recovered Len=%d, want 2", q2.Len())
 	}
@@ -110,16 +110,16 @@ func TestQueueLeaseRecovery(t *testing.T) {
 
 	// Restart once more after the clean close: the snapshot path must
 	// preserve the same answer (nothing live).
-	q3, rec3 := open()
+	q3, _ := open()
 	defer q3.Close()
-	if q3.Len() != 0 || rec3.Leases != 0 {
-		t.Fatalf("after clean close: Len=%d Leases=%d", q3.Len(), rec3.Leases)
+	if q3.Len() != 0 {
+		t.Fatalf("after clean close: Len=%d", q3.Len())
 	}
 }
 
 // TestQueueLeaseSurvivesSnapshot: a lease outstanding across a snapshot
-// still recovers (a lease record retires nothing, so compaction keeps the
-// element in the snapshot even though the in-memory backend does not).
+// still recovers (a grant logs nothing, so compaction keeps the element in
+// the snapshot even though the in-memory backend does not).
 func TestQueueLeaseSurvivesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	q, _, err := OpenQueue(Config{Dir: dir, SyncInterval: time.Millisecond}, &memPQ{})
@@ -154,5 +154,45 @@ func TestQueueLeaseSurvivesSnapshot(t *testing.T) {
 	p, v, ok := q2.Pop()
 	if !ok || p != 5 || string(v) != "in-flight" {
 		t.Fatalf("pop = %d/%q/%v", p, v, ok)
+	}
+}
+
+// TestLegacyLeaseLog: a log from before grants stopped being logged still
+// recovers. The hand-built segment marks every grant with an opLease
+// record; replay must treat each as liveness-neutral, so exactly the
+// leased, never-acked elements come back.
+func TestLegacyLeaseLog(t *testing.T) {
+	dir := t.TempDir()
+	seg := segmentHeader(1)
+	seg = appendPushRecord(seg, 1, 10, []byte("acked"))
+	seg = appendIDRecord(seg, opLease, 1)
+	seg = appendIDRecord(seg, opAck, 1)
+	seg = appendPushRecord(seg, 2, 20, []byte("in-flight"))
+	seg = appendIDRecord(seg, opLease, 2)
+	seg = appendPushRecord(seg, 3, 30, []byte("also-in-flight"))
+	seg = appendIDRecord(seg, opLease, 3)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	q, rec, err := OpenQueue(Config{Dir: dir}, &memPQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if rec.Records != 7 || rec.TornTail {
+		t.Fatalf("replayed %d records (torn=%v), want all 7", rec.Records, rec.TornTail)
+	}
+	want := []Item{{ID: 2, Priority: 20, Value: []byte("in-flight")}, {ID: 3, Priority: 30, Value: []byte("also-in-flight")}}
+	if len(rec.Items) != len(want) {
+		t.Fatalf("recovered %d items, want %d", len(rec.Items), len(want))
+	}
+	for i, w := range want {
+		if g := rec.Items[i]; g.ID != w.ID || g.Priority != w.Priority || !bytes.Equal(g.Value, w.Value) {
+			t.Fatalf("item %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if rec.NextID != 4 {
+		t.Fatalf("NextID = %d, want 4", rec.NextID)
 	}
 }

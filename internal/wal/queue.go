@@ -65,11 +65,10 @@ func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult
 	if snapSegs == 0 {
 		snapSegs = 4
 	}
-	userRotate := cfg.OnRotate
-	cfg.OnRotate = func(segments int) {
-		if userRotate != nil {
-			userRotate(segments)
-		}
+	// Compact once the segment count passes the trigger: after a size
+	// rotation, and at open, where restarts that never filled a segment
+	// may have piled them up.
+	cfg.onRotate = func(segments int) {
 		if snapSegs > 0 && segments > snapSegs {
 			go q.maybeSnapshot()
 		}
@@ -79,6 +78,7 @@ func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult
 	if err != nil {
 		return nil, nil, err
 	}
+	cfg.onRotate(q.log.Segments())
 	for _, it := range rec.Items {
 		inner.Push(it.Priority, encodeValue(it.ID, it.Value))
 	}
@@ -112,19 +112,16 @@ func (q *Queue) Pop() (int64, []byte, bool) {
 
 // LeaseMin dequeues one element *without* retiring it durably: the
 // element leaves the in-memory backend (no other consumer can claim it)
-// but no record retires it, so compaction keeps it in the snapshot and a
-// crash resurrects it — exactly the conservative-redelivery contract a lease
-// needs. The returned token is the element's durable identity; the
-// caller must eventually pass it to Ack or Requeue. The lease record it
-// logs is liveness-neutral on replay and exists so recovery can report
-// in-flight leases (RecoverResult.Leases).
+// but it appends no record, so compaction keeps it in the snapshot and a
+// crash resurrects it — exactly the conservative-redelivery contract a
+// lease needs. The returned token is the element's durable identity; the
+// caller must eventually pass it to Ack or Requeue.
 func (q *Queue) LeaseMin() (token uint64, prio int64, value []byte, ok bool) {
 	prio, stored, ok := q.inner.Pop()
 	if !ok {
 		return 0, 0, nil, false
 	}
 	id, value := decodeValue(stored)
-	q.log.AppendLease(id)
 	return id, prio, value, true
 }
 
@@ -248,16 +245,17 @@ func (q *Queue) compact() error {
 	return nil
 }
 
-// maybeSnapshot is the rotation-triggered compaction of the segments
-// already sealed: skip when a compaction is in flight or the queue is
-// closing.
+// maybeSnapshot is the background compaction of the segments already
+// sealed: skip when a compaction is in flight or the queue is closing. A
+// failure is counted (snapshots.failed) and retried on the next rotation;
+// it deletes nothing.
 func (q *Queue) maybeSnapshot() {
 	if !q.snapMu.TryLock() {
 		return
 	}
 	defer q.snapMu.Unlock()
-	if !q.closed.Load() {
-		q.compact()
+	if !q.closed.Load() && q.compact() != nil {
+		q.log.obs.snapFailed.Inc()
 	}
 }
 

@@ -31,13 +31,13 @@ import (
 // header, which removes a whole class of disk/memory disagreement.
 
 // Op discriminates record bodies. The lease protocol (internal/lease)
-// adds three: opLease marks an element handed to a consumer while it
-// stays live (liveness-neutral on replay — a crash conservatively
-// redelivers it), opAck retires it for good (a removal, like opPop),
-// and opRequeue returns it to the queue with a rewritten value (an
-// upsert, like opPush — the rewritten value carries the bumped
+// adds three: opAck retires a leased element for good (a removal, like
+// opPop), and opRequeue returns it to the queue with a rewritten value
+// (an upsert, like opPush — the rewritten value carries the bumped
 // delivery count, so redelivery accounting survives crashes and
-// snapshot compaction).
+// snapshot compaction). opLease is read, never written: older logs mark
+// each grant with one, and replay treats it as liveness-neutral. A grant
+// needs no record, because the element stays live until its ack.
 const (
 	opPush    byte = 0x01
 	opPop     byte = 0x02

@@ -33,10 +33,6 @@ type RecoverResult struct {
 	// TornTail reports that the final segment ended in a torn or invalid
 	// record, which recovery truncated away.
 	TornTail bool
-	// Leases counts elements that were out on a lease at the crash
-	// (leased, never acked or requeued) and are therefore being
-	// conservatively re-enqueued for redelivery.
-	Leases int
 
 	retained  []segment
 	snapshot  string // path of the loaded snapshot ("" = none)
@@ -62,14 +58,13 @@ type RecoverResult struct {
 type replay struct {
 	pushes map[uint64]Item     // newest push or requeue per id
 	pops   map[uint64]struct{} // ids a pop or ack retired
-	leased map[uint64]struct{} // ids out on a lease at the last record
 	maxID  uint64
 	snapID uint64 // no snapshot item this replay reads has a larger id
 	slab   []byte // backs the kept values: one allocation per ioBufBytes
 }
 
 func newReplay(snapID uint64) *replay {
-	return &replay{pushes: map[uint64]Item{}, pops: map[uint64]struct{}{}, leased: map[uint64]struct{}{}, snapID: snapID}
+	return &replay{pushes: map[uint64]Item{}, pops: map[uint64]struct{}{}, snapID: snapID}
 }
 
 func (r *replay) apply(rec record) {
@@ -81,7 +76,6 @@ func (r *replay) apply(rec record) {
 		// A requeue replays exactly like a push: the newest value wins
 		// (it carries the freshest delivery count).
 		r.pushes[rec.id] = Item{ID: rec.id, Priority: rec.prio, Value: r.copyValue(rec.value)}
-		delete(r.leased, rec.id)
 	case opPop, opAck:
 		// Invariant 2 puts the push before its pop, so it is never
 		// re-added once deleted here.
@@ -89,10 +83,9 @@ func (r *replay) apply(rec record) {
 		if rec.id <= r.snapID {
 			r.pops[rec.id] = struct{}{}
 		}
-		delete(r.leased, rec.id)
-	case opLease:
-		r.leased[rec.id] = struct{}{}
 	}
+	// opLease, which older logs carry, retires nothing: a leased element
+	// stays live until its ack.
 }
 
 // copyValue copies v out of a reader's reused buffer into the slab.
@@ -237,7 +230,6 @@ func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 		res.Items = res.Items[:0]
 	}
 
-	res.Leases = len(r.leased)
 	for _, it := range r.pushes {
 		res.Items = append(res.Items, it)
 	}

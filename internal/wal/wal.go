@@ -109,10 +109,6 @@ type Config struct {
 	// StallAfter is the fsync latency above which a sync is counted as a
 	// stall (sync.stalls) and captured as a flight anomaly.
 	StallAfter time.Duration
-	// OnRotate, if non-nil, is called on the flushing goroutine after each
-	// size-triggered segment rotation with the number of on-disk segments.
-	// Queue uses it to trigger compaction; callbacks must not block.
-	OnRotate func(segments int)
 	// SnapshotSegments is the compaction trigger for OpenQueue: once the
 	// on-disk segment count exceeds it, the sealed segments are compacted
 	// into a snapshot in the background and then deleted.
@@ -123,6 +119,11 @@ type Config struct {
 	Metrics bool
 	// Flight, if non-nil, receives fsync-stall and torn-tail anomalies.
 	Flight *flight.Recorder
+
+	// onRotate, if non-nil, is called on the flushing goroutine after each
+	// size-triggered segment rotation with the number of on-disk segments.
+	// Queue sets it to trigger compaction; it must not block.
+	onRotate func(segments int)
 }
 
 func (cfg *Config) fillDefaults() {
@@ -150,6 +151,7 @@ type probes struct {
 	rotated       *obs.Counter // segment rotations
 	dropped       *obs.Counter // segments deleted by snapshot compaction
 	snapshots     *obs.Counter // snapshots written
+	snapFailed    *obs.Counter // background compactions that returned an error
 	snapshotBytes *obs.Counter // snapshot bytes written
 	recovryRecs   *obs.Counter // records replayed by recovery
 	tornTails     *obs.Counter // torn final records truncated by recovery
@@ -172,6 +174,7 @@ func newProbes(enabled bool) probes {
 		rotated:       set.Counter("segments.rotated"),
 		dropped:       set.Counter("segments.dropped"),
 		snapshots:     set.Counter("snapshots"),
+		snapFailed:    set.Counter("snapshots.failed"),
 		snapshotBytes: set.Counter("snapshot.bytes"),
 		recovryRecs:   set.Counter("recovery.records"),
 		tornTails:     set.Counter("recovery.torn_tails"),
@@ -257,9 +260,6 @@ func Open(cfg Config, rec *RecoverResult) (*Log, error) {
 // Snapshot reads the log's probe set (zero Snapshot without Config.Metrics).
 func (l *Log) Snapshot() obs.Snapshot { return l.obs.set.Snapshot() }
 
-// Mode returns the commit mode the log was opened with.
-func (l *Log) Mode() Mode { return l.cfg.Mode }
-
 // openSegment creates the segment file whose first record is LSN start and
 // makes it the active segment. Caller must not hold l.mu (Open) or must
 // hold it (rotation); the method itself takes no lock and mutates l.file,
@@ -298,17 +298,6 @@ func (l *Log) AppendPop(id uint64) uint64 {
 	l.mu.Lock()
 	before := len(l.buf)
 	l.buf = appendPopRecord(l.buf, id)
-	lsn := l.append(before)
-	l.mu.Unlock()
-	return lsn
-}
-
-// AppendLease appends a lease record for element id: the element was
-// handed to a consumer but stays live. Liveness-neutral on replay.
-func (l *Log) AppendLease(id uint64) uint64 {
-	l.mu.Lock()
-	before := len(l.buf)
-	l.buf = appendIDRecord(l.buf, opLease, id)
 	lsn := l.append(before)
 	l.mu.Unlock()
 	return lsn
@@ -355,14 +344,6 @@ func (l *Log) wake() {
 	case l.kick <- struct{}{}:
 	default:
 	}
-}
-
-// LastLSN returns the LSN of the newest appended (not necessarily durable)
-// record.
-func (l *Log) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastLSN
 }
 
 // DurableLSN returns the LSN through which records are fsynced.
@@ -513,10 +494,10 @@ func (l *Log) flush() {
 	rotated := l.segSize >= l.cfg.SegmentBytes && l.rotate() == nil
 	l.cond.Broadcast()
 
-	if rotated && l.cfg.OnRotate != nil {
+	if rotated && l.cfg.onRotate != nil {
 		segCount := len(l.segs)
 		l.mu.Unlock()
-		l.cfg.OnRotate(segCount)
+		l.cfg.onRotate(segCount)
 		l.mu.Lock()
 	}
 }
