@@ -14,10 +14,10 @@
 // Observability: -admin serves the operational HTTP surface on its own
 // listener (see internal/admin and docs/OBSERVABILITY.md) — /metrics in
 // Prometheus text format, /healthz for drain-aware load balancing,
-// /debug/flight for flight-recorder dumps, /debug/vars (expvar) and
-// /debug/pprof. -flight sizes the per-shard flight-recorder rings (0 =
-// off) and -slo sets the per-frame latency budget whose breach captures an
-// anomaly dump.
+// /debug/flight for flight-recorder dumps, /debug/vars (Go's runtime
+// memstats) and /debug/pprof. -flight sizes the per-shard flight-recorder
+// rings (0 = off) and -slo sets the per-frame latency budget whose breach
+// captures an anomaly dump.
 //
 // On SIGTERM or SIGINT pqd drains: it stops accepting, answers frames
 // already received normally, replies SHUTDOWN to frames arriving during
@@ -30,7 +30,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -56,14 +55,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// publish registers fn under name in the expvar registry, tolerating
-// re-registration (run may be invoked more than once in tests).
-func publish(name string, fn func() obs.Snapshot) {
-	if expvar.Get(name) == nil {
-		obs.Publish(name, fn)
-	}
-}
-
 // run is main minus os.Exit, factored out so tests can drive the daemon —
 // including its signal handling — in-process.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -77,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sprayK      = fs.Int("spray-k", 0, "contention width the spray backend shapes its walk for (0 = GOMAXPROCS)")
 		maxConns    = fs.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is refused with BUSY")
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInflight, "max frames applied per connection between response flushes")
-		maxFrame    = fs.Int("max-frame", 0, "max accepted frame size in bytes (0 = protocol default, 1MiB)")
-		batchMax    = fs.Int("batch-max", 0, "max operations accepted per OpBatch frame (0 = default 1024)")
 		drainWindow = fs.Duration("drain-window", server.DefaultDrainWindow, "how long a drain keeps answering late frames with SHUTDOWN")
 		drainWait   = fs.Duration("drain-timeout", 5*time.Second, "total shutdown budget before connections are force-closed")
 		adminAddr   = fs.String("admin", "", "serve the admin surface (/metrics, /healthz, /debug/flight, /debug/pprof, /debug/vars) on this address; also enables probe collection")
@@ -176,12 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Backend:     backend,
 		MaxConns:    *maxConns,
 		MaxInflight: *maxInflight,
-		MaxFrame:    *maxFrame,
 		DrainWindow: *drainWindow,
 		Metrics:     metrics,
 		Flight:      serverFR,
 		SLO:         *slo,
-		BatchMaxOps: *batchMax,
 	})
 
 	// draining feeds /healthz; it flips the instant a drain signal arrives,
@@ -192,16 +179,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var adm *admin.Server
 	var admErr chan error
 	if *adminAddr != "" {
-		publish("pqd.server", srv.Snapshot)
-		publish("pqd.batch", srv.BatchSnapshot)
-		publish("pqd.backend", inst.Snapshot)
 		snapFns := []func() obs.Snapshot{srv.Snapshot, srv.BatchSnapshot, inst.Snapshot}
 		if durable != nil {
-			publish("pqd.wal", durable.Log().Snapshot)
 			snapFns = append(snapFns, durable.Log().Snapshot)
 		}
 		if leaseTbl != nil {
-			publish("pqd.lease", leaseTbl.Snapshot)
 			snapFns = append(snapFns, leaseTbl.Snapshot)
 		}
 		snapshots := func() []obs.Snapshot {

@@ -152,8 +152,8 @@ func TestObsSmoke(t *testing.T) {
 	if code, _ := adminGet(t, d.admin, "/debug/pprof/"); code != 200 {
 		t.Fatalf("pprof status %d", code)
 	}
-	if code, body := adminGet(t, d.admin, "/debug/vars"); code != 200 || !strings.Contains(body, "pqd.server") {
-		t.Fatalf("/debug/vars = %d, missing pqd.server", code)
+	if code, body := adminGet(t, d.admin, "/debug/vars"); code != 200 || !strings.Contains(body, "memstats") {
+		t.Fatalf("/debug/vars = %d, missing memstats", code)
 	}
 
 	cl.Close()

@@ -74,8 +74,6 @@ type Config struct {
 	// Retries is how many times a failed call is re-attempted when safe
 	// (default 2; see the package comment for the retry policy).
 	Retries int
-	// MaxFrame bounds accepted response frames (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// BatchMax turns on transparent op coalescing: pending Insert and
 	// DeleteMin calls that are adjacent in the write queue are packed, up
 	// to BatchMax per frame, into one wire.OpBatch frame that the server
@@ -86,6 +84,12 @@ type Config struct {
 	// coalescing never reorders: a batch frame occupies its calls' FIFO
 	// position. Requires a batch-aware server; a pre-batch server rejects
 	// the frame and the connection fails with RemoteError.
+	//
+	// A batch's answers share one reply frame and so the protocol's 1 MiB
+	// frame budget (wire.DefaultMaxFrame): a batch of pops whose values
+	// sum past it is never answered — the server drops the connection and
+	// every call of the batch fails with ErrConn, its operation
+	// indeterminate.
 	BatchMax int
 	// BatchLinger, if positive, is how long the writer waits after waking
 	// for more calls to join the outgoing write — trading per-op latency
@@ -124,9 +128,6 @@ func (cfg *Config) fillDefaults() {
 		cfg.Retries = 0
 	} else if cfg.Retries == 0 {
 		cfg.Retries = 2
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
 	}
 	if cfg.BatchMax > wire.MaxBatchOps {
 		cfg.BatchMax = wire.MaxBatchOps
@@ -502,7 +503,6 @@ type conn struct {
 	inflight chan group
 	free     chan []*call // answered batch groups' slices, reader back to writer
 	window   int
-	maxFrame int
 	batchMax int
 	linger   time.Duration
 	rotate   func() // nil, or moves the pool on; see Client.rotator
@@ -528,7 +528,6 @@ func dialConn(cfg Config, rotate func()) (*conn, error) {
 		// As many slices as there can be batch groups in flight.
 		free:     make(chan []*call, cfg.Window),
 		window:   cfg.Window,
-		maxFrame: cfg.MaxFrame,
 		batchMax: cfg.BatchMax,
 		linger:   cfg.BatchLinger,
 		rotate:   rotate,
@@ -664,7 +663,7 @@ func (c *conn) writeLoop() {
 					size := 0
 					for j < len(batch) && j-i < c.batchMax && batch[j].batchable() {
 						size += 13 + len(batch[j].data)
-						if 9+size > c.maxFrame {
+						if 9+size > wire.DefaultMaxFrame {
 							break
 						}
 						j++
@@ -728,7 +727,7 @@ func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var buf []byte
 	for {
-		f, rb, err := wire.Read(br, buf, c.maxFrame)
+		f, rb, err := wire.Read(br, buf, wire.DefaultMaxFrame)
 		buf = rb
 		if err != nil {
 			c.fail(fmt.Errorf("%w: read: %v", ErrConn, err))

@@ -23,7 +23,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"runtime/pprof"
 	"sort"
@@ -402,14 +401,6 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 	}
 	sort.SliceStable(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	return out
-}
-
-// Publish registers fn under name in the process's expvar registry, making
-// the snapshot available as JSON on /debug/vars (and to expvar.Get). Like
-// expvar.Publish it panics if name is already registered, so it belongs in
-// main-package setup code.
-func Publish(name string, fn func() Snapshot) {
-	expvar.Publish(name, expvar.Func(func() any { return fn() }))
 }
 
 // Do runs fn with the pprof label op=name attached, so a CPU profile taken

@@ -1,19 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
-	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// publishRuns makes the expvar name below unique per run: the registry is
-// process-wide and panics on reuse, and -count or -cpu reruns the test.
-var publishRuns atomic.Int64
 
 func TestNilProbesAreNoOps(t *testing.T) {
 	var s *Set
@@ -131,29 +123,6 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 	if _, ok := m.Hist("lat"); !ok {
 		t.Fatal("merged snapshot lost the histogram")
-	}
-}
-
-func TestPublishExposesJSON(t *testing.T) {
-	s := NewSet("pubtest")
-	s.Counter("ops").Add(9)
-	s.Durations("lat").Observe(time.Microsecond)
-	name := fmt.Sprintf("obs-test-snapshot-%d", publishRuns.Add(1))
-	Publish(name, s.Snapshot)
-
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("expvar.Get returned nil")
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &decoded); err != nil {
-		t.Fatalf("expvar output is not valid Snapshot JSON: %v\n%s", err, v.String())
-	}
-	if decoded.Name != "pubtest" || decoded.Counter("ops") != 9 {
-		t.Fatalf("decoded snapshot wrong: %+v", decoded)
-	}
-	if _, ok := decoded.Hist("lat"); !ok {
-		t.Fatal("decoded snapshot lost the histogram")
 	}
 }
 

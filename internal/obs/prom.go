@@ -3,7 +3,7 @@ package obs
 // Prometheus text exposition (format version 0.0.4) rendered straight from
 // Snapshots, with no client library: pqd's /metrics endpoint feeds any
 // Prometheus-compatible scraper from the same probe sets every other
-// surface (expvar, ASCII tables, JSON) already reads.
+// surface (ASCII tables, JSON) already reads.
 //
 // Mapping:
 //

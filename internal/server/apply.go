@@ -1,12 +1,12 @@
 // Applying a connection's micro-batch.
 //
-// A connection's reader gathers its micro-batch — every frame already
-// buffered, OpBatch frames decoded into their entries, insert values
-// copied out of the read buffer — into a task, applies it against the
-// backend on its own goroutine, and, when the batch mutated a durable
-// backend, waits on its Commit before it writes the replies. The reader
-// performs the socket write too, so one slow client never head-of-line
-// blocks another connection's responses, and per-connection FIFO is free.
+// A connection's reader applies each request frame the moment wire.Read
+// decodes it — before the next read reuses the read buffer — and appends
+// the reply to the micro-batch's one output buffer through wire's encoder.
+// When the batch mutated a durable backend it waits on one Commit before
+// it writes the replies. The reader performs the socket write too, so one
+// slow client never head-of-line blocks another connection's responses,
+// and per-connection FIFO is free.
 //
 // Nothing in this package combines across connections: the one shared
 // step a combiner could make cheaper is the fsync, and the WAL's group
@@ -14,8 +14,7 @@
 package server
 
 import (
-	"encoding/binary"
-	"net"
+	"errors"
 	"sort"
 	"time"
 
@@ -23,142 +22,107 @@ import (
 	"skipqueue/internal/wire"
 )
 
-// frameOp is one gathered request frame, decoded and detached from the
-// connection read buffer: insert payloads (and whole batch payloads) are
-// owned copies, because the reader gathers further frames into the same
-// read buffer before it applies any of them.
-type frameOp struct {
-	kind    wire.Kind
-	arg     int64
-	data    []byte            // owned; insert value or bad-batch error text
-	entries []wire.BatchEntry // OpBatch only; entry Data aliases an owned copy
-	trace   uint64            // non-zero on traced frames
-	bad     bool              // malformed batch payload: answered StatusErr, conn stays up
-}
+// maxBatchOps is the operational cap on operations per OpBatch frame; a
+// larger batch is answered StatusErr without touching the backend. The
+// protocol ceiling is wire.MaxBatchOps.
+const maxBatchOps = 1024
 
-func (op *frameOp) traced() bool { return op.trace != 0 }
+var errBatchCap = errors.New("server: batch exceeds the operation cap")
 
 // task is one connection micro-batch. A reader owns exactly one task and
-// reuses it: gather, apply, write the response, reset.
+// reuses it: apply frames as they are read, commit, write, reset.
 type task struct {
-	ops    []frameOp
-	resp   respBuf
-	traced []tracedReq
-	nops   int // operations gathered, batch entries included
+	out     []byte // the encoded replies, written in one write
+	traced  []tracedReq
+	frames  int  // request frames applied
+	ops     int  // operations applied, batch entries included
+	mutated bool // the backend changed: the replies wait for a Commit
 
 	statuses []wire.BatchEntry // scratch: per-op statuses of one batch frame
 	order    []int             // scratch: apply order of one batch frame
 }
 
 func (t *task) reset() {
-	t.ops = t.ops[:0]
-	t.resp.reset()
+	t.out = t.out[:0]
 	t.traced = t.traced[:0]
-	t.nops = 0
+	t.frames, t.ops, t.mutated = 0, 0, false
 }
 
-// addFrame decodes one gathered request frame into the task. It owns the
-// copy-out: f.Data aliases the connection read buffer, which the next
-// wire.Read overwrites, so anything the backend or the apply pass will see
-// after this call is copied here — once per insert, once per batch frame.
-func (t *task) addFrame(f wire.Frame, maxOps int) {
-	op := frameOp{kind: f.Kind, arg: f.Arg, trace: f.Trace}
-	switch f.Kind {
-	case wire.OpInsert, wire.OpPopLease, wire.OpExtend, wire.OpInsertDelay:
-		// Data-carrying requests: the insert value, the pop-lease queue
-		// selector, the extend TTL, the delay header + value.
-		op.data = append([]byte(nil), f.Data...)
-		t.nops++
-	case wire.OpBatch:
-		owned := append([]byte(nil), f.Data...)
-		entries, err := wire.DecodeBatch(wire.Frame{Kind: f.Kind, Arg: f.Arg, Data: owned})
-		switch {
-		case err != nil:
-			op.bad = true
-			op.data = []byte(err.Error())
-			t.nops++
-		case len(entries) > maxOps:
-			op.bad = true
-			op.data = []byte("server: batch exceeds the operation cap")
-			t.nops++
-		default:
-			op.entries = entries
-			t.nops += len(entries)
-		}
-	default:
-		t.nops++
-	}
-	t.ops = append(t.ops, op)
+// reply appends one single-op reply frame to the task's output.
+func (t *task) reply(kind wire.Kind, arg int64, data []byte) (err error) {
+	t.out, err = wire.Append(t.out, wire.Frame{Kind: kind, Arg: arg, Data: data})
+	return err
 }
 
-// apply executes every gathered frame of the task against the backend
-// and builds its response buffer. Durable ACK: when the task mutated a
-// durable backend, one Commit covers all of its mutations, sharing its
-// fsync with whichever other connections are committing. On a commit
-// failure the caller must drop the connection without replying: an
-// un-ACKed operation is indeterminate to the client, which is exactly what
-// it is on disk.
-func (s *Server) apply(t *task) error {
-	metered := s.obs.set.Enabled()
-	mutated := false
-	for i := range t.ops {
-		m := s.applyFrame(t, &t.ops[i], metered)
-		mutated = mutated || m
-	}
-	s.bobs.runOps.ObserveN(uint64(t.nops))
-	s.bobs.flushes.Inc()
-	if mutated && s.dur != nil {
-		return s.dur.Commit()
-	}
-	return nil
+// replyBatch appends one StatusBatch reply carrying t.statuses in
+// operation order.
+func (t *task) replyBatch() (err error) {
+	t.out, err = wire.AppendBatch(t.out, t.statuses, 0, 0)
+	return err
 }
 
-// applyFrame executes one gathered frame and appends its response frame
-// to the task's response buffer, reporting whether the backend mutated.
+// applyFrame applies one request frame and appends its reply to the
+// task's output. f.Data aliases the connection read buffer, which the
+// next read overwrites, so the frame is done with when this returns. The
+// error is non-nil only when wire cannot encode the reply (a reply over
+// the frame budget); the caller then drops the connection unanswered.
 // During a drain every operation is answered SHUTDOWN without touching
 // the backend.
-func (s *Server) applyFrame(t *task, op *frameOp, metered bool) (mutated bool) {
-	resp := &t.resp
+func (s *Server) applyFrame(t *task, f wire.Frame) error {
 	s.obs.frames.Inc()
-	if op.bad {
-		s.obs.bad.Inc()
-		resp.appendFrame(wire.StatusErr, 0, op.data)
-		return false
+	t.frames++
+	var entries []wire.BatchEntry
+	if f.Kind == wire.OpBatch {
+		var err error
+		entries, err = wire.DecodeBatch(f)
+		if err == nil && len(entries) > maxBatchOps {
+			err = errBatchCap
+		}
+		if err != nil {
+			// A malformed batch is a semantic error on a well-framed
+			// frame: answered StatusErr, the connection stays up.
+			s.obs.bad.Inc()
+			t.ops++
+			return t.reply(wire.StatusErr, 0, []byte(err.Error()))
+		}
+		t.ops += len(entries)
+	} else {
+		t.ops++
 	}
 	if s.draining.Load() {
 		s.obs.shutdownReplies.Inc()
-		if op.kind == wire.OpBatch {
-			t.statuses = t.statuses[:0]
-			for range op.entries {
-				t.statuses = append(t.statuses, wire.BatchEntry{Kind: wire.StatusShutdown})
-			}
-			resp.appendBatchFrame(t.statuses)
-		} else {
-			resp.appendFrame(wire.StatusShutdown, 0, nil)
+		if entries == nil {
+			return t.reply(wire.StatusShutdown, 0, nil)
 		}
-		return false
+		t.statuses = t.statuses[:0]
+		for range entries {
+			t.statuses = append(t.statuses, wire.BatchEntry{Kind: wire.StatusShutdown})
+		}
+		return t.replyBatch()
 	}
 	// A traced frame is timed even without metrics: its apply duration is
 	// the span attribution's "structure time".
-	timed := metered || (s.cfg.Flight.Enabled() && op.traced())
+	metered := s.obs.set.Enabled()
+	traced := s.cfg.Flight.Enabled() && f.Traced()
 	var t0 time.Time
-	if timed {
+	if metered || traced {
 		t0 = time.Now()
 	}
-	if op.kind == wire.OpBatch {
-		mutated = s.applyBatch(t, op)
+	var err error
+	if entries != nil {
+		err = s.applyBatch(t, entries)
 	} else {
-		st, arg, data, m := s.applyOp(op.kind, op.arg, op.data)
-		mutated = m
-		resp.appendFrame(st, arg, data)
+		st, arg, data, m := s.applyOp(f.Kind, f.Arg, f.Data)
+		t.mutated = t.mutated || m
+		err = t.reply(st, arg, data)
 	}
 	if metered {
 		s.obs.applyLat.Since(t0)
 	}
-	if s.cfg.Flight.Enabled() && op.traced() {
-		s.cfg.Flight.Record(flight.KServerApply, op.trace, int64(time.Since(t0)))
+	if traced {
+		s.cfg.Flight.Record(flight.KServerApply, f.Trace, int64(time.Since(t0)))
 	}
-	return mutated
+	return err
 }
 
 // applyBatch executes one OpBatch frame: inserts first, then the rest,
@@ -167,127 +131,31 @@ func (s *Server) applyFrame(t *task, op *frameOp, metered bool) (mutated bool) {
 // order that lets a pop see every insert packed beside it. Inserts are
 // additionally applied in ascending priority so the backend sees sorted
 // runs. The per-op statuses land in ORIGINAL operation order.
-func (s *Server) applyBatch(t *task, op *frameOp) (mutated bool) {
-	t.growStatuses(len(op.entries))
-	t.statuses = t.statuses[:len(op.entries)]
+func (s *Server) applyBatch(t *task, entries []wire.BatchEntry) error {
+	if cap(t.statuses) < len(entries) {
+		t.statuses = make([]wire.BatchEntry, len(entries))
+	}
+	t.statuses = t.statuses[:len(entries)]
 	t.order = t.order[:0]
-	for i, e := range op.entries {
+	for i, e := range entries {
 		if e.Kind == wire.OpInsert {
 			t.order = append(t.order, i)
 		}
 	}
 	sort.SliceStable(t.order, func(a, b int) bool {
-		return op.entries[t.order[a]].Arg < op.entries[t.order[b]].Arg
+		return entries[t.order[a]].Arg < entries[t.order[b]].Arg
 	})
-	for i, e := range op.entries {
+	for i, e := range entries {
 		if e.Kind != wire.OpInsert {
 			t.order = append(t.order, i)
 		}
 	}
 	for _, i := range t.order {
-		e := op.entries[i]
+		e := entries[i]
 		st, arg, data, m := s.applyOp(e.Kind, e.Arg, e.Data)
-		mutated = mutated || m
+		t.mutated = t.mutated || m
 		t.statuses[i] = wire.BatchEntry{Kind: st, Arg: arg, Data: data}
 	}
-	s.bobs.size.ObserveN(uint64(len(op.entries)))
-	t.resp.appendBatchFrame(t.statuses)
-	return mutated
-}
-
-// growStatuses makes room for n statuses before applyBatch slices it.
-func (t *task) growStatuses(n int) {
-	if cap(t.statuses) < n {
-		t.statuses = make([]wire.BatchEntry, 0, n)
-	}
-}
-
-// spliceMin is the payload size above which a response value is handed to
-// the vectored write as its own buffer instead of being copied into the
-// accumulating segment.
-const spliceMin = 4 << 10
-
-// respBuf accumulates one task's response frames as a buffer list for a
-// single vectored write (net.Buffers / writev). Frame headers and small
-// payloads append to one owned segment; payloads of spliceMin bytes or
-// more are spliced in by reference, so a large popped value travels from
-// backend to socket without a copy. Segments are recorded as offset
-// ranges (acc may reallocate while growing), materialized by
-// appendBuffers at write time.
-type respBuf struct {
-	acc     []byte
-	parts   []respPart
-	accMark int // start of the still-open acc range
-}
-
-// respPart is one closed segment: an acc range, or a spliced payload.
-type respPart struct {
-	off, end int
-	ext      []byte
-}
-
-func (r *respBuf) reset() {
-	r.acc = r.acc[:0]
-	r.parts = r.parts[:0]
-	r.accMark = 0
-}
-
-// splice closes the open acc range and inserts v by reference.
-func (r *respBuf) splice(v []byte) {
-	if len(r.acc) > r.accMark {
-		r.parts = append(r.parts, respPart{off: r.accMark, end: len(r.acc)})
-	}
-	r.parts = append(r.parts, respPart{ext: v})
-	r.accMark = len(r.acc)
-}
-
-// appendFrame appends one single-op response frame.
-func (r *respBuf) appendFrame(kind wire.Kind, arg int64, data []byte) {
-	body := 9 + len(data)
-	r.acc = binary.BigEndian.AppendUint32(r.acc, uint32(body))
-	r.acc = append(r.acc, byte(kind))
-	r.acc = binary.BigEndian.AppendUint64(r.acc, uint64(arg))
-	if len(data) >= spliceMin {
-		r.splice(data)
-	} else {
-		r.acc = append(r.acc, data...)
-	}
-}
-
-// appendBatchFrame appends one StatusBatch frame carrying the per-op
-// status entries in operation order.
-func (r *respBuf) appendBatchFrame(entries []wire.BatchEntry) {
-	body := 9
-	for _, e := range entries {
-		body += 13 + len(e.Data)
-	}
-	r.acc = binary.BigEndian.AppendUint32(r.acc, uint32(body))
-	r.acc = append(r.acc, byte(wire.StatusBatch))
-	r.acc = binary.BigEndian.AppendUint64(r.acc, uint64(len(entries)))
-	for _, e := range entries {
-		r.acc = append(r.acc, byte(e.Kind))
-		r.acc = binary.BigEndian.AppendUint64(r.acc, uint64(e.Arg))
-		r.acc = binary.BigEndian.AppendUint32(r.acc, uint32(len(e.Data)))
-		if len(e.Data) >= spliceMin {
-			r.splice(e.Data)
-		} else {
-			r.acc = append(r.acc, e.Data...)
-		}
-	}
-}
-
-// appendBuffers materializes the response as a buffer list for one
-// vectored write.
-func (r *respBuf) appendBuffers(dst net.Buffers) net.Buffers {
-	for _, p := range r.parts {
-		if p.ext != nil {
-			dst = append(dst, p.ext)
-		} else {
-			dst = append(dst, r.acc[p.off:p.end])
-		}
-	}
-	if len(r.acc) > r.accMark {
-		dst = append(dst, r.acc[r.accMark:])
-	}
-	return dst
+	s.bobs.size.ObserveN(uint64(len(entries)))
+	return t.replyBatch()
 }

@@ -26,6 +26,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -55,10 +56,6 @@ const (
 	DefaultMaxConns    = 1024
 	DefaultMaxInflight = 128
 	DefaultDrainWindow = 250 * time.Millisecond
-	// DefaultBatchMaxOps is the operational cap on operations per OpBatch
-	// frame; a larger batch is answered StatusErr. The protocol ceiling is
-	// wire.MaxBatchOps.
-	DefaultBatchMaxOps = 1024
 )
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
@@ -83,8 +80,6 @@ type Config struct {
 	// MaxInflight caps frames applied per connection between response
 	// flushes (the pipelining window).
 	MaxInflight int
-	// MaxFrame bounds accepted frame size (kind+arg+data bytes).
-	MaxFrame int
 	// DrainWindow is how long Shutdown keeps answering late frames with
 	// SHUTDOWN before closing connections.
 	DrainWindow time.Duration
@@ -102,10 +97,6 @@ type Config struct {
 	// capture (flight.KSLOBreach, arg = the span in nanoseconds). Only
 	// meaningful together with Flight.
 	SLO time.Duration
-	// BatchMaxOps caps operations per OpBatch frame (0 selects
-	// DefaultBatchMaxOps); a larger batch is answered StatusErr without
-	// touching the backend.
-	BatchMaxOps int
 }
 
 // probes are the server's observability hooks, nil without Config.Metrics.
@@ -176,7 +167,6 @@ type batchProbes struct {
 	size    *obs.Hist    // batch.size: operations per OpBatch frame
 	flushes *obs.Counter // coalesce.flushes: connection micro-batches applied
 	runOps  *obs.Hist    // coalesce.ops: operations per connection micro-batch
-	vectors *obs.Counter // vector.writes: response writes that spliced buffers
 }
 
 func newBatchProbes(enabled bool) batchProbes {
@@ -189,7 +179,6 @@ func newBatchProbes(enabled bool) batchProbes {
 		size:    set.Values("batch.size"),
 		flushes: set.Counter("coalesce.flushes"),
 		runOps:  set.Values("coalesce.ops"),
-		vectors: set.Counter("vector.writes"),
 	}
 }
 
@@ -224,17 +213,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
 	if cfg.DrainWindow <= 0 {
 		cfg.DrainWindow = DefaultDrainWindow
-	}
-	if cfg.BatchMaxOps <= 0 {
-		cfg.BatchMaxOps = DefaultBatchMaxOps
-	}
-	if cfg.BatchMaxOps > wire.MaxBatchOps {
-		cfg.BatchMaxOps = wire.MaxBatchOps
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -351,64 +331,62 @@ func (s *Server) handle(nc net.Conn) {
 	fr := s.cfg.Flight
 	// t is this connection's one task, reused for every micro-batch.
 	t := new(task)
-	var bufs net.Buffers
 
 	for {
-		f, rb, err := wire.Read(br, rbuf, s.cfg.MaxFrame)
-		rbuf = rb
-		if err != nil {
-			// Framing violations get a parting ERR frame; transport errors
-			// (EOF, reset, drain-deadline timeouts) just end the handler.
-			if errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, wire.ErrShortFrame) || errors.Is(err, wire.ErrBadKind) {
-				s.obs.bad.Inc()
-				nc.SetWriteDeadline(time.Now().Add(time.Second))
-				if msg, aerr := wire.Append(nil, wire.Frame{Kind: wire.StatusErr, Data: []byte(err.Error())}); aerr == nil {
-					nc.Write(msg)
-				}
-			}
-			return
-		}
-
+		// A micro-batch is the blocking read of one frame plus every frame
+		// already buffered behind it, up to MaxInflight; each is applied
+		// as soon as it is read.
 		t.reset()
-		batch := 0
-		for {
+		f, rb, err := wire.Read(br, rbuf, wire.DefaultMaxFrame)
+		rbuf = rb
+		for err == nil {
 			if fr.Enabled() && f.Traced() {
 				ts := fr.Now()
 				fr.RecordAt(ts, flight.KServerRead, f.Trace, f.SendNano)
 				t.traced = append(t.traced, tracedReq{trace: f.Trace, readTS: ts})
 			}
-			t.addFrame(f, s.cfg.BatchMaxOps)
-			batch++
-			if batch >= s.cfg.MaxInflight {
+			if s.applyFrame(t, f) != nil {
+				return // a reply wire cannot encode: the batch goes unanswered
+			}
+			if t.frames >= s.cfg.MaxInflight {
 				s.obs.stalls.Inc()
 				break
 			}
 			if !br.frameBuffered() {
 				break
 			}
-			f, rb, err = wire.Read(br, rbuf, s.cfg.MaxFrame)
-			rbuf = rb
-			if err != nil {
-				// The buffered bytes turned out malformed; answer what we
-				// have, then let the top of the loop re-hit the error path
-				// on the next read.
-				break
-			}
+			f, rbuf, err = wire.Read(br, rbuf, wire.DefaultMaxFrame)
 		}
-		s.obs.batch.ObserveN(uint64(batch))
-		if err := s.apply(t); err != nil {
+		// A framing violation gets a parting ERR frame after the replies to
+		// the frames before it, then the connection closes: the stream can
+		// no longer be matched to replies. Transport errors (EOF, reset,
+		// drain-deadline timeouts) can only end the blocking first read,
+		// with nothing to answer.
+		framing := errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, wire.ErrShortFrame) || errors.Is(err, wire.ErrBadKind)
+		if err != nil && !framing {
+			return
+		}
+		if t.frames > 0 {
+			s.obs.batch.ObserveN(uint64(t.frames))
+			s.bobs.runOps.ObserveN(uint64(t.ops))
+			s.bobs.flushes.Inc()
+		}
+		if t.mutated && s.dur != nil && s.dur.Commit() != nil {
 			return // commit failed: nothing applied here may be ACKed
 		}
-		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		bufs = t.resp.appendBuffers(bufs[:0])
-		if len(bufs) > 1 {
-			s.bobs.vectors.Inc()
+		if framing {
+			s.obs.bad.Inc()
+			t.reply(wire.StatusErr, 0, []byte(err.Error())) // short text: always encodes
 		}
-		if _, werr := bufs.WriteTo(nc); werr != nil {
+		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		if _, werr := nc.Write(t.out); werr != nil {
 			return
 		}
 		if fr.Enabled() {
-			s.finishBatch(fr, t.traced, batch)
+			s.finishBatch(fr, t.traced, t.frames)
+		}
+		if framing {
+			return
 		}
 	}
 }
@@ -438,13 +416,14 @@ func (s *Server) finishBatch(fr *flight.Recorder, traced []tracedReq, batch int)
 // applyOp executes one operation — a single-op frame or one batch entry —
 // against the backend and returns its status triple; mutated reports
 // whether the backend changed (the signal that the micro-batch needs a WAL
-// commit before its replies flush). data is owned by the caller's gather
-// copy, so an insert hands it to the backend directly.
+// commit before its replies flush). data aliases the connection read
+// buffer, so an insert hands the backend a clone: the value is the one
+// datum a backend keeps.
 func (s *Server) applyOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
 	switch k {
 	case wire.OpInsert:
 		s.obs.insert.Inc()
-		s.cfg.Backend.Push(arg, data)
+		s.cfg.Backend.Push(arg, bytes.Clone(data))
 		return wire.StatusOK, 0, nil, true
 	case wire.OpDeleteMin:
 		s.obs.deleteMin.Inc()
@@ -526,6 +505,7 @@ func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind
 			s.obs.bad.Inc()
 			return wire.StatusErr, 0, []byte("insert-delay: " + err.Error()), false
 		}
+		// No clone: the table copies value under its stored header.
 		lt.PushDelayed(arg, time.Duration(delayMillis)*time.Millisecond, value)
 		return wire.StatusOK, 0, nil, true
 	}

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -176,19 +177,17 @@ func TestMalformedFrame(t *testing.T) {
 	}
 }
 
-// TestOversizedFrame: a frame over MaxFrame is refused without the server
-// allocating or applying it.
+// TestOversizedFrame: a frame over the protocol's frame budget is refused
+// from its length prefix, without the server allocating or applying it.
 func TestOversizedFrame(t *testing.T) {
-	_, _, addr := startServer(t, server.Config{MaxFrame: 1024})
+	_, _, addr := startServer(t, server.Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	big, err := wire.Append(nil, wire.Frame{Kind: wire.OpInsert, Arg: 1, Data: make([]byte, 4096)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := binary.BigEndian.AppendUint32(nil, wire.DefaultMaxFrame+1)
+	big = append(big, byte(wire.OpInsert), 0, 0, 0, 0, 0, 0, 0, 1)
 	nc.Write(big)
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	f, _, err := wire.Read(nc, nil, 0)

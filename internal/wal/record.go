@@ -79,51 +79,26 @@ type record struct {
 	value []byte
 }
 
-// appendPushRecord appends the framed encoding of a push to dst.
-func appendPushRecord(dst []byte, id uint64, prio int64, value []byte) []byte {
-	body := pushFixedSize + len(value)
+// appendRecord appends the framed encoding of r to dst. Push and requeue
+// bodies carry the priority and value (a requeue is a push under its own
+// op, so replay statistics and debugging tools can tell redeliveries from
+// first deliveries); every other op's body is the id alone.
+func appendRecord(dst []byte, r record) []byte {
+	upsert := r.op == opPush || r.op == opRequeue
+	body := popBodySize
+	if upsert {
+		body = pushFixedSize + len(r.value)
+	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
 	crcAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // CRC backfilled below
 	bodyAt := len(dst)
-	dst = append(dst, opPush)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(prio))
-	dst = append(dst, value...)
-	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
-	return dst
-}
-
-// appendPopRecord appends the framed encoding of a pop to dst.
-func appendPopRecord(dst []byte, id uint64) []byte {
-	return appendIDRecord(dst, opPop, id)
-}
-
-// appendIDRecord appends an id-only record (opPop, opLease, opAck).
-func appendIDRecord(dst []byte, op byte, id uint64) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, popBodySize)
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	bodyAt := len(dst)
-	dst = append(dst, op)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
-	return dst
-}
-
-// appendRequeueRecord appends the framed encoding of a requeue — the
-// same body shape as a push, under its own op so replay statistics and
-// debugging tools can tell redeliveries from first deliveries.
-func appendRequeueRecord(dst []byte, id uint64, prio int64, value []byte) []byte {
-	body := pushFixedSize + len(value)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	bodyAt := len(dst)
-	dst = append(dst, opRequeue)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(prio))
-	dst = append(dst, value...)
+	dst = append(dst, r.op)
+	dst = binary.BigEndian.AppendUint64(dst, r.id)
+	if upsert {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(r.prio))
+		dst = append(dst, r.value...)
+	}
 	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
 	return dst
 }

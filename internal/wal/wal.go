@@ -84,10 +84,14 @@ func ParseMode(s string) (Mode, error) {
 // Defaults for zero Config fields.
 const (
 	DefaultSyncInterval = time.Millisecond
-	DefaultBatchBytes   = 256 << 10
 	DefaultSegmentBytes = 64 << 20
 	DefaultStallAfter   = 50 * time.Millisecond
 )
+
+// batchBytes is the async-mode size watermark: an append that brings the
+// pending batch past it kicks the syncer immediately instead of waiting
+// out the interval. Sync mode ignores it.
+const batchBytes = 256 << 10
 
 // Config configures a Log. Dir is required.
 type Config struct {
@@ -100,10 +104,6 @@ type Config struct {
 	// fsyncs at least this often while records are pending. Sync mode has
 	// no syncer and ignores it.
 	SyncInterval time.Duration
-	// BatchBytes is the async-mode size watermark: an append that brings
-	// the pending batch past it kicks the syncer immediately instead of
-	// waiting out the interval. Sync mode ignores it.
-	BatchBytes int
 	// SegmentBytes rotates the active segment once it grows past this.
 	SegmentBytes int64
 	// StallAfter is the fsync latency above which a sync is counted as a
@@ -129,9 +129,6 @@ type Config struct {
 func (cfg *Config) fillDefaults() {
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = DefaultSyncInterval
-	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = DefaultBatchBytes
 	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
@@ -285,54 +282,37 @@ func (l *Log) openSegment(start uint64) error {
 // The record is durable only once Commit (sync mode) or a later Sync
 // returns. value is copied into the batch; the caller keeps ownership.
 func (l *Log) AppendPush(id uint64, prio int64, value []byte) uint64 {
-	l.mu.Lock()
-	before := len(l.buf)
-	l.buf = appendPushRecord(l.buf, id, prio, value)
-	lsn := l.append(before)
-	l.mu.Unlock()
-	return lsn
+	return l.append(record{op: opPush, id: id, prio: prio, value: value})
 }
 
 // AppendPop appends a pop record for element id and returns its LSN.
 func (l *Log) AppendPop(id uint64) uint64 {
-	l.mu.Lock()
-	before := len(l.buf)
-	l.buf = appendPopRecord(l.buf, id)
-	lsn := l.append(before)
-	l.mu.Unlock()
-	return lsn
+	return l.append(record{op: opPop, id: id})
 }
 
 // AppendAck appends an ack record for element id: the leased element is
 // retired for good (a removal, like a pop).
 func (l *Log) AppendAck(id uint64) uint64 {
-	l.mu.Lock()
-	before := len(l.buf)
-	l.buf = appendIDRecord(l.buf, opAck, id)
-	lsn := l.append(before)
-	l.mu.Unlock()
-	return lsn
+	return l.append(record{op: opAck, id: id})
 }
 
 // AppendRequeue appends a requeue record: the leased element returns to
 // the queue with a rewritten value (the bumped delivery header).
 func (l *Log) AppendRequeue(id uint64, prio int64, value []byte) uint64 {
-	l.mu.Lock()
-	before := len(l.buf)
-	l.buf = appendRequeueRecord(l.buf, id, prio, value)
-	lsn := l.append(before)
-	l.mu.Unlock()
-	return lsn
+	return l.append(record{op: opRequeue, id: id, prio: prio, value: value})
 }
 
-// append finishes one record appended at buffer offset before; caller
-// holds l.mu.
-func (l *Log) append(before int) uint64 {
+// append encodes r into the pending batch and returns its LSN.
+func (l *Log) append(r record) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	before := len(l.buf)
+	l.buf = appendRecord(l.buf, r)
 	l.lastLSN++
 	l.bufRecs++
 	l.obs.appendRecords.Inc()
 	l.obs.appendBytes.Add(uint64(len(l.buf) - before))
-	if len(l.buf) >= l.cfg.BatchBytes {
+	if len(l.buf) >= batchBytes {
 		l.wake()
 	}
 	return l.lastLSN

@@ -12,6 +12,21 @@ import (
 	"time"
 )
 
+// Shorthands for appendRecord, one per record shape.
+func appendPushRecord(dst []byte, id uint64, prio int64, value []byte) []byte {
+	return appendRecord(dst, record{op: opPush, id: id, prio: prio, value: value})
+}
+
+func appendRequeueRecord(dst []byte, id uint64, prio int64, value []byte) []byte {
+	return appendRecord(dst, record{op: opRequeue, id: id, prio: prio, value: value})
+}
+
+func appendIDRecord(dst []byte, op byte, id uint64) []byte {
+	return appendRecord(dst, record{op: op, id: id})
+}
+
+func appendPopRecord(dst []byte, id uint64) []byte { return appendIDRecord(dst, opPop, id) }
+
 // memPQ is a tiny mutex-protected priority queue backing the Queue tests —
 // deliberately naive (O(n) pop) so a test failure is never the backend's
 // fault.
