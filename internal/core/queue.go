@@ -26,10 +26,11 @@
 //
 // All locking is distributed: there is no root lock, and rebalancing is
 // probabilistic, which is the property the paper exploits to scale past
-// heap-based queues. The queue is not free of shared words, though: every
-// operation does atomic read-modify-writes on queue-wide counters (the
-// timestamp clock, size, levelSeed and the seven statsCounters). ROADMAP
-// item 16 inventories them.
+// heap-based queues. Three queue-wide words stay shared, each on cache
+// lines of its own: the timestamp clock (the Definition 1 stamps),
+// levelSeed (one add per Insert) and, one layer up, the multiset adapters'
+// FIFO seq. The counters behind Stats and Len are spread over padded
+// shards, so no other word is written by every operation.
 package core
 
 import (
@@ -112,7 +113,15 @@ type Stats struct {
 	LockRetries uint64 // getLock re-acquisitions after a concurrent change
 }
 
-type statsCounters struct {
+const (
+	cacheLine   = 64 // the false-sharing unit the Queue layout pads to
+	statsShards = 16 // a power of two; obs.ShardHint picks one per operation
+)
+
+// statsShard is one shard of the operation counters; Stats sums them. The
+// padding keeps two shards' counters a cache line apart wherever the Queue
+// is allocated.
+type statsShard struct {
 	inserts     atomic.Uint64
 	updates     atomic.Uint64
 	deleteMins  atomic.Uint64
@@ -120,6 +129,7 @@ type statsCounters struct {
 	scanSteps   atomic.Uint64
 	scanSkips   atomic.Uint64
 	lockRetries atomic.Uint64
+	_           [2*cacheLine - 7*8]byte
 }
 
 // probes are the queue's observability hooks. All fields are nil when
@@ -163,26 +173,32 @@ func newProbes(enabled bool, fr *flight.Recorder) probes {
 }
 
 // Queue is the SkipQueue. It is safe for any number of goroutines to call
-// Insert and DeleteMin concurrently. Construct with New.
+// Insert and DeleteMin concurrently. Construct with New. The fields up to
+// tracer are read-mostly; each word that operations write follows on cache
+// lines of its own (TestSharedWordsOwnLines).
 type Queue[K ordered, V any] struct {
-	cfg   Config
-	clock *vclock.Clock
-	head  *node[K, V] // sentinel, full-height tower, key unused
-	tail  *node[K, V] // sentinel terminating every level, key unused
-	size  atomic.Int64
-	stats statsCounters
-	obs   probes
-
-	// levelSeed feeds per-goroutine level generators: each call that needs
-	// a tower height derives a fresh generator state with an atomic add, so
-	// concurrent Inserts never contend on a shared RNG.
-	levelSeed atomic.Uint64
+	cfg  Config
+	head *node[K, V] // sentinel, full-height tower, key unused
+	tail *node[K, V] // sentinel terminating every level, key unused
+	obs  probes
 
 	// tracer, when non-nil, receives one event per completed operation,
 	// carrying the clock stamps the correctness proof of Section 4.2 orders
 	// operations by. Set with SetTracer before any concurrent use; used by
 	// the Definition 1 checker (internal/lincheck).
 	tracer func(TraceEvent[K])
+
+	_     [cacheLine]byte
+	clock vclock.Clock
+	_     [cacheLine]byte
+
+	// levelSeed feeds per-goroutine level generators: each call that needs
+	// a tower height derives a fresh generator state with an atomic add, so
+	// concurrent Inserts never contend on a shared RNG.
+	levelSeed atomic.Uint64
+	_         [cacheLine]byte
+
+	stats [statsShards]statsShard
 }
 
 // TraceEvent describes one completed operation for history checking.
@@ -227,7 +243,7 @@ func (q *Queue[K, V]) SetTracer(fn func(TraceEvent[K])) {
 // New returns an empty SkipQueue configured by cfg.
 func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	cfg = cfg.withDefaults()
-	q := &Queue[K, V]{cfg: cfg, clock: new(vclock.Clock)}
+	q := &Queue[K, V]{cfg: cfg}
 	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zeroK K
@@ -246,9 +262,25 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	return q
 }
 
-// Len returns the number of elements currently in the queue. The value is
-// exact when the queue is quiescent and a best-effort snapshot otherwise.
-func (q *Queue[K, V]) Len() int { return int(q.size.Load()) }
+// Len returns Inserts minus DeleteMins: exact when the queue is quiescent, a
+// best-effort snapshot otherwise. A delete can claim a node (and count)
+// before the node's Insert counts, so DeleteMins is read first and the
+// result floored at 0.
+func (q *Queue[K, V]) Len() int {
+	var deleted, inserted uint64
+	for i := range q.stats {
+		deleted += q.stats[i].deleteMins.Load()
+	}
+	for i := range q.stats {
+		inserted += q.stats[i].inserts.Load()
+	}
+	return int(max(inserted, deleted) - deleted)
+}
+
+// shard returns the calling operation's stats shard.
+func (q *Queue[K, V]) shard() *statsShard {
+	return &q.stats[obs.ShardHint()&(statsShards-1)]
+}
 
 // Now draws a fresh stamp from the queue's shared logical clock — the same
 // clock Insert and DeleteMin serialize on. Front-ends that serialize
@@ -265,25 +297,26 @@ func (q *Queue[K, V]) MaxLevel() int { return q.cfg.MaxLevel }
 
 // Stats returns a snapshot of the operation counters.
 //
-// Snapshot semantics are deliberately relaxed: each field is one atomic
-// load, taken field-by-field in a single pass with no lock and no seqlock,
-// so the struct as a whole is not a consistent cut of a running queue — an
-// operation completing concurrently with Stats may be visible in a later
-// field and not an earlier one (e.g. ScanSteps without its DeleteMins, or
-// vice versa, depending on field order). What IS guaranteed: every field is
-// itself torn-free (a whole atomic word), each field is monotone across
-// calls, and on a quiescent queue the snapshot is exact. obs.Set.Snapshot
-// follows the same discipline.
+// Snapshot semantics are deliberately relaxed: each field sums one atomic
+// load per shard, taken shard by shard in a single pass with no lock and no
+// seqlock, so the struct as a whole is not a consistent cut of a running
+// queue — an operation completing concurrently with Stats may be visible in
+// one field and not another (e.g. ScanSteps without its DeleteMins). What IS
+// guaranteed: each field is monotone across calls, and on a quiescent queue
+// the snapshot is exact. obs.Set.Snapshot follows the same discipline.
 func (q *Queue[K, V]) Stats() Stats {
-	return Stats{
-		Inserts:     q.stats.inserts.Load(),
-		Updates:     q.stats.updates.Load(),
-		DeleteMins:  q.stats.deleteMins.Load(),
-		Empties:     q.stats.empties.Load(),
-		ScanSteps:   q.stats.scanSteps.Load(),
-		ScanSkips:   q.stats.scanSkips.Load(),
-		LockRetries: q.stats.lockRetries.Load(),
+	var s Stats
+	for i := range q.stats {
+		sh := &q.stats[i]
+		s.Inserts += sh.inserts.Load()
+		s.Updates += sh.updates.Load()
+		s.DeleteMins += sh.deleteMins.Load()
+		s.Empties += sh.empties.Load()
+		s.ScanSteps += sh.scanSteps.Load()
+		s.ScanSkips += sh.scanSkips.Load()
+		s.LockRetries += sh.lockRetries.Load()
 	}
+	return s
 }
 
 // Obs returns the queue's probe set (nil when built without Config.Metrics).
@@ -317,8 +350,9 @@ func (q *Queue[K, V]) beyond(n, victim *node[K, V]) bool {
 // advance along level to the last node before (key, seq), lock that node's
 // level, then re-validate and slide the lock forward past any node that was
 // inserted (or any backward pointer left by a deletion) before the lock was
-// won. On return the caller holds node1.links[level].mu.
-func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, seq uint64, level int) *node[K, V] {
+// won. On return the caller holds node1.links[level].mu. Re-acquisitions
+// count in st, the operation's stats shard.
+func (q *Queue[K, V]) getLock(st *statsShard, node1 *node[K, V], key K, seq uint64, level int) *node[K, V] {
 	node2 := node1.loadNext(level)
 	for q.precedes(node2, key, seq) {
 		node1 = node2
@@ -327,9 +361,7 @@ func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, seq uint64, level int) *
 	node1.links[level].mu.Lock()
 	node2 = node1.loadNext(level)
 	for q.precedes(node2, key, seq) {
-		q.stats.lockRetries.Add(1)
-		q.obs.lockRetries.Add(1)
-		q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
+		q.lockRetry(st, level)
 		node1.links[level].mu.Unlock()
 		node1 = node2
 		node1.links[level].mu.Lock()
@@ -343,7 +375,7 @@ func (q *Queue[K, V]) getLock(node1 *node[K, V], key K, seq uint64, level int) *
 // key. Identifying by pointer matters because the library tolerates a
 // transient second node with an equal key (see the update/retry protocol in
 // Insert); unlinking by key alone could splice out both.
-func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, V] {
+func (q *Queue[K, V]) getLockFor(st *statsShard, start, victim *node[K, V], level int) *node[K, V] {
 	node1 := start
 	node2 := node1.loadNext(level)
 	for node2 != victim && !q.beyond(node2, victim) {
@@ -357,22 +389,25 @@ func (q *Queue[K, V]) getLockFor(start, victim *node[K, V], level int) *node[K, 
 			// The victim is not reachable ahead of node1 on this level.
 			// This can only be a transient view caused by a backward
 			// pointer; restart from the head.
-			q.stats.lockRetries.Add(1)
-			q.obs.lockRetries.Add(1)
-			q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
+			q.lockRetry(st, level)
 			node1.links[level].mu.Unlock()
 			node1 = q.head
 			node1.links[level].mu.Lock()
 			continue
 		}
-		q.stats.lockRetries.Add(1)
-		q.obs.lockRetries.Add(1)
-		q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
+		q.lockRetry(st, level)
 		node1.links[level].mu.Unlock()
 		node1 = node2
 		node1.links[level].mu.Lock()
 	}
 	return node1
+}
+
+// lockRetry counts one lock re-acquisition at level.
+func (q *Queue[K, V]) lockRetry(st *statsShard, level int) {
+	st.lockRetries.Add(1)
+	q.obs.lockRetries.Add(1)
+	q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
 }
 
 // search fills saved with, for each level, the last node before (key, seq)
@@ -430,6 +465,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 	if q.obs.set.Enabled() {
 		t0 = time.Now()
 	}
+	st := q.shard()
 	var stack [DefaultMaxLevel]*node[K, V]
 	savedNodes := q.savedBuf(&stack)
 	for {
@@ -437,7 +473,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 
 		// Lock level 0 of the predecessor; if the position is taken, update
 		// in place under that lock (Figure 10 lines 10–16).
-		node1 := q.getLock(savedNodes[0], key, seq, 0)
+		node1 := q.getLock(st, savedNodes[0], key, seq, 0)
 		node2 := node1.loadNext(0)
 		if node2 != q.tail && node2.key == key && node2.seq == seq {
 			// Box the replacement here, on the rare path, so that value
@@ -447,7 +483,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 			old := node2.value.Swap(box)
 			node1.links[0].mu.Unlock()
 			if old != nil {
-				q.stats.updates.Add(1)
+				st.updates.Add(1)
 				q.obs.insertLat.Since(t0)
 				return Updated
 			}
@@ -465,7 +501,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 
 		for i := 0; i < level; i++ {
 			if i != 0 { // level 0 is already locked
-				node1 = q.getLock(savedNodes[i], key, seq, i)
+				node1 = q.getLock(st, savedNodes[i], key, seq, i)
 			}
 			nn.storeNext(i, node1.loadNext(i))
 			node1.storeNext(i, nn)
@@ -475,8 +511,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 		nn.nodeMu.Unlock()
 		stamp := q.clock.Now()
 		nn.timeStamp.Store(stamp) // Figure 10 line 29
-		q.size.Add(1)
-		q.stats.inserts.Add(1)
+		st.inserts.Add(1)
 		q.obs.insertLat.Since(t0)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
@@ -510,12 +545,13 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 
 	// Scan the bottom level for the first claimable node (lines 2–10). The
 	// claim (the SWAP of line 5) installs a ticket drawn from the clock just
-	// before the winning atomic; see node.deleted.
+	// before the winning atomic; see node.deleted. The scan counts in
+	// locals, added to the counters once per operation.
 	var claim int64
+	var steps, skips, marked uint64
 	victim := q.head.loadNext(0)
 	for victim != q.tail {
-		q.stats.scanSteps.Add(1)
-		q.obs.scanSteps.Add(1)
+		steps++
 		if (q.cfg.Relaxed || victim.timeStamp.Load() < t) && victim.deleted.Load() == 0 {
 			claim = q.clock.Now()
 			if victim.deleted.CompareAndSwap(0, claim) {
@@ -524,20 +560,24 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 			// Lost the SWAP to a racing deleter.
 			q.obs.claimFails.Add(1)
 		}
-		q.stats.scanSkips.Add(1)
-		if metered {
-			// Attribute the skip: an already-claimed node is deletion
-			// contention, a too-new timestamp is the strict ordering at work.
-			if victim.deleted.Load() != 0 {
-				q.obs.markedSkips.Add(1)
-			} else {
-				q.obs.youngSkips.Add(1)
-			}
+		skips++
+		// Attribute the skip: an already-claimed node is deletion
+		// contention, a too-new timestamp is the strict ordering at work.
+		if metered && victim.deleted.Load() != 0 {
+			marked++
 		}
 		victim = victim.loadNext(0)
 	}
+	st := q.shard()
+	st.scanSteps.Add(steps)
+	st.scanSkips.Add(skips)
+	if metered {
+		q.obs.scanSteps.Add(steps)
+		q.obs.markedSkips.Add(marked)
+		q.obs.youngSkips.Add(skips - marked)
+	}
 	if victim == q.tail {
-		q.stats.empties.Add(1)
+		st.empties.Add(1)
 		q.obs.deleteLat.Since(t0)
 		if q.tracer != nil {
 			// An EMPTY delete serializes at its response (Section 4.2).
@@ -549,10 +589,9 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 	if v := victim.value.Swap(nil); v != nil {
 		value = *v
 	}
-	q.size.Add(-1)
-	q.stats.deleteMins.Add(1)
+	st.deleteMins.Add(1)
 
-	q.remove(victim)
+	q.remove(st, victim)
 	q.obs.deleteLat.Since(t0)
 	if q.tracer != nil {
 		q.tracer(TraceEvent[K]{Key: key, Seq: seq, OK: true, Start: t, Stamp: claim})
@@ -568,10 +607,10 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 // lines 15–22 is folded into the lock walk: each level starts from the
 // predecessor found one level up (the head on top), which precedes the
 // victim, so getLockFor walks on from it or from its backward pointer.
-func (q *Queue[K, V]) remove(victim *node[K, V]) {
+func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
 	victim.nodeMu.Lock() // Figure 11 line 27
 	for i, node1 := victim.level()-1, q.head; i >= 0; i-- {
-		node1 = q.getLockFor(node1, victim, i)
+		node1 = q.getLockFor(st, node1, victim, i)
 		victim.links[i].mu.Lock()
 		node1.storeNext(i, victim.loadNext(i))
 		victim.storeNext(i, node1) // point backwards (line 32)

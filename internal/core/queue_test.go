@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newIntQueue(t testing.TB, cfg Config) *Queue[int64, int64] {
@@ -185,6 +188,67 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestLenNeverNegative: a delete can claim a node and count itself before
+// the node's Insert has counted, so a shard's DeleteMins may run ahead of
+// every Insert; Len must then report 0, never a negative length.
+func TestLenNeverNegative(t *testing.T) {
+	q := newIntQueue(t, Config{})
+	q.stats[3].deleteMins.Add(1)
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len = %d with DeleteMins ahead of Inserts, want 0", n)
+	}
+	q.stats[5].inserts.Add(3)
+	if n := q.Len(); n != 2 {
+		t.Fatalf("Len = %d across shards, want 2", n)
+	}
+}
+
+// TestSharedWordsOwnLines: every word an operation writes (the clock,
+// levelSeed, each stats shard's counters) lies at least a cache line from
+// every other field of the Queue, so those writes never take away a line
+// that a traversal reads, or one that another operation writes. Distances
+// are between the nearest bytes, so they hold wherever the Queue lands.
+func TestSharedWordsOwnLines(t *testing.T) {
+	var q Queue[int64, int64]
+	type span struct {
+		name      string
+		off, size uintptr
+	}
+	written := []span{
+		{"clock", unsafe.Offsetof(q.clock), unsafe.Sizeof(q.clock)},
+		{"levelSeed", unsafe.Offsetof(q.levelSeed), unsafe.Sizeof(q.levelSeed)},
+	}
+	counters := unsafe.Offsetof(q.stats[0].lockRetries) + unsafe.Sizeof(q.stats[0].lockRetries)
+	for i := range q.stats {
+		off := unsafe.Offsetof(q.stats) + uintptr(i)*unsafe.Sizeof(q.stats[0])
+		written = append(written, span{fmt.Sprintf("stats[%d]", i), off, counters})
+	}
+	// Every other named field is read-mostly, including any added later.
+	var readMostly []span
+	typ := reflect.TypeOf(&q).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Name {
+		case "_", "clock", "levelSeed", "stats":
+			continue
+		}
+		readMostly = append(readMostly, span{f.Name, f.Offset, f.Type.Size()})
+	}
+	gap := func(a, b span) int {
+		if a.off > b.off {
+			a, b = b, a
+		}
+		return int(b.off) - int(a.off+a.size)
+	}
+	for i, w := range written {
+		for _, o := range append(readMostly, written[i+1:]...) {
+			if g := gap(w, o); g < cacheLine {
+				t.Errorf("%s and %s are %d B apart, want >= %d", w.name, o.name, g, cacheLine)
+			}
+		}
+	}
+}
+
 // TestPropertySequentialModel cross-checks the queue against a sorted-slice
 // model over random operation strings.
 func TestPropertySequentialModel(t *testing.T) {
@@ -329,6 +393,9 @@ func TestConcurrentMixed(t *testing.T) {
 		if int64(st.Inserts) != int64(st.DeleteMins)+remaining {
 			t.Fatalf("relaxed=%v: conservation failed: %d inserts, %d deletes, %d remaining",
 				relaxed, st.Inserts, st.DeleteMins, remaining)
+		}
+		if got := int64(q.Len()); got != remaining {
+			t.Fatalf("relaxed=%v: Len %d, %d remaining", relaxed, got, remaining)
 		}
 		if _, err := q.checkLevels(); err != nil {
 			t.Fatalf("relaxed=%v: %v", relaxed, err)
@@ -493,9 +560,10 @@ func TestRemovePastMarkedPredecessors(t *testing.T) {
 		t.Fatal("seed builds no node preceded by a taller one; pick another seed")
 	}
 	marked, victim := nodes[:k], nodes[k]
+	st := &q.stats[0]
 	for _, m := range marked {
 		m.deleted.Store(q.clock.Now())
-		q.size.Add(-1) // the claim, not the unlink, takes an element out of Len
+		st.deleteMins.Add(1) // the claim, not the unlink, takes an element out of Len
 	}
 
 	key, val, ok := q.DeleteMin()
@@ -519,7 +587,7 @@ func TestRemovePastMarkedPredecessors(t *testing.T) {
 	}
 
 	for j := len(marked) - 1; j >= 0; j-- {
-		q.remove(marked[j])
+		q.remove(st, marked[j])
 		if _, err := q.checkLevels(); err != nil {
 			t.Fatalf("after removing %d: %v", marked[j].key, err)
 		}

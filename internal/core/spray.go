@@ -47,9 +47,9 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 				if v := curr.value.Swap(nil); v != nil {
 					value = *v
 				}
-				q.size.Add(-1)
-				q.stats.deleteMins.Add(1)
-				q.remove(curr)
+				st := q.shard()
+				st.deleteMins.Add(1)
+				q.remove(st, curr)
 				return curr.key, curr.seq, value, true, collisions
 			}
 			q.obs.claimFails.Add(1)
@@ -65,6 +65,12 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 	return key, 0, value, false, collisions
 }
 
-// ScanSkips is Stats().ScanSkips in one atomic load: contention-adaptive
-// callers (internal/spray) sample it around every Pop.
-func (q *Queue[K, V]) ScanSkips() uint64 { return q.stats.scanSkips.Load() }
+// ScanSkips is Stats().ScanSkips alone, one load per shard:
+// contention-adaptive callers (internal/spray) sample it around every Pop.
+func (q *Queue[K, V]) ScanSkips() uint64 {
+	var n uint64
+	for i := range q.stats {
+		n += q.stats[i].scanSkips.Load()
+	}
+	return n
+}

@@ -133,6 +133,9 @@ func TestDeleteSprayChurnConcurrent(t *testing.T) {
 	if len(delivered) != workers*perWorker {
 		t.Fatalf("delivered %d of %d keys", len(delivered), workers*perWorker)
 	}
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len %d after the final drain", n)
+	}
 }
 
 // TestDeleteSprayUnlinksInterior: spray victims sit inside the list, so

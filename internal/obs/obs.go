@@ -61,6 +61,16 @@ var tokenPool = sync.Pool{New: func() any {
 	return &token{idx: tokenSeq.Add(1)}
 }}
 
+// ShardHint returns the calling goroutine's shard hint, the value Counter
+// spreads its writers by. Structures that shard counters of their own
+// (core's Stats) index with it, masked to their shard count.
+func ShardHint() uint32 {
+	t := tokenPool.Get().(*token)
+	idx := t.idx
+	tokenPool.Put(t)
+	return idx
+}
+
 // Counter is a sharded monotone counter. The zero value is NOT ready to use;
 // obtain counters from a Set. A nil *Counter ignores Add/Inc and reads 0.
 type Counter struct {
@@ -69,14 +79,12 @@ type Counter struct {
 }
 
 // Add increments the counter by n. Safe for any number of concurrent
-// writers; no-op on a nil receiver.
+// writers; no-op on a nil receiver or for n == 0.
 func (c *Counter) Add(n uint64) {
-	if c == nil {
+	if c == nil || n == 0 {
 		return
 	}
-	t := tokenPool.Get().(*token)
-	c.shards[t.idx&(numShards-1)].n.Add(n)
-	tokenPool.Put(t)
+	c.shards[ShardHint()&(numShards-1)].n.Add(n)
 }
 
 // Inc adds one.

@@ -25,7 +25,10 @@ type seqQueue[V, R any] interface {
 // arrival, and duplicate priorities coexist. PQ, LockFreePQ and
 // GlobalHeapPQ embed it.
 type multisetPQ[Q seqQueue[V, R], V, R any] struct {
-	q   Q
+	q Q
+	// seq is written by every Push; the padding keeps it off the line of
+	// q, which every operation reads.
+	_   [64]byte
 	seq atomic.Uint64
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"skipqueue/internal/core"
 	"skipqueue/internal/lincheck"
@@ -160,5 +161,15 @@ func TestPQDefinition1DuplicatePriorities(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedWordsOwnLines: the adapter's seq, written by every Push, lies at
+// least a cache line from q, which every operation reads.
+func TestSharedWordsOwnLines(t *testing.T) {
+	var pq multisetPQ[*core.Queue[int64, int], int, core.InsertResult]
+	qEnd := unsafe.Offsetof(pq.q) + unsafe.Sizeof(pq.q)
+	if seq := unsafe.Offsetof(pq.seq); seq < qEnd+64 {
+		t.Fatalf("seq at offset %d, q ends at %d: want >= 64 B between them", seq, qEnd)
 	}
 }

@@ -6,8 +6,9 @@
 // concurrent skiplist, in which all locking is distributed — there is no
 // root lock — so Insert and DeleteMin throughput scales with the number of
 // concurrent goroutines far beyond what heap-based designs sustain. (Each
-// operation still updates a few queue-wide atomic words: the timestamp
-// clock, the size and the statistics counters; ROADMAP item 16 lists them.)
+// operation still updates a few queue-wide atomic words, each on cache
+// lines of its own: the timestamp clock, the tower-height seed and, for PQ,
+// the FIFO sequence counter. The statistics counters are sharded.)
 // DeleteMin claims the first unmarked bottom-level node with an
 // atomic swap on its deleted flag and then physically unlinks it with the
 // ordinary skiplist deletion.
