@@ -22,11 +22,13 @@ race:
 # among them) and on the root's stress matrix (-short; it is
 # where the exchanger's slot race lived unseen), and the benchmark module's
 # vet and smoke (the line CI's bench-module job runs; bench/ is a nested
-# module that `./...` does not reach). core's sharded counters also race at
-# one P (every op on one shard) and at more Ps than cores.
+# module that `./...` does not reach). core's and lockfree's sharded
+# counters also race at one P (every op on one shard) and at more Ps than
+# cores.
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
 	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray' ./internal/core/
+	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/
 	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
 	cd bench && go vet . && go test -short .

@@ -31,7 +31,7 @@ type Heap[K Ordered, V any] struct {
 // skiplist-shape options are ignored.
 func NewHeap[K Ordered, V any](capacity int, opts ...Option) *Heap[K, V] {
 	h := cheap.New[K, V](capacity)
-	if resolve(opts).Metrics {
+	if resolve(opts).metrics {
 		h.EnableMetrics()
 	}
 	return &Heap[K, V]{h: h}
@@ -76,7 +76,7 @@ type GlobalLockHeap[K Ordered, V any] struct {
 // WithMetrics applies.
 func NewGlobalLockHeap[K Ordered, V any](opts ...Option) *GlobalLockHeap[K, V] {
 	h := glheap.New[K, V]()
-	if resolve(opts).Metrics {
+	if resolve(opts).metrics {
 		h.EnableMetrics()
 	}
 	return &GlobalLockHeap[K, V]{h: h}
@@ -111,7 +111,7 @@ type FunnelList[K Ordered, V any] struct {
 // applies.
 func NewFunnelList[K Ordered, V any](opts ...Option) *FunnelList[K, V] {
 	return &FunnelList[K, V]{l: funnel.New[K, V](funnel.Config{
-		Metrics: resolve(opts).Metrics,
+		Metrics: resolve(opts).metrics,
 	})}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // BenchmarkSkipQueue measures the observability layer's cost on the mixed
-// workload: the same queue and load with probes disabled (the default) and
-// enabled. The disabled case is the one that matters for the library's
-// baseline — every probe site must shrink to a nil check. A local probe:
-// the figure of record is obs.overhead_share in the benchmark's traced run
-// (bench/README.md).
+// workload: the same queue and load without and with WithMetrics, and with
+// a flight recorder. The queue counts always and WithMetrics only publishes
+// the counts, so MetricsOff and MetricsOn run the same operation code and
+// should read alike. A local probe: the figure of record is
+// obs.overhead_share in the benchmark's traced run (bench/README.md).
 func BenchmarkSkipQueue(b *testing.B) {
 	for _, mode := range []struct {
 		name string

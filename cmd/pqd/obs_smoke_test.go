@@ -171,7 +171,7 @@ func TestObsSmoke(t *testing.T) {
 // smoke: boot the daemon with -backend spray, drive real traffic, and
 // require every metric in testdata/metrics_spray.golden — the published
 // spray catalog (spray.walks, spray.collisions, claim.retries,
-// scan.fallbacks, the pop histogram) merged with the lock-free
+// scan.fallbacks, scan.pops) merged with the core
 // substrate's probes under the skipqueue.spray set.
 func TestObsSmokeSpray(t *testing.T) {
 	d := boot(t, "-admin", "127.0.0.1:0", "-backend", "spray", "-spray-k", "4",

@@ -12,12 +12,13 @@ import (
 	"skipqueue/internal/xrand"
 )
 
-// runMetrics drives the four native queue families through a short mixed
+// runMetrics drives the native queue families through a short mixed
 // workload with the observability probes on and prints each family's
-// snapshot: per-operation latency histograms plus the contention counters
-// specific to its synchronization design (lock retries for the skiplist, CAS
-// retries and helping for the lock-free queue, bit-reversal lock chases for
-// the Hunt heap, combining depth for the funnel). Unlike the simulated
+// snapshot: the contention counters specific to its synchronization design
+// (lock retries for the skiplist, CAS retries and helping for the lock-free
+// queue, bit-reversal lock chases for the Hunt heap, combining depth for the
+// funnel), plus per-operation latency histograms for the heap and funnel
+// baselines. Unlike the simulated
 // experiments above, this measures the real Go implementations on the host.
 func runMetrics(w *os.File, workers int, d time.Duration, seed uint64, outPath string) {
 	fmt.Fprintf(w, "# Observability: native queues under a mixed workload (workers=%d duration=%v)\n\n",

@@ -25,39 +25,38 @@ import "skipqueue/internal/elim"
 // (-backend elim, -backend elimsharded). All methods are safe for
 // concurrent use.
 type ElimPQ[V any] struct {
-	e     *elim.PQ[V]
-	inner Instrumented
+	e       *elim.PQ[V]
+	inner   Instrumented
+	metrics bool
 }
 
 // NewElimPQ returns an elimination front-end over a strict multiset PQ.
 // slots is the exchanger array length (0 selects one slot per core, minimum
-// 4); the options configure the inner queue, with WithMetrics also enabling
-// the front-end's own "skipqueue.elim" probe set.
+// 4); the options configure the inner queue, with WithMetrics also
+// publishing the front-end's own "skipqueue.elim" probe set.
 func NewElimPQ[V any](slots int, opts ...Option) *ElimPQ[V] {
-	cfg := resolve(opts)
+	o := resolve(opts)
 	inner := NewPQ[V](opts...)
 	e := elim.New[V](inner, elim.Config{
-		Slots:   slots,
-		Clock:   inner.q.Now, // one clock across exchange and skiplist stamps
-		Metrics: cfg.Metrics,
-		Flight:  cfg.Flight,
+		Slots:  slots,
+		Clock:  inner.q.Now, // one clock across exchange and skiplist stamps
+		Flight: o.Flight,
 	})
-	return &ElimPQ[V]{e: e, inner: inner}
+	return &ElimPQ[V]{e: e, inner: inner, metrics: o.metrics}
 }
 
 // NewElimShardedPQ returns an elimination front-end over a relaxed
 // ShardedPQ with the given shard count (0 selects two shards per
 // GOMAXPROCS). slots and opts are as in NewElimPQ.
 func NewElimShardedPQ[V any](slots, shards int, opts ...Option) *ElimPQ[V] {
-	cfg := resolve(opts)
+	o := resolve(opts)
 	inner := NewShardedPQ[V](shards, opts...)
 	e := elim.New[V](inner, elim.Config{
-		Slots:   slots,
-		Clock:   inner.q.Stamp,
-		Metrics: cfg.Metrics,
-		Flight:  cfg.Flight,
+		Slots:  slots,
+		Clock:  inner.q.Stamp,
+		Flight: o.Flight,
 	})
-	return &ElimPQ[V]{e: e, inner: inner}
+	return &ElimPQ[V]{e: e, inner: inner, metrics: o.metrics}
 }
 
 // Push adds value with the given priority, through the exchanger when an
@@ -81,9 +80,12 @@ func (pq *ElimPQ[V]) Len() int { return pq.e.Len() }
 func (pq *ElimPQ[V]) Slots() int { return pq.e.Slots() }
 
 // Snapshot merges the front-end's "skipqueue.elim" probes (exchange hits,
-// misses, timeouts, fall-throughs, exchange-wait latency) with the inner
-// queue's own snapshot. Zero-valued without WithMetrics.
+// misses, timeouts, fall-throughs) with the inner queue's own snapshot.
+// Zero-valued without WithMetrics.
 func (pq *ElimPQ[V]) Snapshot() Snapshot {
+	if !pq.metrics {
+		return Snapshot{}
+	}
 	return pq.e.ObsSnapshot().Merge(pq.inner.Snapshot())
 }
 

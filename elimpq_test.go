@@ -65,7 +65,7 @@ func TestElimPQSnapshotMerges(t *testing.T) {
 	if got := snap.Counter("fallthrough.pushes"); got != 1 {
 		t.Fatalf("fallthrough.pushes = %d, want 1 (elim probes missing from merge)", got)
 	}
-	if hv, ok := snap.Hist("insert"); !ok || hv.Count == 0 {
+	if snap.Counter("scan.steps") == 0 {
 		t.Fatal("inner queue probes missing from merged snapshot")
 	}
 	if q.Slots() != 4 {

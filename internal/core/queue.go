@@ -36,7 +36,6 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"skipqueue/internal/flight"
 	"skipqueue/internal/obs"
@@ -77,16 +76,9 @@ type Config struct {
 	// Seed seeds the level generator. Two queues with the same seed and the
 	// same single-threaded operation sequence build identical towers.
 	Seed uint64
-	// Metrics enables the observability probes (internal/obs): operation
-	// latency histograms and contention counters, readable with
-	// Queue.ObsSnapshot. Disabled, every probe is a nil pointer and each
-	// probe site costs one predictable nil check — there is no build tag
-	// and no indirection to strip.
-	Metrics bool
 	// Flight, if non-nil, receives a flight-recorder event for every lock
-	// re-acquisition (flight.KLockRetry, arg = level). Independent of
-	// Metrics: the recorder is nil-safe, so a nil Flight costs one nil
-	// check per contention site.
+	// re-acquisition (flight.KLockRetry, arg = level). The recorder is
+	// nil-safe, so a nil Flight costs one nil check per contention site.
 	Flight *flight.Recorder
 }
 
@@ -118,58 +110,20 @@ const (
 	statsShards = 16 // a power of two; obs.ShardHint picks one per operation
 )
 
-// statsShard is one shard of the operation counters; Stats sums them. The
-// padding keeps two shards' counters a cache line apart wherever the Queue
-// is allocated.
+// statsShard is one shard of the operation counters, the queue's only
+// counts: Stats and ObsSnapshot both sum them. The trailing line keeps two
+// shards' counters a cache line apart wherever the Queue is allocated.
 type statsShard struct {
 	inserts     atomic.Uint64
 	updates     atomic.Uint64
 	deleteMins  atomic.Uint64
 	empties     atomic.Uint64
 	scanSteps   atomic.Uint64
-	scanSkips   atomic.Uint64
+	scanSkips   atomic.Uint64 // marked and young skips; young = scanSkips − markedSkips
+	markedSkips atomic.Uint64 // scan steps over already-claimed nodes, lost claims included
+	claimFails  atomic.Uint64 // claim SWAPs lost to a racing deleter
 	lockRetries atomic.Uint64
-	_           [2*cacheLine - 7*8]byte
-}
-
-// probes are the queue's observability hooks. All fields are nil when
-// Config.Metrics is false: the obs types are nil-safe, so probe sites in the
-// hot paths stay unconditional while compiling down to a nil check. Sites
-// that must do extra work only under metrics (reading the wall clock,
-// classifying a skip) gate on set.Enabled().
-type probes struct {
-	set *obs.Set
-	fr  *flight.Recorder // contention event sink, nil-safe, set per Config.Flight
-
-	insertLat *obs.Hist // Insert critical section, search to linked
-	deleteLat *obs.Hist // DeleteMin critical section, scan to unlinked
-
-	lockRetries *obs.Counter // getLock/getLockFor re-acquisitions
-	claimFails  *obs.Counter // DeleteMin claim SWAPs lost to a racing deleter
-	markedSkips *obs.Counter // scan steps over already-claimed nodes
-	youngSkips  *obs.Counter // scan steps over too-new nodes (strict mode)
-	scanSteps   *obs.Counter // bottom-level nodes visited by DeleteMin
-}
-
-// newProbes registers the probe set, or returns zero probes (all nil) when
-// metrics are disabled. The flight recorder rides along independently of
-// the metrics switch: both are nil-safe, so either can run alone.
-func newProbes(enabled bool, fr *flight.Recorder) probes {
-	if !enabled {
-		return probes{fr: fr}
-	}
-	set := obs.NewSet("skipqueue.core")
-	return probes{
-		set:         set,
-		fr:          fr,
-		insertLat:   set.Durations("insert"),
-		deleteLat:   set.Durations("deletemin"),
-		lockRetries: set.Counter("lock.retries"),
-		claimFails:  set.Counter("claim.cas_fails"),
-		markedSkips: set.Counter("scan.marked_skips"),
-		youngSkips:  set.Counter("scan.young_skips"),
-		scanSteps:   set.Counter("scan.steps"),
-	}
+	_           [cacheLine]byte
 }
 
 // Queue is the SkipQueue. It is safe for any number of goroutines to call
@@ -180,7 +134,6 @@ type Queue[K ordered, V any] struct {
 	cfg  Config
 	head *node[K, V] // sentinel, full-height tower, key unused
 	tail *node[K, V] // sentinel terminating every level, key unused
-	obs  probes
 
 	// tracer, when non-nil, receives one event per completed operation,
 	// carrying the clock stamps the correctness proof of Section 4.2 orders
@@ -244,7 +197,6 @@ func (q *Queue[K, V]) SetTracer(fn func(TraceEvent[K])) {
 func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	cfg = cfg.withDefaults()
 	q := &Queue[K, V]{cfg: cfg}
-	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zeroK K
 	var zeroV V
@@ -319,12 +271,29 @@ func (q *Queue[K, V]) Stats() Stats {
 	return s
 }
 
-// Obs returns the queue's probe set (nil when built without Config.Metrics).
-func (q *Queue[K, V]) Obs() *obs.Set { return q.obs.set }
-
-// ObsSnapshot reads every observability probe once (relaxed snapshot, see
-// Stats). When metrics are disabled the snapshot reports Enabled == false.
-func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot { return q.obs.set.Snapshot() }
+// ObsSnapshot publishes the contention counters as the "skipqueue.core"
+// probe set, summed from the stats shards when it is called (relaxed
+// snapshot, see Stats). Each shard's markedSkips is read before its
+// scanSkips, the reverse of DeleteMin's adds, so the young skips never read
+// negative.
+func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot {
+	var lockRetries, claimFails, marked, skips, steps uint64
+	for i := range q.stats {
+		sh := &q.stats[i]
+		lockRetries += sh.lockRetries.Load()
+		claimFails += sh.claimFails.Load()
+		marked += sh.markedSkips.Load()
+		skips += sh.scanSkips.Load()
+		steps += sh.scanSteps.Load()
+	}
+	return obs.Snapshot{Name: "skipqueue.core", Enabled: true, Counters: []obs.CounterValue{
+		{Name: "lock.retries", Value: lockRetries},
+		{Name: "claim.cas_fails", Value: claimFails},
+		{Name: "scan.marked_skips", Value: marked},
+		{Name: "scan.young_skips", Value: skips - marked},
+		{Name: "scan.steps", Value: steps},
+	}}
+}
 
 // randomLevel implements the paper's randomLevel (Figure 9): a geometric
 // draw capped at maxLevel.
@@ -406,8 +375,7 @@ func (q *Queue[K, V]) getLockFor(st *statsShard, start, victim *node[K, V], leve
 // lockRetry counts one lock re-acquisition at level.
 func (q *Queue[K, V]) lockRetry(st *statsShard, level int) {
 	st.lockRetries.Add(1)
-	q.obs.lockRetries.Add(1)
-	q.obs.fr.Record(flight.KLockRetry, 0, int64(level))
+	q.cfg.Flight.Record(flight.KLockRetry, 0, int64(level))
 }
 
 // search fills saved with, for each level, the last node before (key, seq)
@@ -461,10 +429,6 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 // deleter consumed the value first, the Insert retries from scratch and
 // links a fresh node, so no inserted value is ever lost.
 func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
-	var t0 time.Time
-	if q.obs.set.Enabled() {
-		t0 = time.Now()
-	}
 	st := q.shard()
 	var stack [DefaultMaxLevel]*node[K, V]
 	savedNodes := q.savedBuf(&stack)
@@ -484,7 +448,6 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 			node1.links[0].mu.Unlock()
 			if old != nil {
 				st.updates.Add(1)
-				q.obs.insertLat.Since(t0)
 				return Updated
 			}
 			// A DeleteMin consumed the old value between our search and the
@@ -512,7 +475,6 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 		stamp := q.clock.Now()
 		nn.timeStamp.Store(stamp) // Figure 10 line 29
 		st.inserts.Add(1)
-		q.obs.insertLat.Since(t0)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
@@ -533,11 +495,6 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 
 // DeleteMinSeq is DeleteMin that also returns the element's seq.
 func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
-	var t0 time.Time
-	metered := q.obs.set.Enabled()
-	if metered {
-		t0 = time.Now()
-	}
 	var t int64
 	if !q.cfg.Relaxed {
 		t = q.clock.Now() // Figure 11 line 1
@@ -545,40 +502,41 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 
 	// Scan the bottom level for the first claimable node (lines 2–10). The
 	// claim (the SWAP of line 5) installs a ticket drawn from the clock just
-	// before the winning atomic; see node.deleted. The scan counts in
-	// locals, added to the counters once per operation.
+	// before the winning atomic; see node.deleted. One load of the mark per
+	// step both gates the claim and attributes the skip: an already-claimed
+	// node is deletion contention, a too-new timestamp is the strict
+	// ordering at work. The scan counts in locals, added to the operation's
+	// stats shard once.
 	var claim int64
-	var steps, skips, marked uint64
+	var steps, skips, marked, lost uint64
 	victim := q.head.loadNext(0)
 	for victim != q.tail {
 		steps++
-		if (q.cfg.Relaxed || victim.timeStamp.Load() < t) && victim.deleted.Load() == 0 {
+		if victim.deleted.Load() != 0 {
+			marked++
+		} else if q.cfg.Relaxed || victim.timeStamp.Load() < t {
 			claim = q.clock.Now()
 			if victim.deleted.CompareAndSwap(0, claim) {
 				break
 			}
-			// Lost the SWAP to a racing deleter.
-			q.obs.claimFails.Add(1)
-		}
-		skips++
-		// Attribute the skip: an already-claimed node is deletion
-		// contention, a too-new timestamp is the strict ordering at work.
-		if metered && victim.deleted.Load() != 0 {
+			// Lost the SWAP to a racing deleter: the node is marked now.
+			lost++
 			marked++
 		}
+		skips++
 		victim = victim.loadNext(0)
 	}
 	st := q.shard()
 	st.scanSteps.Add(steps)
 	st.scanSkips.Add(skips)
-	if metered {
-		q.obs.scanSteps.Add(steps)
-		q.obs.markedSkips.Add(marked)
-		q.obs.youngSkips.Add(skips - marked)
+	if marked != 0 {
+		st.markedSkips.Add(marked)
+	}
+	if lost != 0 {
+		st.claimFails.Add(lost)
 	}
 	if victim == q.tail {
 		st.empties.Add(1)
-		q.obs.deleteLat.Since(t0)
 		if q.tracer != nil {
 			// An EMPTY delete serializes at its response (Section 4.2).
 			q.tracer(TraceEvent[K]{Start: t, Stamp: q.clock.Now()})
@@ -592,7 +550,6 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 	st.deleteMins.Add(1)
 
 	q.remove(st, victim)
-	q.obs.deleteLat.Since(t0)
 	if q.tracer != nil {
 		q.tracer(TraceEvent[K]{Key: key, Seq: seq, OK: true, Start: t, Stamp: claim})
 	}

@@ -40,7 +40,7 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 	// Claim hunt along the bottom level. The sentinel head is born marked,
 	// so a walk that never left it (or bounced back onto it) steps off it
 	// here without counting a collision.
-	lost := 0
+	var lost uint64
 	for hunt := attempts * (jump + 1); hunt > 0 && curr != q.tail; hunt-- {
 		if curr.deleted.Load() == 0 {
 			if curr.deleted.CompareAndSwap(0, q.clock.Now()) {
@@ -49,11 +49,14 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 				}
 				st := q.shard()
 				st.deleteMins.Add(1)
+				if lost != 0 {
+					st.claimFails.Add(lost)
+				}
 				q.remove(st, curr)
 				return curr.key, curr.seq, value, true, collisions
 			}
-			q.obs.claimFails.Add(1)
-			if lost++; lost >= attempts {
+			if lost++; lost >= uint64(attempts) {
+				q.shard().claimFails.Add(lost)
 				return key, 0, value, false, collisions + 1
 			}
 		}
@@ -61,6 +64,9 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 			collisions++
 		}
 		curr = curr.loadNext(0)
+	}
+	if lost != 0 {
+		q.shard().claimFails.Add(lost)
 	}
 	return key, 0, value, false, collisions
 }

@@ -164,12 +164,9 @@ type Config struct {
 	// falls back to a private counter, fine when only ElimPQ's own events
 	// are recorded.
 	Clock func() int64
-	// Metrics enables the "skipqueue.elim" probe set (exchange hits,
-	// misses, timeouts, fall-throughs, exchange-wait latency).
-	Metrics bool
 	// Flight, if non-nil, receives a flight-recorder event for every
 	// completed exchange (flight.KElimExchange, arg = the exchanged
-	// priority). Independent of Metrics; nil costs one nil check per hit.
+	// priority); nil costs one nil check per hit.
 	Flight *flight.Recorder
 }
 
@@ -183,36 +180,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// probes are the elimination layer's observability hooks, all nil without
-// Config.Metrics (see internal/obs for the nil-safe discipline).
+// probes are the elimination layer's "skipqueue.elim" counters, always
+// counted; the wrapped queue counts its own operations.
 type probes struct {
 	set *obs.Set
 	fr  *flight.Recorder // exchange event sink, nil-safe, set per Config.Flight
 
-	hits        *obs.Counter // completed exchanges
-	misses      *obs.Counter // eligible Pushes that found no empty slot
-	timeouts    *obs.Counter // published offers withdrawn unclaimed
-	ineligible  *obs.Counter // waiting offers skipped by Pops (key above queue min)
-	fallPushes  *obs.Counter // Pushes handled by the inner queue
-	fallPops    *obs.Counter // Pops handled by the inner queue
-	exchangeLat *obs.Hist    // publisher-side wait, publish to collected, on hits
+	hits       *obs.Counter // completed exchanges
+	misses     *obs.Counter // eligible Pushes that found no empty slot
+	timeouts   *obs.Counter // published offers withdrawn unclaimed
+	ineligible *obs.Counter // waiting offers skipped by Pops (key above queue min)
+	fallPushes *obs.Counter // Pushes handled by the inner queue
+	fallPops   *obs.Counter // Pops handled by the inner queue
 }
 
-func newProbes(enabled bool, fr *flight.Recorder) probes {
-	if !enabled {
-		return probes{fr: fr}
-	}
+func newProbes(fr *flight.Recorder) probes {
 	set := obs.NewSet("skipqueue.elim")
 	return probes{
-		set:         set,
-		fr:          fr,
-		hits:        set.Counter("exchange.hits"),
-		misses:      set.Counter("publish.misses"),
-		timeouts:    set.Counter("publish.timeouts"),
-		ineligible:  set.Counter("pop.ineligible"),
-		fallPushes:  set.Counter("fallthrough.pushes"),
-		fallPops:    set.Counter("fallthrough.pops"),
-		exchangeLat: set.Durations("exchange"),
+		set:        set,
+		fr:         fr,
+		hits:       set.Counter("exchange.hits"),
+		misses:     set.Counter("publish.misses"),
+		timeouts:   set.Counter("publish.timeouts"),
+		ineligible: set.Counter("pop.ineligible"),
+		fallPushes: set.Counter("fallthrough.pushes"),
+		fallPops:   set.Counter("fallthrough.pops"),
 	}
 }
 
@@ -242,7 +234,7 @@ func New[V any](inner multiset.Queue[V], cfg Config) *PQ[V] {
 	cfg = cfg.withDefaults()
 	p := &PQ[V]{cfg: cfg, inner: inner, slots: make([]slot[V], cfg.Slots)}
 	p.est.Store(math.MaxInt64)
-	p.obs = newProbes(cfg.Metrics, cfg.Flight)
+	p.obs = newProbes(cfg.Flight)
 	return p
 }
 
@@ -315,10 +307,6 @@ func (p *PQ[V]) tryExchangePush(priority int64, value V) bool {
 		p.obs.misses.Inc()
 		return false
 	}
-	var t0 time.Time
-	if p.obs.set.Enabled() {
-		t0 = time.Now()
-	}
 	deadline := time.Now().Add(p.cfg.Timeout)
 	for {
 		st := s.state.Load()
@@ -327,20 +315,18 @@ func (p *PQ[V]) tryExchangePush(priority int64, value V) bool {
 			// from (ver, waiting) not taken by this publisher is a claim:
 			// the offer was consumed.
 			p.obs.hits.Inc()
-			p.obs.exchangeLat.Since(t0)
 			p.obs.fr.Record(flight.KElimExchange, 0, priority)
 			return true
 		}
 		switch phaseOf(st) {
 		case phaseTaken:
 			if p.tracer != nil {
-				return p.collect(s, t0)
+				return p.collect(s)
 			}
 			// Try to hand the slot back; a racing publisher recycling it
 			// first is just as good.
 			s.state.CompareAndSwap(st, pack(ver, phaseEmpty))
 			p.obs.hits.Inc()
-			p.obs.exchangeLat.Since(t0)
 			p.obs.fr.Record(flight.KElimExchange, 0, priority)
 			return true
 		case phaseWaiting:
@@ -390,7 +376,7 @@ func (p *PQ[V]) publish(priority int64, value V) (*slot[V], uint64) {
 
 // collect finishes a hit on the publisher side: trace the insert half,
 // reset the slot, count the exchange.
-func (p *PQ[V]) collect(s *slot[V], t0 time.Time) bool {
+func (p *PQ[V]) collect(s *slot[V]) bool {
 	if p.tracer != nil {
 		p.tracer(Event{Insert: true, Priority: s.priority.Load(), Seq: s.seq, OK: true,
 			Stamp: s.insStamp, Done: p.now()})
@@ -398,7 +384,6 @@ func (p *PQ[V]) collect(s *slot[V], t0 time.Time) bool {
 	p.obs.fr.Record(flight.KElimExchange, 0, s.priority.Load())
 	p.reset(s)
 	p.obs.hits.Inc()
-	p.obs.exchangeLat.Since(t0)
 	return true
 }
 

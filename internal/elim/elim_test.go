@@ -27,7 +27,7 @@ func newStrict(seed uint64) (strictBackend, *core.Queue[int64, int64]) {
 // publish -> claim -> collect, checking phases, payload, and counters.
 func TestPublishClaimCollect(t *testing.T) {
 	inner, _ := newStrict(1)
-	p := New[int64](inner, Config{Slots: 2, Metrics: true})
+	p := New[int64](inner, Config{Slots: 2})
 
 	s, _ := p.publish(5, 50)
 	if s == nil {
@@ -45,7 +45,7 @@ func TestPublishClaimCollect(t *testing.T) {
 		t.Fatalf("claimed slot phase = %d, want taken", ph)
 	}
 
-	if !p.collect(s, time.Time{}) {
+	if !p.collect(s) {
 		t.Fatal("collect reported failure")
 	}
 	if ph := phaseOf(s.state.Load()); ph != phaseEmpty {
@@ -62,7 +62,7 @@ func TestPublishClaimCollect(t *testing.T) {
 // eligibility veto.
 func TestClaimSkipsOffersAboveQueueMin(t *testing.T) {
 	inner, _ := newStrict(1)
-	p := New[int64](inner, Config{Slots: 2, Metrics: true})
+	p := New[int64](inner, Config{Slots: 2})
 	inner.Push(1, 10)
 
 	if s, _ := p.publish(7, 70); s == nil {
@@ -119,7 +119,7 @@ func TestStaleClaimFailsAfterRepublish(t *testing.T) {
 // times out, withdraws, and lands in the inner queue.
 func TestPushTimeoutFallsThrough(t *testing.T) {
 	inner, q := newStrict(1)
-	p := New[int64](inner, Config{Slots: 2, Timeout: time.Millisecond, Metrics: true})
+	p := New[int64](inner, Config{Slots: 2, Timeout: time.Millisecond})
 
 	p.Push(5, 50)
 	if q.Len() != 1 {
@@ -144,7 +144,7 @@ func TestPushTimeoutFallsThrough(t *testing.T) {
 // occupied counts a miss and falls through without waiting.
 func TestPublishMissWhenArrayFull(t *testing.T) {
 	inner, q := newStrict(1)
-	p := New[int64](inner, Config{Slots: 1, Timeout: time.Minute, Metrics: true})
+	p := New[int64](inner, Config{Slots: 1, Timeout: time.Minute})
 
 	if s, _ := p.publish(3, 30); s == nil {
 		t.Fatal("first publish failed")
@@ -162,7 +162,7 @@ func TestPublishMissWhenArrayFull(t *testing.T) {
 // min-estimate goes straight to the inner queue.
 func TestIneligiblePushSkipsExchanger(t *testing.T) {
 	inner, _ := newStrict(1)
-	p := New[int64](inner, Config{Slots: 2, Timeout: time.Minute, Metrics: true})
+	p := New[int64](inner, Config{Slots: 2, Timeout: time.Minute})
 	p.est.Store(10)
 
 	p.Push(50, 0) // 50 > estimate 10: no publish, no wait
@@ -209,7 +209,7 @@ func exchangeOnce(t *testing.T, p *PQ[int64], key int64) {
 // element never touches the inner queue.
 func TestExchangeHandsOff(t *testing.T) {
 	inner, q := newStrict(1)
-	p := New[int64](inner, Config{Slots: 2, Timeout: 100 * time.Millisecond, Metrics: true})
+	p := New[int64](inner, Config{Slots: 2, Timeout: 100 * time.Millisecond})
 
 	exchangeOnce(t, p, 5)
 	if hits := p.ObsSnapshot().Counter("exchange.hits"); hits < 1 {
@@ -218,9 +218,6 @@ func TestExchangeHandsOff(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("inner Len = %d after elimination, want 0", q.Len())
 	}
-	if hv, ok := p.ObsSnapshot().Hist("exchange"); !ok || hv.Count < 1 {
-		t.Fatalf("exchange latency histogram not populated: %+v", hv)
-	}
 }
 
 // TestElimChurnConservation churns an ElimPQ over the strict queue from many
@@ -228,7 +225,7 @@ func TestExchangeHandsOff(t *testing.T) {
 // delivered exactly once, across both the exchange and queue paths.
 func TestElimChurnConservation(t *testing.T) {
 	inner, q := newStrict(7)
-	p := New[int64](inner, Config{Slots: 4, Timeout: 200 * time.Microsecond, Metrics: true})
+	p := New[int64](inner, Config{Slots: 4, Timeout: 200 * time.Microsecond})
 
 	workers := 8
 	perWorker := 1500
@@ -308,7 +305,7 @@ func TestElimDefinition1Lincheck(t *testing.T) {
 		mu.Unlock()
 	})
 	p := New[int64](inner, Config{
-		Slots: 4, Timeout: 300 * time.Microsecond, Clock: q.Now, Metrics: true,
+		Slots: 4, Timeout: 300 * time.Microsecond, Clock: q.Now,
 	})
 	p.SetTracer(func(e Event) {
 		mu.Lock()

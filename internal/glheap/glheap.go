@@ -9,7 +9,6 @@ package glheap
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"skipqueue/internal/obs"
@@ -39,7 +38,6 @@ func (a *item[K, V]) less(b *item[K, V]) bool {
 type Heap[K ordered, V any] struct {
 	mu    sync.Mutex
 	items []item[K, V]
-	size  atomic.Int64
 	obs   probes
 }
 
@@ -77,8 +75,12 @@ func (h *Heap[K, V]) EnableMetrics() { h.obs = newProbes() }
 // for the discipline).
 func (h *Heap[K, V]) ObsSnapshot() obs.Snapshot { return h.obs.set.Snapshot() }
 
-// Len returns the number of elements.
-func (h *Heap[K, V]) Len() int { return int(h.size.Load()) }
+// Len returns the number of elements, read under the lock.
+func (h *Heap[K, V]) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.items)
+}
 
 // Insert adds an element; it is InsertSeq with seq 0.
 func (h *Heap[K, V]) Insert(key K, val V) { h.InsertSeq(key, 0, val) }
@@ -96,7 +98,6 @@ func (h *Heap[K, V]) InsertSeq(key K, seq uint64, val V) bool {
 	h.items = append(h.items, item[K, V]{key, seq, val})
 	h.siftUp(len(h.items) - 1)
 	h.mu.Unlock()
-	h.size.Add(1)
 	h.obs.insertLat.Since(t0)
 	return true
 }
@@ -122,7 +123,6 @@ func (h *Heap[K, V]) DeleteMin() (key K, val V, ok bool) {
 		h.siftDown(0)
 	}
 	h.mu.Unlock()
-	h.size.Add(-1)
 	h.obs.deleteLat.Since(t0)
 	return top.key, top.val, true
 }
@@ -167,7 +167,7 @@ func (h *Heap[K, V]) siftDown(i int) {
 	}
 }
 
-// CheckInvariants verifies the heap order on a quiescent heap.
+// CheckInvariants verifies the heap order.
 func (h *Heap[K, V]) CheckInvariants() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -176,5 +176,5 @@ func (h *Heap[K, V]) CheckInvariants() bool {
 			return false
 		}
 	}
-	return len(h.items) == int(h.size.Load())
+	return true
 }

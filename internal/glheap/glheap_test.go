@@ -139,3 +139,33 @@ func TestConcurrentConservation(t *testing.T) {
 		t.Fatal("invariants after churn")
 	}
 }
+
+// TestLenNeverNegative: Len is read under the lock, so a sampler racing
+// push/pop pairs on a near-empty heap never sees a DeleteMin's decrement
+// before its Insert's increment.
+func TestLenNeverNegative(t *testing.T) {
+	h := New[int64, int64]()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				h.Insert(int64(w), 0)
+				h.DeleteMin()
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		if n := h.Len(); n < 0 {
+			t.Fatalf("Len = %d during churn", n)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}

@@ -22,7 +22,6 @@ package lockfree
 
 import (
 	"sync/atomic"
-	"time"
 
 	"skipqueue/internal/flight"
 	"skipqueue/internal/obs"
@@ -89,12 +88,9 @@ type Config struct {
 	P        float64
 	Relaxed  bool
 	Seed     uint64
-	// Metrics enables the observability probes (internal/obs); see the
-	// matching field on core.Config. Disabled, probes are nil pointers.
-	Metrics bool
 	// Flight, if non-nil, receives a flight-recorder event for every
-	// failed structural CAS (flight.KCASRetry). Independent of Metrics;
-	// nil costs one nil check per retry site.
+	// failed structural CAS (flight.KCASRetry); nil costs one nil check
+	// per retry site.
 	Flight *flight.Recorder
 }
 
@@ -122,8 +118,49 @@ type Stats struct {
 	Updates    uint64
 	DeleteMins uint64
 	Empties    uint64
-	CASRetries uint64 // failed CAS attempts across all operations
+	CASRetries uint64 // failed CAS attempts across all operations, lost claims included
 	Unlinks    uint64 // physical unlink CASes performed (including helping)
+}
+
+const (
+	cacheLine   = 64 // the false-sharing unit the counter shards pad to
+	statsShards = 16 // a power of two; obs.ShardHint picks one per operation
+)
+
+// statsShard is one shard of the operation counters, the queue's only
+// counts: Stats, Len and ObsSnapshot all sum them. The trailing line keeps
+// two shards' counters a cache line apart.
+type statsShard struct {
+	inserts      atomic.Uint64
+	updates      atomic.Uint64
+	deleteMins   atomic.Uint64
+	empties      atomic.Uint64
+	casRetries   atomic.Uint64 // failed structural CASes (lost claims are claimFails)
+	unlinks      atomic.Uint64 // physical unlink CASes (including helping)
+	claimFails   atomic.Uint64 // DeleteMin claim SWAPs lost to a racing deleter
+	markedHelps  atomic.Uint64 // marked nodes the scan helped unlink
+	youngSkips   atomic.Uint64 // nodes skipped for a too-new timestamp (strict)
+	claimedSkips atomic.Uint64 // nodes skipped because already claimed
+	_            [cacheLine]byte
+}
+
+// scanCounts are one DeleteMin scan's counts, kept in locals and added to
+// the operation's shard once. Most are zero on any one call, and a zero
+// adds nothing. The scan's steps are not counted: each step is a help, a
+// skip, a lost claim or the one won claim (see ObsSnapshot).
+type scanCounts struct{ helps, young, claimed, lost uint64 }
+
+func (c scanCounts) addTo(st *statsShard) {
+	add(&st.markedHelps, c.helps)
+	add(&st.youngSkips, c.young)
+	add(&st.claimedSkips, c.claimed)
+	add(&st.claimFails, c.lost)
+}
+
+func add(w *atomic.Uint64, n uint64) {
+	if n != 0 {
+		w.Add(n)
+	}
 }
 
 // Queue is the lock-free SkipQueue. Construct with New. All methods are
@@ -133,7 +170,6 @@ type Queue[K ordered, V any] struct {
 	clock *vclock.Clock
 	head  *node[K, V]
 	tail  *node[K, V]
-	size  atomic.Int64
 
 	levelSeed atomic.Uint64
 
@@ -142,58 +178,45 @@ type Queue[K ordered, V any] struct {
 	// requires strict mode.
 	tracer func(TraceEvent[K])
 
-	stInserts    atomic.Uint64
-	stUpdates    atomic.Uint64
-	stDeleteMins atomic.Uint64
-	stEmpties    atomic.Uint64
-	stCASRetries atomic.Uint64
-	stUnlinks    atomic.Uint64
-
-	obs probes
+	_     [cacheLine]byte
+	stats [statsShards]statsShard
 }
 
-// probes are the queue's observability hooks, all nil when Config.Metrics is
-// false (the obs types are nil-safe; see core.probes for the pattern).
-type probes struct {
-	set *obs.Set
-	fr  *flight.Recorder // contention event sink, nil-safe, set per Config.Flight
-
-	insertLat *obs.Hist // Insert, search to fully linked
-	deleteLat *obs.Hist // DeleteMin, scan to marked-and-unlinked
-
-	casRetries   *obs.Counter // failed structural CASes across all operations
-	unlinks      *obs.Counter // physical unlink CASes (including helping)
-	claimFails   *obs.Counter // DeleteMin claim SWAPs lost to a racing deleter
-	markedHelps  *obs.Counter // marked nodes the scan helped unlink
-	youngSkips   *obs.Counter // nodes skipped for a too-new timestamp (strict)
-	claimedSkips *obs.Counter // nodes skipped because already claimed
-	scanSteps    *obs.Counter // bottom-level nodes visited by DeleteMin
+// shard returns the calling operation's stats shard.
+func (q *Queue[K, V]) shard() *statsShard {
+	return &q.stats[obs.ShardHint()&(statsShards-1)]
 }
 
-func newProbes(enabled bool, fr *flight.Recorder) probes {
-	if !enabled {
-		return probes{fr: fr}
+// ObsSnapshot publishes the counters as the "skipqueue.lockfree" probe set,
+// summed from the stats shards when it is called. It follows the relaxed
+// discipline documented on core.Queue.Stats: each shard is loaded
+// atomically, the sum is not a consistent cut. cas.retries counts
+// structural retries only; Stats.CASRetries adds the lost claims.
+// scan.steps is derived: every step DeleteMin takes is a marked help, a
+// young or claimed skip, a lost claim, or the claim that returns.
+func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot {
+	var retries, unlinks, claimFails, helps, young, claimed, won uint64
+	for i := range q.stats {
+		sh := &q.stats[i]
+		retries += sh.casRetries.Load()
+		unlinks += sh.unlinks.Load()
+		claimFails += sh.claimFails.Load()
+		helps += sh.markedHelps.Load()
+		young += sh.youngSkips.Load()
+		claimed += sh.claimedSkips.Load()
+		won += sh.deleteMins.Load()
 	}
-	set := obs.NewSet("skipqueue.lockfree")
-	return probes{
-		set:          set,
-		fr:           fr,
-		insertLat:    set.Durations("insert"),
-		deleteLat:    set.Durations("deletemin"),
-		casRetries:   set.Counter("cas.retries"),
-		unlinks:      set.Counter("cas.unlinks"),
-		claimFails:   set.Counter("claim.cas_fails"),
-		markedHelps:  set.Counter("scan.marked_helps"),
-		youngSkips:   set.Counter("scan.young_skips"),
-		claimedSkips: set.Counter("scan.claimed_skips"),
-		scanSteps:    set.Counter("scan.steps"),
-	}
+	steps := helps + young + claimed + claimFails + won
+	return obs.Snapshot{Name: "skipqueue.lockfree", Enabled: true, Counters: []obs.CounterValue{
+		{Name: "cas.retries", Value: retries},
+		{Name: "cas.unlinks", Value: unlinks},
+		{Name: "claim.cas_fails", Value: claimFails},
+		{Name: "scan.marked_helps", Value: helps},
+		{Name: "scan.young_skips", Value: young},
+		{Name: "scan.claimed_skips", Value: claimed},
+		{Name: "scan.steps", Value: steps},
+	}}
 }
-
-// ObsSnapshot reads every probe once. The snapshot follows the relaxed
-// discipline documented on core.Queue.Stats: each probe is loaded
-// atomically, the set is not a consistent cut.
-func (q *Queue[K, V]) ObsSnapshot() obs.Snapshot { return q.obs.set.Snapshot() }
 
 // TraceEvent mirrors core.TraceEvent for history checking: Key and Seq are
 // the inserted or the deleted element's position (Seq is zero for plain
@@ -224,7 +247,6 @@ func (q *Queue[K, V]) SetTracer(fn func(TraceEvent[K])) {
 func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	cfg = cfg.withDefaults()
 	q := &Queue[K, V]{cfg: cfg, clock: new(vclock.Clock)}
-	q.obs = newProbes(cfg.Metrics, cfg.Flight)
 	q.levelSeed.Store(cfg.Seed)
 	var zero K
 	q.tail = q.newNode(zero, 0, *new(V), cfg.MaxLevel)
@@ -270,29 +292,52 @@ func (q *Queue[K, V]) randomLevel() int {
 	return l
 }
 
-// Len returns the number of elements (snapshot).
-func (q *Queue[K, V]) Len() int { return int(q.size.Load()) }
+// Len returns Inserts minus DeleteMins: exact when the queue is quiescent, a
+// best-effort snapshot otherwise. A delete can claim a node (and count)
+// before the node's Insert counts, so DeleteMins is read first and the
+// result floored at 0.
+func (q *Queue[K, V]) Len() int {
+	var deleted, inserted uint64
+	for i := range q.stats {
+		deleted += q.stats[i].deleteMins.Load()
+	}
+	for i := range q.stats {
+		inserted += q.stats[i].inserts.Load()
+	}
+	return int(max(inserted, deleted) - deleted)
+}
 
 // Relaxed reports whether the queue skips the timestamp mechanism.
 func (q *Queue[K, V]) Relaxed() bool { return q.cfg.Relaxed }
 
-// Stats returns a snapshot of the operation counters.
+// Stats returns a snapshot of the operation counters (relaxed, as
+// ObsSnapshot).
 func (q *Queue[K, V]) Stats() Stats {
-	return Stats{
-		Inserts:    q.stInserts.Load(),
-		Updates:    q.stUpdates.Load(),
-		DeleteMins: q.stDeleteMins.Load(),
-		Empties:    q.stEmpties.Load(),
-		CASRetries: q.stCASRetries.Load(),
-		Unlinks:    q.stUnlinks.Load(),
+	var s Stats
+	for i := range q.stats {
+		sh := &q.stats[i]
+		s.Inserts += sh.inserts.Load()
+		s.Updates += sh.updates.Load()
+		s.DeleteMins += sh.deleteMins.Load()
+		s.Empties += sh.empties.Load()
+		s.CASRetries += sh.casRetries.Load() + sh.claimFails.Load()
+		s.Unlinks += sh.unlinks.Load()
 	}
+	return s
+}
+
+// casRetry counts one failed structural CAS in st.
+func (q *Queue[K, V]) casRetry(st *statsShard) {
+	st.casRetries.Add(1)
+	q.cfg.Flight.Record(flight.KCASRetry, 0, 0)
 }
 
 // find locates the predecessor and successor of (key, seq) at every level,
 // physically unlinking any marked node it passes (the helping protocol).
 // It reports whether an unmarked node at exactly (key, seq) was found at
-// the bottom level. preds/succs must have length MaxLevel.
-func (q *Queue[K, V]) find(key K, seq uint64, target *node[K, V], preds, succs []*node[K, V]) bool {
+// the bottom level. preds/succs must have length MaxLevel; retries and
+// unlinks count in st, the calling operation's stats shard.
+func (q *Queue[K, V]) find(st *statsShard, key K, seq uint64, target *node[K, V], preds, succs []*node[K, V]) bool {
 retry:
 	for {
 		pred := q.head
@@ -303,20 +348,12 @@ retry:
 				// Unlink marked nodes encountered at this level.
 				for mk != nil && mk.marked {
 					predMk := pred.loadNext(level)
-					if predMk.next != curr || predMk.marked {
-						q.stCASRetries.Add(1)
-						q.obs.casRetries.Add(1)
-						q.obs.fr.Record(flight.KCASRetry, 0, 0)
+					if predMk.next != curr || predMk.marked ||
+						!pred.next[level].CompareAndSwap(predMk, &markable[K, V]{next: mk.next}) {
+						q.casRetry(st)
 						continue retry
 					}
-					if !pred.next[level].CompareAndSwap(predMk, &markable[K, V]{next: mk.next}) {
-						q.stCASRetries.Add(1)
-						q.obs.casRetries.Add(1)
-						q.obs.fr.Record(flight.KCASRetry, 0, 0)
-						continue retry
-					}
-					q.stUnlinks.Add(1)
-					q.obs.unlinks.Add(1)
+					st.unlinks.Add(1)
 					curr = mk.next
 					mk = curr.loadNext(level)
 				}
@@ -356,29 +393,23 @@ func (q *Queue[K, V]) Insert(key K, value V) bool {
 // As in the lock-based queue, a collision with a node already claimed by a
 // DeleteMin retries with a fresh node, so no insert is silently lost.
 func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
-	var t0 time.Time
-	if q.obs.set.Enabled() {
-		t0 = time.Now()
-	}
+	st := q.shard()
 	var predsA, succsA [maxLevelCap]*node[K, V]
 	preds, succs := predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel]
 	for {
-		if q.find(key, seq, nil, preds, succs) {
+		if q.find(st, key, seq, nil, preds, succs) {
 			// Position present: this lock-free variant treats the existing
 			// node as current if unclaimed. (A full lock-free replace would
 			// need per-node value CAS; the queue's workloads use unique
 			// positions.)
 			existing := succs[0]
 			if existing.claimed.Load() == 0 {
-				q.stUpdates.Add(1)
-				q.obs.insertLat.Since(t0)
+				st.updates.Add(1)
 				return false
 			}
 			// Claimed: it is logically gone; retry until it is unlinked so
 			// the new node can take its place.
-			q.stCASRetries.Add(1)
-			q.obs.casRetries.Add(1)
-			q.obs.fr.Record(flight.KCASRetry, 0, 0)
+			q.casRetry(st)
 			continue
 		}
 
@@ -389,16 +420,9 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 		}
 		// Linearization point: link at the bottom level.
 		predMk := preds[0].loadNext(0)
-		if predMk.next != succs[0] || predMk.marked {
-			q.stCASRetries.Add(1)
-			q.obs.casRetries.Add(1)
-			q.obs.fr.Record(flight.KCASRetry, 0, 0)
-			continue
-		}
-		if !preds[0].next[0].CompareAndSwap(predMk, &markable[K, V]{next: nn}) {
-			q.stCASRetries.Add(1)
-			q.obs.casRetries.Add(1)
-			q.obs.fr.Record(flight.KCASRetry, 0, 0)
+		if predMk.next != succs[0] || predMk.marked ||
+			!preds[0].next[0].CompareAndSwap(predMk, &markable[K, V]{next: nn}) {
+			q.casRetry(st)
 			continue
 		}
 
@@ -412,9 +436,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 				succ := succs[level]
 				if mk.next != succ {
 					if !nn.next[level].CompareAndSwap(mk, &markable[K, V]{next: succ}) {
-						q.stCASRetries.Add(1)
-						q.obs.casRetries.Add(1)
-						q.obs.fr.Record(flight.KCASRetry, 0, 0)
+						q.casRetry(st)
 						continue
 					}
 				}
@@ -423,18 +445,14 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 					preds[level].next[level].CompareAndSwap(predMk, &markable[K, V]{next: nn}) {
 					break
 				}
-				q.stCASRetries.Add(1)
-				q.obs.casRetries.Add(1)
-				q.obs.fr.Record(flight.KCASRetry, 0, 0)
-				q.find(key, seq, nn, preds, succs)
+				q.casRetry(st)
+				q.find(st, key, seq, nn, preds, succs)
 			}
 		}
 
 		stamp := q.clock.Now()
 		nn.stamp.Store(stamp)
-		q.size.Add(1)
-		q.stInserts.Add(1)
-		q.obs.insertLat.Since(t0)
+		st.inserts.Add(1)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
@@ -455,51 +473,39 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) bool {
 // pointer; every pointer it follows was therefore loaded, unmarked, after
 // the scan's start, and cannot skip an eligible element.
 func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
-	var t0 time.Time
-	metered := q.obs.set.Enabled()
-	if metered {
-		t0 = time.Now()
-	}
 	var t int64
 	if !q.cfg.Relaxed {
 		t = q.clock.Now()
 	}
+	st := q.shard()
+	// The scan counts in locals, added to st once on the way out.
+	var sc scanCounts
 retry:
 	for {
 		pred := q.head // the head's pairs are never marked
 		curr := pred.loadNext(0).next
 		for !curr.isTail {
-			q.obs.scanSteps.Add(1)
 			mk := curr.loadNext(0)
 			if mk.marked {
-				q.obs.markedHelps.Add(1)
+				sc.helps++
 				predMk := pred.loadNext(0)
-				if predMk.marked || predMk.next != curr {
-					q.stCASRetries.Add(1)
-					q.obs.casRetries.Add(1)
-					q.obs.fr.Record(flight.KCASRetry, 0, 0)
+				if predMk.marked || predMk.next != curr ||
+					!pred.next[0].CompareAndSwap(predMk, &markable[K, V]{next: mk.next}) {
+					q.casRetry(st)
 					continue retry
 				}
-				if !pred.next[0].CompareAndSwap(predMk, &markable[K, V]{next: mk.next}) {
-					q.stCASRetries.Add(1)
-					q.obs.casRetries.Add(1)
-					q.obs.fr.Record(flight.KCASRetry, 0, 0)
-					continue retry
-				}
-				q.stUnlinks.Add(1)
-				q.obs.unlinks.Add(1)
+				st.unlinks.Add(1)
 				curr = mk.next
 				continue
 			}
-			stampV := curr.stamp.Load()
-			claimV := curr.claimed.Load()
-			if (q.cfg.Relaxed || stampV < t) && claimV == 0 {
+			if curr.claimed.Load() != 0 {
+				sc.claimed++
+			} else if q.cfg.Relaxed || curr.stamp.Load() < t {
 				ticket := q.clock.Now()
 				if curr.claimed.CompareAndSwap(0, ticket) {
-					q.remove(curr)
-					q.size.Add(-1)
-					q.stDeleteMins.Add(1)
-					q.obs.deleteLat.Since(t0)
+					q.remove(st, curr)
+					st.deleteMins.Add(1)
+					sc.addTo(st)
 					if q.tracer != nil {
 						q.tracer(TraceEvent[K]{Key: curr.key, Seq: curr.seq, OK: true, Start: t, Stamp: ticket})
 					}
@@ -507,22 +513,16 @@ retry:
 				}
 				// Lost the claim race; re-examine curr (it is claimed now
 				// and will be skipped or unlinked above).
-				q.stCASRetries.Add(1)
-				q.obs.claimFails.Add(1)
+				sc.lost++
 				continue
-			}
-			if metered {
-				if claimV != 0 {
-					q.obs.claimedSkips.Add(1)
-				} else {
-					q.obs.youngSkips.Add(1)
-				}
+			} else {
+				sc.young++
 			}
 			pred = curr
 			curr = mk.next
 		}
-		q.stEmpties.Add(1)
-		q.obs.deleteLat.Since(t0)
+		st.empties.Add(1)
+		sc.addTo(st)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Start: t, Stamp: q.clock.Now()})
 		}
@@ -538,7 +538,7 @@ retry:
 // cheaper than an eager full-height search per delete.
 // Tower nodes keep the eager search because their upper-level links
 // lengthen every subsequent search path until someone cleans them.
-func (q *Queue[K, V]) remove(victim *node[K, V]) {
+func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
 	for level := victim.topLevel - 1; level >= 0; level-- {
 		for {
 			mk := victim.loadNext(level)
@@ -548,16 +548,14 @@ func (q *Queue[K, V]) remove(victim *node[K, V]) {
 			if victim.next[level].CompareAndSwap(mk, &markable[K, V]{next: mk.next, marked: true}) {
 				break
 			}
-			q.stCASRetries.Add(1)
-			q.obs.casRetries.Add(1)
-			q.obs.fr.Record(flight.KCASRetry, 0, 0)
+			q.casRetry(st)
 		}
 	}
 	if victim.topLevel <= 1 {
 		return
 	}
 	var predsA, succsA [maxLevelCap]*node[K, V]
-	q.find(victim.key, victim.seq, victim, predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel])
+	q.find(st, victim.key, victim.seq, victim, predsA[:q.cfg.MaxLevel], succsA[:q.cfg.MaxLevel])
 }
 
 // PeekMin returns the current minimum without removing it (advisory).

@@ -308,3 +308,18 @@ func TestCASRetriesRecorded(t *testing.T) {
 		t.Fatalf("no unlinks recorded: %+v", st)
 	}
 }
+
+// TestLenNeverNegative: a DeleteMin can claim a node and count itself
+// before the node's Insert has counted, so a shard's DeleteMins may run
+// ahead of every Insert; Len must then report 0, never a negative length.
+func TestLenNeverNegative(t *testing.T) {
+	q := New[int64, int64](Config{})
+	q.stats[3].deleteMins.Add(1)
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len = %d with DeleteMins ahead of Inserts, want 0", n)
+	}
+	q.stats[5].inserts.Add(3)
+	if n := q.Len(); n != 2 {
+		t.Fatalf("Len = %d across shards, want 2", n)
+	}
+}

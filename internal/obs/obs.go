@@ -18,7 +18,13 @@
 // no-ops. A structure built without metrics holds nil probes and pays only a
 // predictable nil check per site — no build tags, no indirection through
 // interfaces. Callers that must spend extra work only when metrics are on
-// (drawing time.Time stamps, classifying a skip) gate on Set.Enabled.
+// (drawing time.Time stamps) gate on Set.Enabled.
+//
+// A structure that already keeps counts of its own needs none of this: the
+// skiplist family (internal/core, internal/lockfree) counts every event once
+// in padded shards of its own and fills a Snapshot with CounterValues when
+// it is read, and its front-ends (sharded, spray, elim) derive what another
+// layer already counts at that point instead of counting it again.
 package obs
 
 import (
@@ -166,10 +172,10 @@ func (h *Hist) Name() string {
 // can register probes unconditionally:
 //
 //	var set *obs.Set
-//	if cfg.Metrics {
-//		set = obs.NewSet("skipqueue.core")
+//	if metrics {
+//		set = obs.NewSet("skipqueue.globallock")
 //	}
-//	insertLat := set.Durations("insert")   // nil when metrics are off
+//	lockWait := set.Durations("lock.wait")   // nil when metrics are off
 type Set struct {
 	name     string
 	mu       sync.Mutex

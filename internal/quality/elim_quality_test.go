@@ -32,7 +32,7 @@ func TestElimOverShardedQuality(t *testing.T) {
 	rec := quality.NewRecorder(131072)
 	record(p, rec)
 	e := elim.New[uint64](p, elim.Config{
-		Slots: 4, Timeout: 200 * time.Microsecond, Clock: p.Stamp, Metrics: true,
+		Slots: 4, Timeout: 200 * time.Microsecond, Clock: p.Stamp,
 	})
 	recordElim(e, rec)
 

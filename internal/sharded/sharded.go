@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"skipqueue/internal/core"
 	"skipqueue/internal/flight"
@@ -68,10 +67,6 @@ type Config struct {
 	MaxLevel int
 	P        float64
 	Seed     uint64
-	// Metrics enables the observability probes: the "skipqueue.sharded"
-	// set (sampling retries, empty sweeps, per-shard pop counters) plus
-	// each shard's own core probes, merged into one snapshot.
-	Metrics bool
 	// Flight, if non-nil, receives a flight-recorder event for every Pop
 	// that exhausts its choice-of-two samples and falls back to the full
 	// empty-sweep (flight.KSweepFallback, arg = shard count), and is
@@ -111,39 +106,28 @@ type Event struct {
 	Stamp int64
 }
 
-// probes are the sharded layer's observability hooks, all nil without
-// Config.Metrics (see internal/obs for the nil-safe discipline).
+// probes are the sharded layer's own counters: the events no shard sees.
+// Per-shard pops are each shard's DeleteMins, read at snapshot time.
 type probes struct {
 	set *obs.Set
 	fr  *flight.Recorder // contention event sink, nil-safe, set per Config.Flight
 
-	sampleRetries *obs.Counter   // claim attempts lost to a racing Pop
-	sweeps        *obs.Counter   // Pops that fell back to the full sweep
-	sweepRescues  *obs.Counter   // sweeps that still found an element
-	empties       *obs.Counter   // Pops that returned EMPTY after a sweep
-	shardPops     []*obs.Counter // successful claims per shard
-	popLat        *obs.Hist      // whole-Pop latency, sampling included
+	sampleRetries *obs.Counter // claim attempts lost to a racing Pop
+	sweeps        *obs.Counter // Pops that fell back to the full sweep
+	sweepRescues  *obs.Counter // sweeps that still found an element
+	empties       *obs.Counter // Pops that returned EMPTY after a sweep
 }
 
-func newProbes(enabled bool, shards int, fr *flight.Recorder) probes {
-	if !enabled {
-		return probes{fr: fr}
-	}
+func newProbes(fr *flight.Recorder) probes {
 	set := obs.NewSet("skipqueue.sharded")
-	p := probes{
+	return probes{
 		set:           set,
 		fr:            fr,
 		sampleRetries: set.Counter("sample.retries"),
 		sweeps:        set.Counter("sweep.fallbacks"),
 		sweepRescues:  set.Counter("sweep.rescues"),
 		empties:       set.Counter("pop.empties"),
-		popLat:        set.Durations("pop"),
 	}
-	p.shardPops = make([]*obs.Counter, shards)
-	for i := range p.shardPops {
-		p.shardPops[i] = set.Counter(fmt.Sprintf("shard.%02d.pops", i))
-	}
-	return p
 }
 
 // PQ is the sharded multiset priority queue. All methods are safe for
@@ -175,14 +159,13 @@ func New[V any](cfg Config) *PQ[V] {
 			// order that sharding already gave up, so shards always run
 			// relaxed and skip the clock reads.
 			Relaxed: true,
-			Metrics: cfg.Metrics,
 			Flight:  cfg.Flight,
 		})
 	}
 	if n := uint64(cfg.Shards); n&(n-1) == 0 {
 		p.mask = n - 1
 	}
-	p.obs = newProbes(cfg.Metrics, cfg.Shards, cfg.Flight)
+	p.obs = newProbes(cfg.Flight)
 	return p
 }
 
@@ -233,10 +216,6 @@ func (p *PQ[V]) sample2() (int, int) {
 // then a full sweep of every shard, so ok is false only when a complete
 // scan found nothing claimable.
 func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
-	var t0 time.Time
-	if p.obs.set.Enabled() {
-		t0 = time.Now()
-	}
 	n := len(p.shards)
 	var start int
 sampling:
@@ -268,7 +247,7 @@ sampling:
 			break sampling
 		}
 		if k, seq, v, won := p.shards[pick].DeleteMinSeq(); won {
-			return p.finishPop(pick, k, seq, v, t0)
+			return p.finishPop(k, seq, v)
 		}
 		// The peeked element (and everything behind it) was claimed by
 		// racing Pops between our peek and our claim. Resample.
@@ -283,22 +262,17 @@ sampling:
 		s := (start + t) % n
 		if k, seq, v, won := p.shards[s].DeleteMinSeq(); won {
 			p.obs.sweepRescues.Inc()
-			return p.finishPop(s, k, seq, v, t0)
+			return p.finishPop(k, seq, v)
 		}
 	}
 	p.obs.empties.Inc()
-	p.obs.popLat.Since(t0)
 	if p.tracer != nil {
 		p.tracer(Event{Stamp: p.clock.Add(1)})
 	}
 	return 0, value, false
 }
 
-func (p *PQ[V]) finishPop(shard int, prio int64, seq uint64, v V, t0 time.Time) (int64, V, bool) {
-	if p.obs.set.Enabled() {
-		p.obs.shardPops[shard].Inc()
-		p.obs.popLat.Since(t0)
-	}
+func (p *PQ[V]) finishPop(prio int64, seq uint64, v V) (int64, V, bool) {
 	if p.tracer != nil {
 		p.tracer(Event{Priority: prio, Seq: seq, OK: true, Stamp: p.clock.Add(1)})
 	}
@@ -362,11 +336,16 @@ func (p *PQ[V]) ShardLens() []int {
 	return lens
 }
 
-// ObsSnapshot reads the sharded-layer probes and folds in every shard's
+// ObsSnapshot reads the sharded-layer probes, adds shard.NN.pops (shard NN's
+// DeleteMins: Pop is the shards' only deleter) and folds in every shard's
 // core probes (counters summed across shards), so one snapshot shows both
 // the sampling behaviour and the aggregate skiplist contention underneath.
 func (p *PQ[V]) ObsSnapshot() obs.Snapshot {
 	snap := p.obs.set.Snapshot()
+	for i, s := range p.shards {
+		snap.Counters = append(snap.Counters, obs.CounterValue{
+			Name: fmt.Sprintf("shard.%02d.pops", i), Value: s.Stats().DeleteMins})
+	}
 	for _, s := range p.shards {
 		snap = snap.Merge(s.ObsSnapshot())
 	}

@@ -150,10 +150,10 @@ func TestTracerEvents(t *testing.T) {
 	}
 }
 
-// TestObsProbes: with metrics on, pops are attributed to shards and the
-// merged snapshot carries both sharded-layer and core-layer counters.
+// TestObsProbes: pops are attributed to shards and the merged snapshot
+// carries both sharded-layer and core-layer counters.
 func TestObsProbes(t *testing.T) {
-	p := New[int64](Config{Shards: 4, Seed: 1, Metrics: true})
+	p := New[int64](Config{Shards: 4, Seed: 1})
 	for i := int64(0); i < 100; i++ {
 		p.Push(i, i)
 	}
@@ -177,25 +177,9 @@ func TestObsProbes(t *testing.T) {
 	if snap.Counter("sweep.fallbacks") == 0 || snap.Counter("pop.empties") != 1 {
 		t.Fatalf("sweep counters: fallbacks=%d empties=%d", snap.Counter("sweep.fallbacks"), snap.Counter("pop.empties"))
 	}
-	// Core counters from the shards must be folded in (inserts happen on
-	// every shard, so the aggregate must equal the push count).
-	if h, ok := snap.Hist("pop"); !ok || h.Count != 101 {
-		t.Fatalf("pop latency hist = %+v ok=%v, want 101 samples", h, ok)
-	}
+	// Core counters from the shards must be folded in.
 	if got := snap.Counter("scan.steps"); got == 0 {
 		t.Fatal("merged snapshot missing core scan.steps")
-	}
-}
-
-// TestMetricsOffIsZero: without metrics every probe is nil and the
-// snapshot reports disabled.
-func TestMetricsOffIsZero(t *testing.T) {
-	p := New[int64](Config{Shards: 2})
-	p.Push(1, 1)
-	p.Pop()
-	p.Pop()
-	if snap := p.ObsSnapshot(); snap.Enabled {
-		t.Fatalf("snapshot enabled without metrics: %+v", snap)
 	}
 }
 

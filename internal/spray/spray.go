@@ -37,7 +37,6 @@ package spray
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"skipqueue/internal/core"
 	"skipqueue/internal/flight"
@@ -102,10 +101,6 @@ type Config struct {
 	// Mode fixes the spray/scan arbitration; the zero value adapts on the
 	// collision EWMA.
 	Mode Mode
-	// Metrics enables the observability probes: the "skipqueue.spray" set
-	// plus the underlying core queue's own probes, merged into one
-	// snapshot.
-	Metrics bool
 	// Flight, if non-nil, receives a flight-recorder event for every Pop
 	// whose spray walks all failed and fell back to the linear scan
 	// (flight.KSprayFallback, arg = spray attempts), and is passed to the
@@ -148,38 +143,30 @@ type Event struct {
 	Stamp    int64
 }
 
-// probes are the spray layer's observability hooks, all nil without
-// Config.Metrics (see internal/obs for the nil-safe discipline).
+// probes are the spray layer's own counters. spray.walks and scan.pops are
+// derived at snapshot time: every walk either claims or is retried, and
+// every delivery the walks did not claim came from the substrate's scan.
 type probes struct {
 	set *obs.Set
 	fr  *flight.Recorder // contention event sink, nil-safe, set per Config.Flight
 
-	walks      *obs.Counter // spray walks started
 	claims     *obs.Counter // Pops served by a spray claim
 	collisions *obs.Counter // already-claimed nodes sprays walked over, plus lost claims
 	retries    *obs.Counter // spray walks that failed to claim and were retried or abandoned
 	fallbacks  *obs.Counter // Pops that fell back to the linear head scan
-	scanPops   *obs.Counter // Pops served by the scan (fallback or low-contention path)
 	empties    *obs.Counter // Pops that returned EMPTY after a full scan
-	popLat     *obs.Hist    // whole-Pop latency, sprays and any fallback scan included
 }
 
-func newProbes(enabled bool, fr *flight.Recorder) probes {
-	if !enabled {
-		return probes{fr: fr}
-	}
+func newProbes(fr *flight.Recorder) probes {
 	set := obs.NewSet("skipqueue.spray")
 	return probes{
 		set:        set,
 		fr:         fr,
-		walks:      set.Counter("spray.walks"),
 		claims:     set.Counter("spray.claims"),
 		collisions: set.Counter("spray.collisions"),
 		retries:    set.Counter("claim.retries"),
 		fallbacks:  set.Counter("scan.fallbacks"),
-		scanPops:   set.Counter("scan.pops"),
 		empties:    set.Counter("pop.empties"),
-		popLat:     set.Durations("pop"),
 	}
 }
 
@@ -212,7 +199,6 @@ func New[V any](cfg Config) *PQ[V] {
 		// prefix cannot honor the timestamp mechanism's strict minimum,
 		// so the scan path skips the clock reads too.
 		Relaxed: true,
-		Metrics: cfg.Metrics,
 		Flight:  cfg.Flight,
 	})
 	p.sample.Store(cfg.Seed)
@@ -228,7 +214,7 @@ func New[V any](cfg Config) *PQ[V] {
 		p.height = cfg.MaxLevel
 	}
 	p.jump = l*l + 1
-	p.obs = newProbes(cfg.Metrics, cfg.Flight)
+	p.obs = newProbes(cfg.Flight)
 	return p
 }
 
@@ -281,15 +267,10 @@ func (p *PQ[V]) observe(collisions uint64) {
 // contention, then the linear head scan, which is also the only EMPTY
 // certificate (a full bottom-level walk).
 func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
-	var t0 time.Time
-	if p.obs.set.Enabled() {
-		t0 = time.Now()
-	}
 	skips0 := p.q.ScanSkips()
 	var walked uint64 // collisions this Pop's own walks met
 	if p.contended() {
 		for attempt := 0; attempt < sprayAttempts; attempt++ {
-			p.obs.walks.Inc()
 			seed := xrand.NewSplitMix64(p.sample.Add(1)).Next()
 			k, seq, v, won, c := p.q.DeleteSpray(p.height, p.jump, claimAttempts, seed)
 			if c > 0 {
@@ -298,7 +279,7 @@ func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
 			}
 			if won {
 				p.obs.claims.Inc()
-				return p.finishPop(k, seq, v, skips0, walked, t0)
+				return p.finishPop(k, seq, v, skips0, walked)
 			}
 			p.obs.retries.Inc()
 		}
@@ -308,12 +289,10 @@ func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
 		p.obs.fr.Record(flight.KSprayFallback, 0, int64(sprayAttempts))
 	}
 	if k, seq, v, won := p.q.DeleteMinSeq(); won {
-		p.obs.scanPops.Inc()
-		return p.finishPop(k, seq, v, skips0, walked, t0)
+		return p.finishPop(k, seq, v, skips0, walked)
 	}
 	p.observe(p.q.ScanSkips() - skips0 + walked)
 	p.obs.empties.Inc()
-	p.obs.popLat.Since(t0)
 	if p.tracer != nil {
 		p.tracer(Event{Stamp: p.clock.Add(1)})
 	}
@@ -322,9 +301,8 @@ func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
 
 // finishPop feeds the EWMA the Pop's collisions — the scan skips queue-wide
 // since skips0 plus the walks' own — and traces the delivery.
-func (p *PQ[V]) finishPop(prio int64, seq uint64, v V, skips0, walked uint64, t0 time.Time) (int64, V, bool) {
+func (p *PQ[V]) finishPop(prio int64, seq uint64, v V, skips0, walked uint64) (int64, V, bool) {
 	p.observe(p.q.ScanSkips() - skips0 + walked)
-	p.obs.popLat.Since(t0)
 	if p.tracer != nil {
 		p.tracer(Event{Priority: prio, Seq: seq, OK: true, Stamp: p.clock.Add(1)})
 	}
@@ -360,9 +338,22 @@ func (p *PQ[V]) Entries() []Entry {
 // admin surface; instantaneous and advisory).
 func (p *PQ[V]) Contended() bool { return p.contended() }
 
-// ObsSnapshot reads the spray-layer probes and folds in the core queue's
-// own probes, so one snapshot shows the spray/scan split and the
-// skiplist contention underneath.
+// ObsSnapshot reads the spray-layer probes, derives spray.walks and
+// scan.pops, and folds in the core queue's own probes, so one snapshot
+// shows the spray/scan split and the skiplist contention underneath.
+// spray.claims is read before the substrate's DeleteMins, which every claim
+// adds to first, so scan.pops never reads negative.
 func (p *PQ[V]) ObsSnapshot() obs.Snapshot {
-	return p.obs.set.Snapshot().Merge(p.q.ObsSnapshot())
+	claims, retries := p.obs.claims.Value(), p.obs.retries.Value()
+	scanPops := p.q.Stats().DeleteMins - claims
+	own := obs.Snapshot{Name: p.obs.set.Name(), Enabled: true, Counters: []obs.CounterValue{
+		{Name: "spray.walks", Value: claims + retries},
+		{Name: "spray.claims", Value: claims},
+		{Name: "spray.collisions", Value: p.obs.collisions.Value()},
+		{Name: "claim.retries", Value: retries},
+		{Name: "scan.fallbacks", Value: p.obs.fallbacks.Value()},
+		{Name: "scan.pops", Value: scanPops},
+		{Name: "pop.empties", Value: p.obs.empties.Value()},
+	}}
+	return own.Merge(p.q.ObsSnapshot())
 }

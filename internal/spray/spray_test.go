@@ -38,7 +38,7 @@ func TestSequentialScanOrder(t *testing.T) {
 // still deliver the exact multiset, and EMPTY only at the true end —
 // the scan fallback certifies it even when every walk comes up dry.
 func TestSprayModeConservation(t *testing.T) {
-	q := New[int](Config{K: 8, Seed: 7, Mode: ModeSpray, Metrics: true})
+	q := New[int](Config{K: 8, Seed: 7, Mode: ModeSpray})
 	const n = 2000
 	pushed := map[int64]int{}
 	rng := rand.New(rand.NewSource(7))
@@ -73,7 +73,7 @@ func TestSprayModeConservation(t *testing.T) {
 // path records its scan fallback.
 func TestEmptyQueue(t *testing.T) {
 	for _, mode := range []Mode{ModeAdaptive, ModeSpray, ModeScan} {
-		q := New[string](Config{K: 4, Mode: mode, Metrics: true})
+		q := New[string](Config{K: 4, Mode: mode})
 		if _, _, ok := q.Pop(); ok {
 			t.Fatalf("mode %d: pop on empty succeeded", mode)
 		}
@@ -221,7 +221,7 @@ func TestFlightFallback(t *testing.T) {
 // by the Churn pattern).
 func TestStressChurnSpray(t *testing.T) {
 	for _, mode := range []Mode{ModeAdaptive, ModeSpray, ModeScan} {
-		q := New[int64](Config{K: 8, Seed: 11, Mode: mode, Metrics: true})
+		q := New[int64](Config{K: 8, Seed: 11, Mode: mode})
 		const workers, ops = 8, 3000
 		var pushSum, popSum, popCount [workers]int64
 		var wg sync.WaitGroup

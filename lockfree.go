@@ -14,21 +14,22 @@ import "skipqueue/internal/lockfree"
 // in place (it reports false) rather than replacing it. Construct with
 // NewLockFree. All methods are safe for concurrent use.
 type LockFree[K Ordered, V any] struct {
-	q *lockfree.Queue[K, V]
+	q       *lockfree.Queue[K, V]
+	metrics bool
 }
 
 // NewLockFree returns an empty lock-free SkipQueue. It accepts the same
-// options as New (WithRelaxed, WithMaxLevel, WithP, WithSeed).
+// options as New (WithRelaxed, WithMaxLevel, WithP, WithSeed, WithMetrics,
+// WithFlight).
 func NewLockFree[K Ordered, V any](opts ...Option) *LockFree[K, V] {
-	cfg := resolve(opts)
+	o := resolve(opts)
 	return &LockFree[K, V]{q: lockfree.New[K, V](lockfree.Config{
-		MaxLevel: cfg.MaxLevel,
-		P:        cfg.P,
-		Relaxed:  cfg.Relaxed,
-		Seed:     cfg.Seed,
-		Metrics:  cfg.Metrics,
-		Flight:   cfg.Flight,
-	})}
+		MaxLevel: o.MaxLevel,
+		P:        o.P,
+		Relaxed:  o.Relaxed,
+		Seed:     o.Seed,
+		Flight:   o.Flight,
+	}), metrics: o.metrics}
 }
 
 // Insert adds key with value. It reports false when an unclaimed equal key
@@ -60,4 +61,4 @@ type LockFreeStats = lockfree.Stats
 func (q *LockFree[K, V]) Stats() LockFreeStats { return q.q.Stats() }
 
 // Snapshot reads the observability probes (zero-valued without WithMetrics).
-func (q *LockFree[K, V]) Snapshot() Snapshot { return q.q.ObsSnapshot() }
+func (q *LockFree[K, V]) Snapshot() Snapshot { return published(q.metrics, q.q.ObsSnapshot) }

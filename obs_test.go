@@ -2,6 +2,9 @@ package skipqueue
 
 import (
 	"encoding/json"
+	"os"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -23,9 +26,34 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestMetricsOffIsZero: the multiset families TestSnapshotDisabledByDefault
+// does not list count always, yet without WithMetrics they too return the
+// zero Snapshot.
+func TestMetricsOffIsZero(t *testing.T) {
+	for name, q := range map[string]interface {
+		Instrumented
+		Push(int64, int)
+		Pop() (int64, int, bool)
+	}{
+		"LockFreePQ":    NewLockFreePQ[int](),
+		"GlobalHeapPQ":  NewGlobalHeapPQ[int](),
+		"ShardedPQ":     NewShardedPQ[int](2),
+		"SprayPQ":       NewSprayPQ[int](2),
+		"ElimShardedPQ": NewElimShardedPQ[int](0, 2),
+	} {
+		q.Push(1, 1)
+		q.Pop()
+		q.Pop()
+		if s := q.Snapshot(); s.Enabled {
+			t.Errorf("%s: snapshot enabled without WithMetrics: %+v", name, s)
+		}
+	}
+}
+
 // TestSnapshotAllFamilies drives every family through the Instrumented
-// interface with metrics on and checks that the operation histograms counted
-// every call.
+// interface with metrics on and checks that the baselines' operation
+// histograms counted every call. The skiplist family (empty keys) keeps
+// counters only.
 func TestSnapshotAllFamilies(t *testing.T) {
 	const n = 300
 	type family struct {
@@ -43,11 +71,11 @@ func TestSnapshotAllFamilies(t *testing.T) {
 	fl := NewFunnelList[int64, int](WithMetrics())
 	families := map[string]family{
 		"Queue": {sq, func(k int64) { sq.Insert(k, 0) },
-			func() bool { _, _, ok := sq.DeleteMin(); return ok }, "insert", "deletemin"},
+			func() bool { _, _, ok := sq.DeleteMin(); return ok }, "", ""},
 		"PQ": {pq, func(k int64) { pq.Push(k, 0) },
-			func() bool { _, _, ok := pq.Pop(); return ok }, "insert", "deletemin"},
+			func() bool { _, _, ok := pq.Pop(); return ok }, "", ""},
 		"LockFree": {lf, func(k int64) { lf.Insert(k, 0) },
-			func() bool { _, _, ok := lf.DeleteMin(); return ok }, "insert", "deletemin"},
+			func() bool { _, _, ok := lf.DeleteMin(); return ok }, "", ""},
 		"Heap": {hp, func(k int64) { _ = hp.Insert(k, 0) },
 			func() bool { _, _, ok := hp.DeleteMin(); return ok }, "insert", "deletemin"},
 		"GlobalLockHeap": {gl, func(k int64) { gl.Insert(k, 0) },
@@ -77,19 +105,110 @@ func TestSnapshotAllFamilies(t *testing.T) {
 			t.Errorf("%s: snapshot not enabled", name)
 			continue
 		}
-		ins, ok := s.Hist(f.insKey)
-		if !ok || ins.Count != 4*n {
-			t.Errorf("%s: insert hist count = %d (present=%v), want %d", name, ins.Count, ok, 4*n)
-		}
-		del, ok := s.Hist(f.delKey)
-		if !ok || del.Count != 4*n {
-			t.Errorf("%s: deletemin hist count = %d (present=%v), want %d", name, del.Count, ok, 4*n)
+		if f.insKey != "" {
+			ins, ok := s.Hist(f.insKey)
+			if !ok || ins.Count != 4*n {
+				t.Errorf("%s: insert hist count = %d (present=%v), want %d", name, ins.Count, ok, 4*n)
+			}
+			del, ok := s.Hist(f.delKey)
+			if !ok || del.Count != 4*n {
+				t.Errorf("%s: deletemin hist count = %d (present=%v), want %d", name, del.Count, ok, 4*n)
+			}
 		}
 		if _, err := json.Marshal(s); err != nil {
 			t.Errorf("%s: snapshot does not marshal: %v", name, err)
 		}
 		if s.String() == "" {
 			t.Errorf("%s: empty table rendering", name)
+		}
+	}
+}
+
+// docProbeRows returns, per "### `set`" section of docs/OBSERVABILITY.md,
+// the probe names in the first cell of each table row.
+func docProbeRows(t *testing.T) map[string][]string {
+	t.Helper()
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile("^### `([a-z.]+)`")
+	name := regexp.MustCompile("`([^`]+)`")
+	rows := map[string][]string{}
+	var set string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := head.FindStringSubmatch(line); m != nil {
+			set = m[1]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			set = ""
+		}
+		cells := strings.Split(line, "|")
+		if set == "" || len(cells) < 3 || cells[0] != "" {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			rows[set] = append(rows[set], m[1])
+		}
+	}
+	return rows
+}
+
+// TestObservabilityDocListsProbes: for each structure of the skiplist
+// family, every counter its snapshot publishes is a row of its table in
+// docs/OBSERVABILITY.md (or of the substrate's table it merges in), every
+// row of its own table is published, and no histogram is published.
+func TestObservabilityDocListsProbes(t *testing.T) {
+	rows := docProbeRows(t)
+	shardNN := regexp.MustCompile(`^shard\.\d+\.`)
+	for _, tc := range []struct {
+		sets []string // the structure's own set, then any it merges in
+		q    interface {
+			Instrumented
+			Push(int64, int)
+			Pop() (int64, int, bool)
+		}
+	}{
+		{[]string{"skipqueue.core"}, NewPQ[int](WithMetrics())},
+		{[]string{"skipqueue.lockfree"}, NewLockFreePQ[int](WithMetrics())},
+		{[]string{"skipqueue.sharded", "skipqueue.core"}, NewShardedPQ[int](4, WithMetrics())},
+		{[]string{"skipqueue.spray", "skipqueue.core"}, NewSprayPQ[int](4, WithMetrics())},
+		{[]string{"skipqueue.elim", "skipqueue.core"}, NewElimPQ[int](0, WithMetrics())},
+	} {
+		for k := int64(0); k < 20; k++ {
+			tc.q.Push(k, 0)
+		}
+		for {
+			if _, _, ok := tc.q.Pop(); !ok {
+				break
+			}
+		}
+		documented := map[string]bool{}
+		for _, set := range tc.sets {
+			for _, r := range rows[set] {
+				documented[r] = true
+			}
+		}
+		snap := tc.q.Snapshot()
+		published := map[string]bool{}
+		for _, c := range snap.Counters {
+			n := shardNN.ReplaceAllString(c.Name, "shard.NN.")
+			published[n] = true
+			if !documented[n] {
+				t.Errorf("%s publishes %q, which docs/OBSERVABILITY.md does not list", tc.sets[0], c.Name)
+			}
+		}
+		for _, h := range snap.Hists {
+			t.Errorf("%s publishes histogram %q", tc.sets[0], h.Name)
+		}
+		if len(rows[tc.sets[0]]) == 0 {
+			t.Errorf("docs/OBSERVABILITY.md has no table for %s", tc.sets[0])
+		}
+		for _, r := range rows[tc.sets[0]] {
+			if !published[r] {
+				t.Errorf("docs/OBSERVABILITY.md lists %s probe %q, which is not published", tc.sets[0], r)
+			}
 		}
 	}
 }

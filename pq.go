@@ -25,7 +25,8 @@ type seqQueue[V, R any] interface {
 // arrival, and duplicate priorities coexist. PQ, LockFreePQ and
 // GlobalHeapPQ embed it.
 type multisetPQ[Q seqQueue[V, R], V, R any] struct {
-	q Q
+	q       Q
+	metrics bool // WithMetrics: Snapshot publishes q's probes
 	// seq is written by every Push; the padding keeps it off the line of
 	// q, which every operation reads.
 	_   [64]byte
@@ -54,7 +55,7 @@ func (pq *multisetPQ[Q, V, R]) Len() int { return pq.q.Len() }
 
 // Snapshot reads the underlying structure's observability probes
 // (zero-valued without WithMetrics).
-func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return published(pq.metrics, pq.q.ObsSnapshot) }
 
 // PQ is a concurrent priority queue with multiset semantics: any number of
 // elements may share a priority, and equal-priority elements are delivered
@@ -77,8 +78,9 @@ type PQ[V any] struct {
 
 // NewPQ returns an empty multiset priority queue.
 func NewPQ[V any](opts ...Option) *PQ[V] {
+	o := resolve(opts)
 	pq := new(PQ[V])
-	pq.q = core.New[int64, V](resolve(opts))
+	pq.q, pq.metrics = core.New[int64, V](o.Config), o.metrics
 	return pq
 }
 
@@ -96,8 +98,9 @@ type LockFreePQ[V any] struct {
 // NewLockFreePQ returns an empty lock-free multiset priority queue. It
 // accepts the same options as NewLockFree.
 func NewLockFreePQ[V any](opts ...Option) *LockFreePQ[V] {
+	lf := NewLockFree[int64, V](opts...)
 	pq := new(LockFreePQ[V])
-	pq.q = NewLockFree[int64, V](opts...).q
+	pq.q, pq.metrics = lf.q, lf.metrics
 	return pq
 }
 
@@ -113,6 +116,6 @@ type GlobalHeapPQ[V any] struct {
 // the options only WithMetrics applies.
 func NewGlobalHeapPQ[V any](opts ...Option) *GlobalHeapPQ[V] {
 	pq := new(GlobalHeapPQ[V])
-	pq.q = NewGlobalLockHeap[int64, V](opts...).h
+	pq.q, pq.metrics = NewGlobalLockHeap[int64, V](opts...).h, resolve(opts).metrics
 	return pq
 }

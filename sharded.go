@@ -15,7 +15,8 @@ import "skipqueue/internal/sharded"
 // it (-backend sharded). Construct with NewShardedPQ. All methods are safe
 // for concurrent use.
 type ShardedPQ[V any] struct {
-	q *sharded.PQ[V]
+	q       *sharded.PQ[V]
+	metrics bool
 }
 
 // NewShardedPQ returns an empty sharded queue with the given shard count
@@ -24,15 +25,14 @@ type ShardedPQ[V any] struct {
 // mechanism, since shard-local strictness cannot restore the global order
 // that sharding gives up.
 func NewShardedPQ[V any](shards int, opts ...Option) *ShardedPQ[V] {
-	cfg := resolve(opts)
+	o := resolve(opts)
 	return &ShardedPQ[V]{q: sharded.New[V](sharded.Config{
 		Shards:   shards,
-		MaxLevel: cfg.MaxLevel,
-		P:        cfg.P,
-		Seed:     cfg.Seed,
-		Metrics:  cfg.Metrics,
-		Flight:   cfg.Flight,
-	})}
+		MaxLevel: o.MaxLevel,
+		P:        o.P,
+		Seed:     o.Seed,
+		Flight:   o.Flight,
+	}), metrics: o.metrics}
 }
 
 // Push adds value with the given priority. Duplicate priorities are fine.
@@ -56,7 +56,7 @@ func (pq *ShardedPQ[V]) Shards() int { return pq.q.Shards() }
 // Snapshot reads the observability probes: the skipqueue.sharded set
 // (sampling retries, sweeps, per-shard pops) merged with the aggregate
 // core probes of all shards. Zero-valued without WithMetrics.
-func (pq *ShardedPQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+func (pq *ShardedPQ[V]) Snapshot() Snapshot { return published(pq.metrics, pq.q.ObsSnapshot) }
 
 // Unwrap exposes the internal sharded queue for tests and harnesses that
 // need its tracer hook or per-shard introspection.

@@ -46,50 +46,70 @@ type Ordered interface {
 // Queue is a concurrent priority queue with unique keys. All methods are
 // safe for concurrent use by any number of goroutines. Construct with New.
 type Queue[K Ordered, V any] struct {
-	q *core.Queue[K, V]
+	q       *core.Queue[K, V]
+	metrics bool
 }
 
 // Option configures a Queue or PQ.
-type Option func(*core.Config)
+type Option func(*options)
 
-// resolve applies opts to a zero core.Config.
-func resolve(opts []Option) core.Config {
-	var cfg core.Config
-	for _, o := range opts {
-		o(&cfg)
+// options are the resolved Options: the skiplist's own Config, plus the
+// metrics switch, which no structure sees. The skiplist family counts
+// always; the switch only decides whether Snapshot publishes the counts.
+type options struct {
+	core.Config
+	metrics bool
+}
+
+// resolve applies opts to zero options.
+func resolve(opts []Option) options {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
 	}
-	return cfg
+	return o
+}
+
+// published returns read() for a queue built WithMetrics and the zero
+// Snapshot otherwise.
+func published(metrics bool, read func() Snapshot) Snapshot {
+	if !metrics {
+		return Snapshot{}
+	}
+	return read()
 }
 
 // WithRelaxed disables the timestamp ordering mechanism. DeleteMin becomes
 // faster under contention but may return a concurrently inserted element
 // that sorts before the strict minimum.
-func WithRelaxed() Option { return func(c *core.Config) { c.Relaxed = true } }
+func WithRelaxed() Option { return func(c *options) { c.Relaxed = true } }
 
 // WithMaxLevel bounds skiplist tower heights. The default (24) is ample for
 // tens of millions of elements; lower values save a little memory for small
 // queues.
-func WithMaxLevel(n int) Option { return func(c *core.Config) { c.MaxLevel = n } }
+func WithMaxLevel(n int) Option { return func(c *options) { c.MaxLevel = n } }
 
 // WithP sets the geometric tower-growth probability (default 0.5).
-func WithP(p float64) Option { return func(c *core.Config) { c.P = p } }
+func WithP(p float64) Option { return func(c *options) { c.P = p } }
 
 // WithSeed seeds tower-height randomness, making single-threaded runs
 // reproducible.
-func WithSeed(s uint64) Option { return func(c *core.Config) { c.Seed = s } }
+func WithSeed(s uint64) Option { return func(c *options) { c.Seed = s } }
 
-// WithMetrics enables the observability layer: per-operation latency
-// histograms and contention probes, readable through Snapshot. Disabled (the
-// default), every probe site compiles to a nil check — see
-// docs/OBSERVABILITY.md for the measured overhead of both states.
-func WithMetrics() Option { return func(c *core.Config) { c.Metrics = true } }
+// WithMetrics publishes the queue's probes through Snapshot. The skiplist
+// family (Queue, PQ, LockFree, LockFreePQ, ShardedPQ, SprayPQ, ElimPQ)
+// counts its events always, so its operations run the same code with and
+// without it; Heap, GlobalLockHeap and FunnelList also record
+// per-operation latency histograms, only when it is given. See
+// docs/OBSERVABILITY.md for the catalog and the overhead.
+func WithMetrics() Option { return func(c *options) { c.metrics = true } }
 
 // WithFlight attaches a flight recorder to the queue: a fixed-size
 // in-memory ring of contention events — lock re-acquisitions, failed
 // CASes, sweep fallbacks, elimination exchanges — dumpable at any moment
 // for post-hoc analysis of a latency spike. Independent of WithMetrics; a
 // nil recorder is equivalent to omitting the option.
-func WithFlight(r *FlightRecorder) Option { return func(c *core.Config) { c.Flight = r } }
+func WithFlight(r *FlightRecorder) Option { return func(c *options) { c.Flight = r } }
 
 // FlightRecorder is the event ring WithFlight plugs into a queue; see
 // internal/flight for the recording discipline. Construct with
@@ -110,11 +130,12 @@ func NewFlightRecorder(name string, shards, slots int) *FlightRecorder {
 type Stats = core.Stats
 
 // Snapshot is a point-in-time reading of a queue's observability probes:
-// counters plus latency histograms with quantiles and log2 buckets. Snapshots
-// are relaxed in the same sense as Stats — each probe is read atomically, but
-// the set is not a consistent cut of a concurrently mutating queue. The
-// zero Snapshot (Enabled false) is what queues built without WithMetrics
-// return. Render with its Table or String methods, or marshal it to JSON.
+// counters, plus latency histograms with quantiles and log2 buckets for the
+// heap and funnel baselines. Snapshots are relaxed in the same sense as
+// Stats — each probe is read atomically, but the set is not a consistent
+// cut of a concurrently mutating queue. The zero Snapshot (Enabled false)
+// is what queues built without WithMetrics return. Render with its Table
+// or String methods, or marshal it to JSON.
 type Snapshot = obs.Snapshot
 
 // Instrumented is implemented by every queue type in this package: Queue,
@@ -142,7 +163,8 @@ var (
 
 // New returns an empty queue.
 func New[K Ordered, V any](opts ...Option) *Queue[K, V] {
-	return &Queue[K, V]{q: core.New[K, V](resolve(opts))}
+	o := resolve(opts)
+	return &Queue[K, V]{q: core.New[K, V](o.Config), metrics: o.metrics}
 }
 
 // Insert adds key with value. If key is already present its value is
@@ -177,7 +199,7 @@ func (q *Queue[K, V]) Relaxed() bool { return q.q.Relaxed() }
 func (q *Queue[K, V]) Stats() Stats { return q.q.Stats() }
 
 // Snapshot reads the observability probes (zero-valued without WithMetrics).
-func (q *Queue[K, V]) Snapshot() Snapshot { return q.q.ObsSnapshot() }
+func (q *Queue[K, V]) Snapshot() Snapshot { return published(q.metrics, q.q.ObsSnapshot) }
 
 // Keys returns the keys of all unclaimed elements in ascending order.
 // Intended for tests and debugging of quiescent queues; under concurrency

@@ -17,7 +17,8 @@ import "skipqueue/internal/spray"
 // (-backend spray). Construct with NewSprayPQ. All methods are safe for
 // concurrent use.
 type SprayPQ[V any] struct {
-	q *spray.PQ[V]
+	q       *spray.PQ[V]
+	metrics bool
 }
 
 // NewSprayPQ returns an empty spray queue shaped for k concurrent
@@ -25,15 +26,14 @@ type SprayPQ[V any] struct {
 // underlying skiplist; WithRelaxed is implied — a claim drawn from a
 // random prefix cannot honor the timestamp mechanism's strict minimum.
 func NewSprayPQ[V any](k int, opts ...Option) *SprayPQ[V] {
-	cfg := resolve(opts)
+	o := resolve(opts)
 	return &SprayPQ[V]{q: spray.New[V](spray.Config{
 		K:        k,
-		MaxLevel: cfg.MaxLevel,
-		P:        cfg.P,
-		Seed:     cfg.Seed,
-		Metrics:  cfg.Metrics,
-		Flight:   cfg.Flight,
-	})}
+		MaxLevel: o.MaxLevel,
+		P:        o.P,
+		Seed:     o.Seed,
+		Flight:   o.Flight,
+	}), metrics: o.metrics}
 }
 
 // Push adds value with the given priority. Duplicate priorities are fine.
@@ -55,9 +55,9 @@ func (pq *SprayPQ[V]) Len() int { return pq.q.Len() }
 func (pq *SprayPQ[V]) K() int { return pq.q.K() }
 
 // Snapshot reads the observability probes: the skipqueue.spray set
-// (walks, collisions, fallbacks, pop latency) merged with the underlying
+// (walks, collisions, fallbacks, scan pops) merged with the underlying
 // skipqueue.core probes. Zero-valued without WithMetrics.
-func (pq *SprayPQ[V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+func (pq *SprayPQ[V]) Snapshot() Snapshot { return published(pq.metrics, pq.q.ObsSnapshot) }
 
 // Unwrap exposes the internal spray queue for tests and harnesses that
 // need its tracer hook or mode control.
