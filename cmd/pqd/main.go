@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInflight, "max frames applied per connection between response flushes")
 		drainWindow = fs.Duration("drain-window", server.DefaultDrainWindow, "how long a drain keeps answering late frames with SHUTDOWN")
 		drainWait   = fs.Duration("drain-timeout", 5*time.Second, "total shutdown budget before connections are force-closed")
-		adminAddr   = fs.String("admin", "", "serve the admin surface (/metrics, /healthz, /debug/flight, /debug/pprof, /debug/vars) on this address; also enables probe collection")
+		adminAddr   = fs.String("admin", "", "serve the admin surface (/metrics, /healthz, /debug/flight, /debug/pprof, /debug/vars) on this address and publish the backend's probe set there")
 		flightSlots = fs.Int("flight", 0, "flight-recorder ring slots per shard (0 = recorder off)")
 		slo         = fs.Duration("slo", 0, "per-frame server latency budget; a traced frame exceeding it captures an anomaly dump (0 = off)")
 		walDir      = fs.String("wal-dir", "", "write-ahead-log directory; enables durability (empty = no WAL, in-memory only)")
@@ -92,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	metrics := *adminAddr != ""
 	var serverFR, structFR *flight.Recorder
 	if *flightSlots > 0 {
 		serverFR = flight.New("server", 0, *flightSlots)
@@ -104,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var opts []skipqueue.Option
-	if metrics {
+	if *adminAddr != "" {
 		opts = append(opts, skipqueue.WithMetrics())
 	}
 	if structFR != nil {
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			SyncInterval:     *walSyncIvl,
 			SegmentBytes:     *walSegBytes,
 			SnapshotSegments: *walSnapSegs,
-			Metrics:          metrics,
 			Flight:           serverFR,
 		}, backend)
 		if err != nil {
@@ -153,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			TTL:           *leaseTTL,
 			Tick:          *leaseTick,
 			MaxDeliveries: *maxDeliver,
-			Metrics:       metrics,
 			Flight:        serverFR,
 		}, backend)
 		backend = leaseTbl
@@ -166,7 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxConns:    *maxConns,
 		MaxInflight: *maxInflight,
 		DrainWindow: *drainWindow,
-		Metrics:     metrics,
 		Flight:      serverFR,
 		SLO:         *slo,
 	})
@@ -270,14 +266,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Only now retire the admin surface, so the final drain state —
 		// including the closing snapshot's probes — stays scrapeable.
 		stopAdmin()
-		if metrics {
-			snap := srv.Snapshot()
-			fmt.Fprintf(stdout, "pqd: drained: frames=%d shutdown_replies=%d drain=%v backend_len=%d\n",
-				snap.Counter("frames"), snap.Counter("drain.shutdown_replies"),
-				time.Duration(snap.Counter("drain.ns")), backend.Len())
-		} else {
-			fmt.Fprintf(stdout, "pqd: drained: backend_len=%d\n", backend.Len())
-		}
+		snap := srv.Snapshot()
+		fmt.Fprintf(stdout, "pqd: drained: frames=%d shutdown_replies=%d drain=%v backend_len=%d\n",
+			snap.Counter("frames"), snap.Counter("drain.shutdown_replies"),
+			time.Duration(snap.Counter("drain.ns")), backend.Len())
 		if serverFR != nil {
 			fmt.Fprintf(stdout, "pqd: flight: anomalies=%d\n", serverFR.Anomalies())
 		}

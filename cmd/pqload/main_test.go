@@ -108,7 +108,7 @@ func TestRunOpenLoop(t *testing.T) {
 // is far above any pause between a live worker's PopLease and its Ack, so
 // only abandoned leases ever expire and the two counts must agree exactly.
 func TestRunLeaseAbandonRedelivered(t *testing.T) {
-	addr, tbl := startServer(t, &lease.Config{TTL: time.Second, Tick: 5 * time.Millisecond, Metrics: true})
+	addr, tbl := startServer(t, &lease.Config{TTL: time.Second, Tick: 5 * time.Millisecond})
 	code, out := pqload(t, addr, "-lease", "-lease-abandon", "0.02")
 	requireClean(t, code, out)
 	abandoned := field(t, out, abandonedRE)

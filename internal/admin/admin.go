@@ -4,8 +4,8 @@
 // Endpoints:
 //
 //   - /metrics — Prometheus text exposition (obs.WriteProm) of every
-//     configured snapshot source, plus per-second _rate gauges derived from
-//     the delta since the previous scrape (obs.Snapshot.Delta).
+//     configured snapshot source. A scrape changes no state: the scraper
+//     rates the _total counters itself.
 //   - /healthz — "ok" with 200 while serving, "draining" with 503 once a
 //     graceful shutdown began. Load balancers key off this to stop routing
 //     before the listener actually closes.
@@ -56,9 +56,7 @@ type Server struct {
 	mux *http.ServeMux
 	srv *http.Server
 
-	mu       sync.Mutex
-	prev     map[string]obs.Snapshot
-	prevTime time.Time
+	mu sync.Mutex // guards srv
 }
 
 // New builds the mux; call Serve (or mount Handler yourself).
@@ -66,7 +64,7 @@ func New(cfg Config) *Server {
 	if cfg.Namespace == "" {
 		cfg.Namespace = "pqd"
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), prev: map[string]obs.Snapshot{}}
+	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.metrics)
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/buildinfo", s.buildinfo)
@@ -106,30 +104,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return srv.Shutdown(ctx)
 }
 
-// metrics renders the Prometheus exposition. Cumulative _total counters and
-// histograms come straight from the current snapshots; _rate gauges derive
-// from the delta against this handler's previous scrape, so the first
-// scrape has none.
+// metrics renders the Prometheus exposition of the current snapshots.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var snaps []obs.Snapshot
 	if s.cfg.Snapshots != nil {
-		snaps = s.cfg.Snapshots()
+		obs.WriteProm(w, s.cfg.Namespace, s.cfg.Snapshots()...)
 	}
-	obs.WriteProm(w, s.cfg.Namespace, snaps...)
-
-	s.mu.Lock()
-	now := time.Now()
-	elapsed := now.Sub(s.prevTime).Seconds()
-	first := s.prevTime.IsZero()
-	for _, snap := range snaps {
-		if prev, ok := s.prev[snap.Name]; ok && !first {
-			obs.WritePromRates(w, s.cfg.Namespace, snap.Delta(prev), elapsed)
-		}
-		s.prev[snap.Name] = snap
-	}
-	s.prevTime = now
-	s.mu.Unlock()
 }
 
 // healthz answers 200 "ok" while serving and 503 "draining" during

@@ -29,8 +29,9 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 	return rec.Result().StatusCode, string(b)
 }
 
-// TestMetricsEndpoint: counters expose cumulatively on every scrape and
-// rates appear from the second scrape on.
+// TestMetricsEndpoint: counters expose cumulatively on every scrape, and
+// a scrape changes no state: no rate gauges, and two scrapes with no
+// activity between them are byte-identical.
 func TestMetricsEndpoint(t *testing.T) {
 	set := obs.NewSet("skipqueue.server")
 	c := set.Counter("frames")
@@ -44,18 +45,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, "pqd_skipqueue_server_frames_total 100") {
 		t.Fatalf("first scrape missing counter:\n%s", body)
 	}
-	if strings.Contains(body, "_rate") {
-		t.Fatalf("first scrape has rates (no previous window):\n%s", body)
-	}
 
 	c.Add(50)
-	time.Sleep(5 * time.Millisecond) // a measurable rate window
+	time.Sleep(5 * time.Millisecond) // a window a stateful handler could rate
 	_, body = get(t, s.Handler(), "/metrics")
 	if !strings.Contains(body, "pqd_skipqueue_server_frames_total 150") {
 		t.Fatalf("second scrape wrong total:\n%s", body)
 	}
-	if !strings.Contains(body, "pqd_skipqueue_server_frames_rate") {
-		t.Fatalf("second scrape missing rate gauge:\n%s", body)
+	if strings.Contains(body, "_rate") {
+		t.Fatalf("second scrape has rate gauges:\n%s", body)
+	}
+	if _, again := get(t, s.Handler(), "/metrics"); again != body {
+		t.Fatalf("idle scrapes differ:\n%s\n---\n%s", body, again)
 	}
 }
 

@@ -101,8 +101,8 @@ const (
 	KBusyReject
 	// KDrainStart: a graceful drain began.
 	KDrainStart
-	// KFsyncStall: a WAL group-commit fsync exceeded the stall budget
-	// (internal/wal Config.StallAfter). Arg is the fsync duration in
+	// KFsyncStall: a WAL group-commit fsync exceeded the 50 ms stall
+	// budget (internal/wal's stallAfter). Arg is the fsync duration in
 	// nanoseconds — the device, not the queue, is the suspect.
 	KFsyncStall
 	// KTornTail: WAL recovery found and truncated a torn final record —

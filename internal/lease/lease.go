@@ -107,8 +107,6 @@ type Config struct {
 	// StormThreshold flags an expiry sweep that requeues at least this
 	// many leases at once as a redelivery storm. Default 64.
 	StormThreshold int
-	// Metrics enables the "skipqueue.lease" probe set.
-	Metrics bool
 	// Flight, if non-nil, receives lease anomalies (redelivery storms,
 	// expiry/ack races, dead-letter diversions).
 	Flight *flight.Recorder
@@ -156,7 +154,8 @@ type item struct {
 // stored is the element's backend value: its header plus the bare value.
 func (it *item) stored() []byte { return wrapValue(it.deliveries, it.readyMilli, it.value) }
 
-// probes is the "skipqueue.lease" observability set.
+// probes is the "skipqueue.lease" observability set. The table always
+// counts.
 type probes struct {
 	set *obs.Set
 
@@ -176,10 +175,7 @@ type probes struct {
 	deliveries *obs.Hist // delivery count at ack time
 }
 
-func newProbes(enabled bool) probes {
-	if !enabled {
-		return probes{}
-	}
+func newProbes() probes {
 	set := obs.NewSet("skipqueue.lease")
 	return probes{
 		set:         set,
@@ -246,7 +242,7 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 	t := &Table{
 		cfg:     cfg,
 		inner:   inner,
-		obs:     newProbes(cfg.Metrics),
+		obs:     newProbes(),
 		now:     time.Now,
 		leases:  map[uint64]*item{},
 		delayed: map[uint64]*item{},
@@ -267,7 +263,7 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 	return t
 }
 
-// Snapshot reads the table's probe set (zero without Config.Metrics).
+// Snapshot reads the table's probe set, "skipqueue.lease".
 func (t *Table) Snapshot() obs.Snapshot { return t.obs.set.Snapshot() }
 
 // Durable reports whether lease transitions are crash-safe (the backend

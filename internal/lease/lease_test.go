@@ -277,8 +277,8 @@ func TestAckRaceAnomaly(t *testing.T) {
 	if tbl.Ack(id) {
 		t.Fatal("ack after expiry succeeded")
 	}
-	if tbl.obs.set != nil {
-		t.Fatal("metrics were not requested")
+	if snap := tbl.Snapshot(); snap.Counter("ack_races") != 1 || snap.Counter("no_lease") != 1 {
+		t.Fatalf("ack_races = %d, no_lease = %d, want 1 each", snap.Counter("ack_races"), snap.Counter("no_lease"))
 	}
 	d, ok := fr.LastAnomaly()
 	if !ok {
@@ -468,7 +468,7 @@ func TestSweepCommitsRequeue(t *testing.T) {
 func TestRecordsPerCycle(t *testing.T) {
 	const n = 50
 	for _, leased := range []bool{false, true} {
-		q, _, err := wal.OpenQueue(wal.Config{Dir: t.TempDir(), Metrics: true}, &memPQ{})
+		q, _, err := wal.OpenQueue(wal.Config{Dir: t.TempDir()}, &memPQ{})
 		if err != nil {
 			t.Fatal(err)
 		}

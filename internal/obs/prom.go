@@ -87,23 +87,6 @@ func writePromHist(w io.Writer, base, set string, h HistValue) {
 	fmt.Fprintf(w, "%s_max %s\n", m, promFloat(mx))
 }
 
-// WritePromRates writes per-second rate gauges for every counter of the
-// window snapshot delta (see Snapshot.Delta), under `<ns>_<set>_<name>_rate`.
-// seconds is the window length; non-positive windows write nothing. This is
-// the admin surface's convenience view for humans curling /metrics —
-// Prometheus itself rates the `_total` counters.
-func WritePromRates(w io.Writer, namespace string, delta Snapshot, seconds float64) {
-	if seconds <= 0 || !delta.Enabled {
-		return
-	}
-	base := namespace + "_" + promName(delta.Name)
-	for _, c := range delta.Counters {
-		m := base + "_" + promName(c.Name) + "_rate"
-		fmt.Fprintf(w, "# TYPE %s gauge\n", m)
-		fmt.Fprintf(w, "%s %s\n", m, promFloat(float64(c.Value)/seconds))
-	}
-}
-
 // promName maps an arbitrary probe/set name into the Prometheus metric
 // name charset.
 func promName(name string) string {

@@ -112,22 +112,6 @@ func TestWritePromLive(t *testing.T) {
 	}
 }
 
-// TestWritePromRates: rate gauges derive from a Delta window.
-func TestWritePromRates(t *testing.T) {
-	prev := Snapshot{Name: "s", Enabled: true, Counters: []CounterValue{{Name: "ops", Value: 100}}}
-	cur := Snapshot{Name: "s", Enabled: true, Counters: []CounterValue{{Name: "ops", Value: 350}}}
-	var b strings.Builder
-	WritePromRates(&b, "pqd", cur.Delta(prev), 2.5)
-	if !strings.Contains(b.String(), "pqd_s_ops_rate 100") {
-		t.Fatalf("rate gauge wrong:\n%s", b.String())
-	}
-	b.Reset()
-	WritePromRates(&b, "pqd", cur.Delta(prev), 0)
-	if b.Len() != 0 {
-		t.Fatal("zero-length window emitted rates")
-	}
-}
-
 // TestPromName: arbitrary probe names sanitize into the metric charset.
 func TestPromName(t *testing.T) {
 	for in, want := range map[string]string{

@@ -34,9 +34,10 @@ var errBatchCap = errors.New("server: batch exceeds the operation cap")
 type task struct {
 	out     []byte // the encoded replies, written in one write
 	traced  []tracedReq
-	frames  int  // request frames applied
-	ops     int  // operations applied, batch entries included
-	mutated bool // the backend changed: the replies wait for a Commit
+	frames  int          // request frames applied
+	ops     int          // operations applied, batch entries included
+	kinds   [opKinds]int // operations applied, by kind
+	mutated bool         // the backend changed: the replies wait for a Commit
 
 	statuses []wire.BatchEntry // scratch: per-op statuses of one batch frame
 	order    []int             // scratch: apply order of one batch frame
@@ -45,7 +46,21 @@ type task struct {
 func (t *task) reset() {
 	t.out = t.out[:0]
 	t.traced = t.traced[:0]
-	t.frames, t.ops, t.mutated = 0, 0, false
+	t.frames, t.ops, t.kinds, t.mutated = 0, 0, [opKinds]int{}, false
+}
+
+// count adds a micro-batch's tallies to the probes, each once per batch.
+func (s *Server) count(t *task) {
+	if t.frames == 0 {
+		return
+	}
+	s.obs.frames.Add(uint64(t.frames))
+	for k, n := range t.kinds {
+		s.obs.kinds[k].Add(uint64(n))
+	}
+	s.obs.batch.ObserveN(uint64(t.frames))
+	s.bobs.runOps.ObserveN(uint64(t.ops))
+	s.bobs.flushes.Inc()
 }
 
 // reply appends one single-op reply frame to the task's output.
@@ -69,7 +84,6 @@ func (t *task) replyBatch() (err error) {
 // During a drain every operation is answered SHUTDOWN without touching
 // the backend.
 func (s *Server) applyFrame(t *task, f wire.Frame) error {
-	s.obs.frames.Inc()
 	t.frames++
 	var entries []wire.BatchEntry
 	if f.Kind == wire.OpBatch {
@@ -100,27 +114,21 @@ func (s *Server) applyFrame(t *task, f wire.Frame) error {
 		}
 		return t.replyBatch()
 	}
-	// A traced frame is timed even without metrics: its apply duration is
-	// the span attribution's "structure time".
-	metered := s.obs.set.Enabled()
-	traced := s.cfg.Flight.Enabled() && f.Traced()
-	var t0 time.Time
-	if metered || traced {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var err error
 	if entries != nil {
 		err = s.applyBatch(t, entries)
 	} else {
-		st, arg, data, m := s.applyOp(f.Kind, f.Arg, f.Data)
+		st, arg, data, m := s.applyOp(t, f.Kind, f.Arg, f.Data)
 		t.mutated = t.mutated || m
 		err = t.reply(st, arg, data)
 	}
-	if metered {
-		s.obs.applyLat.Since(t0)
-	}
-	if traced {
-		s.cfg.Flight.Record(flight.KServerApply, f.Trace, int64(time.Since(t0)))
+	d := time.Since(t0)
+	s.obs.applyLat.Observe(d)
+	// A traced frame's apply duration is the span attribution's
+	// "structure time".
+	if s.cfg.Flight.Enabled() && f.Traced() {
+		s.cfg.Flight.Record(flight.KServerApply, f.Trace, int64(d))
 	}
 	return err
 }
@@ -152,7 +160,7 @@ func (s *Server) applyBatch(t *task, entries []wire.BatchEntry) error {
 	}
 	for _, i := range t.order {
 		e := entries[i]
-		st, arg, data, m := s.applyOp(e.Kind, e.Arg, e.Data)
+		st, arg, data, m := s.applyOp(t, e.Kind, e.Arg, e.Data)
 		t.mutated = t.mutated || m
 		t.statuses[i] = wire.BatchEntry{Kind: st, Arg: arg, Data: data}
 	}

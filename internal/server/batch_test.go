@@ -44,7 +44,7 @@ func readFrame(t *testing.T, nc net.Conn) wire.Frame {
 // OPERATION order, and the pops see the inserts packed beside them
 // (pushes apply before pops within a batch).
 func TestBatchApply(t *testing.T) {
-	srv, backend, addr := startServer(t, server.Config{Metrics: true})
+	srv, backend, addr := startServer(t, server.Config{})
 	nc := rawConn(t, addr)
 
 	req, err := wire.AppendBatch(nil, []wire.BatchEntry{
@@ -100,7 +100,7 @@ func TestBatchApply(t *testing.T) {
 // TestBatchMalformed: a well-framed OpBatch with a lying payload is a
 // semantic error — StatusErr — and the connection stays usable.
 func TestBatchMalformed(t *testing.T) {
-	_, _, addr := startServer(t, server.Config{Metrics: true})
+	_, _, addr := startServer(t, server.Config{})
 	nc := rawConn(t, addr)
 
 	// Claims 3 entries, carries garbage.
@@ -292,7 +292,7 @@ func TestCommitFailureDropsConn(t *testing.T) {
 // TestVectoredWrite: a large popped value comes back intact inside a
 // batch reply.
 func TestVectoredWrite(t *testing.T) {
-	_, backend, addr := startServer(t, server.Config{Metrics: true})
+	_, backend, addr := startServer(t, server.Config{})
 	big := bytes.Repeat([]byte{0xab}, 32<<10)
 	backend.Push(5, big)
 
@@ -323,7 +323,7 @@ func TestVectoredWrite(t *testing.T) {
 // connection, everything conserved, and the server's batch probes show
 // real coalescing happened.
 func TestBatchedClientRoundTrip(t *testing.T) {
-	srv, backend, addr := startServer(t, server.Config{Metrics: true})
+	srv, backend, addr := startServer(t, server.Config{})
 	cl, err := client.Dial(client.Config{
 		Addr:        addr,
 		BatchMax:    32,

@@ -27,7 +27,7 @@ func TestLoopbackIntegration(t *testing.T) {
 	)
 
 	backend := skipqueue.NewPQ[[]byte]()
-	srv := server.New(server.Config{Backend: backend, Metrics: true})
+	srv := server.New(server.Config{Backend: backend})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 func startLeaseServer(t *testing.T, lcfg lease.Config) (*server.Server, *lease.Table, string) {
 	t.Helper()
 	tbl := lease.New(lcfg, skipqueue.NewPQ[[]byte]())
-	srv := server.New(server.Config{Backend: tbl, Metrics: true})
+	srv := server.New(server.Config{Backend: tbl})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestLeaseAtLeastOnce(t *testing.T) {
 func TestLeaseDrainNacksBack(t *testing.T) {
 	tbl := lease.New(lease.Config{TTL: time.Hour, Tick: 5 * time.Millisecond}, skipqueue.NewPQ[[]byte]())
 	defer tbl.Close()
-	srv := server.New(server.Config{Backend: tbl, Metrics: true, DrainWindow: 20 * time.Millisecond})
+	srv := server.New(server.Config{Backend: tbl, DrainWindow: 20 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

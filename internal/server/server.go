@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,14 +84,11 @@ type Config struct {
 	// DrainWindow is how long Shutdown keeps answering late frames with
 	// SHUTDOWN before closing connections.
 	DrainWindow time.Duration
-	// Metrics enables the observability probes (see docs/OBSERVABILITY.md,
-	// set "skipqueue.server").
-	Metrics bool
 	// Flight, if non-nil, records per-request spans for traced frames
 	// (flight.KServerRead/KServerApply/KServerFlush keyed by the frame's
 	// trace ID), batch boundaries (flight.KServerBatch), and anomaly dumps
-	// on BUSY rejects, SLO breaches, and drain start. Independent of
-	// Metrics; nil costs one nil check per site.
+	// on BUSY rejects, SLO breaches, and drain start. Nil costs one nil
+	// check per site.
 	Flight *flight.Recorder
 	// SLO, if positive, is the per-frame server-side latency budget: a
 	// traced frame whose read-to-flush span exceeds it triggers an anomaly
@@ -99,22 +97,14 @@ type Config struct {
 	SLO time.Duration
 }
 
-// probes are the server's observability hooks, nil without Config.Metrics.
+// probes are the server's observability hooks, set "skipqueue.server"
+// (docs/OBSERVABILITY.md). The server always counts.
 type probes struct {
 	set *obs.Set
 
-	frames    *obs.Counter // request frames received
-	insert    *obs.Counter // frames by op
-	deleteMin *obs.Counter
-	peek      *obs.Counter
-	length    *obs.Counter
-	ping      *obs.Counter
-	popLease  *obs.Counter
-	ack       *obs.Counter
-	nack      *obs.Counter
-	extend    *obs.Counter
-	insDelay  *obs.Counter
-	bad       *obs.Counter // malformed or non-request frames
+	frames *obs.Counter          // request frames received
+	kinds  [opKinds]*obs.Counter // operations by kind, batch entries included
+	bad    *obs.Counter          // malformed or non-request frames
 
 	accepted *obs.Counter // connections admitted
 	closed   *obs.Counter // connections finished
@@ -129,24 +119,12 @@ type probes struct {
 	applyLat *obs.Hist // backend apply latency per frame
 }
 
-func newProbes(enabled bool) probes {
-	if !enabled {
-		return probes{}
-	}
+func newProbes() probes {
 	set := obs.NewSet("skipqueue.server")
 	return probes{
 		set:             set,
 		frames:          set.Counter("frames"),
-		insert:          set.Counter("frames.insert"),
-		deleteMin:       set.Counter("frames.deletemin"),
-		peek:            set.Counter("frames.peek"),
-		length:          set.Counter("frames.len"),
-		ping:            set.Counter("frames.ping"),
-		popLease:        set.Counter("frames.poplease"),
-		ack:             set.Counter("frames.ack"),
-		nack:            set.Counter("frames.nack"),
-		extend:          set.Counter("frames.extend"),
-		insDelay:        set.Counter("frames.insertdelay"),
+		kinds:           kindCounters(set),
 		bad:             set.Counter("frames.bad"),
 		accepted:        set.Counter("conns.accepted"),
 		closed:          set.Counter("conns.closed"),
@@ -160,8 +138,23 @@ func newProbes(enabled bool) probes {
 	}
 }
 
-// batchProbes are the batched-data-plane hooks, set "skipqueue.batch";
-// nil without Config.Metrics.
+// opKinds sizes the per-kind tallies: request kinds run up to
+// wire.OpInsertDelay.
+const opKinds = int(wire.OpInsertDelay) + 1
+
+// kindCounters registers "frames.<op>" for every request kind an
+// operation can carry (frames.insert … frames.insertdelay), indexed by
+// kind; OpBatch, a container, has none.
+func kindCounters(set *obs.Set) (c [opKinds]*obs.Counter) {
+	for k := wire.OpInsert; k <= wire.OpInsertDelay; k++ {
+		if k != wire.OpBatch {
+			c[k] = set.Counter("frames." + strings.ToLower(k.String()))
+		}
+	}
+	return c
+}
+
+// batchProbes are the batched-data-plane hooks, set "skipqueue.batch".
 type batchProbes struct {
 	set     *obs.Set
 	size    *obs.Hist    // batch.size: operations per OpBatch frame
@@ -169,10 +162,7 @@ type batchProbes struct {
 	runOps  *obs.Hist    // coalesce.ops: operations per connection micro-batch
 }
 
-func newBatchProbes(enabled bool) batchProbes {
-	if !enabled {
-		return batchProbes{}
-	}
+func newBatchProbes() batchProbes {
 	set := obs.NewSet("skipqueue.batch")
 	return batchProbes{
 		set:     set,
@@ -218,8 +208,8 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		obs:   newProbes(cfg.Metrics),
-		bobs:  newBatchProbes(cfg.Metrics),
+		obs:   newProbes(),
+		bobs:  newBatchProbes(),
 		conns: map[net.Conn]struct{}{},
 	}
 	s.dur, _ = cfg.Backend.(Durability)
@@ -227,11 +217,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Snapshot reads the server's probes (zero Snapshot without Config.Metrics).
+// Snapshot reads the server's probes, set "skipqueue.server".
 func (s *Server) Snapshot() obs.Snapshot { return s.obs.set.Snapshot() }
 
-// BatchSnapshot reads the batched-data-plane probes, set "skipqueue.batch"
-// (zero Snapshot without Config.Metrics).
+// BatchSnapshot reads the batched-data-plane probes, set "skipqueue.batch".
 func (s *Server) BatchSnapshot() obs.Snapshot { return s.bobs.set.Snapshot() }
 
 // Flight returns the server's flight recorder (nil without Config.Flight).
@@ -346,6 +335,7 @@ func (s *Server) handle(nc net.Conn) {
 				t.traced = append(t.traced, tracedReq{trace: f.Trace, readTS: ts})
 			}
 			if s.applyFrame(t, f) != nil {
+				s.count(t)
 				return // a reply wire cannot encode: the batch goes unanswered
 			}
 			if t.frames >= s.cfg.MaxInflight {
@@ -357,6 +347,7 @@ func (s *Server) handle(nc net.Conn) {
 			}
 			f, rbuf, err = wire.Read(br, rbuf, wire.DefaultMaxFrame)
 		}
+		s.count(t)
 		// A framing violation gets a parting ERR frame after the replies to
 		// the frames before it, then the connection closes: the stream can
 		// no longer be matched to replies. Transport errors (EOF, reset,
@@ -365,11 +356,6 @@ func (s *Server) handle(nc net.Conn) {
 		framing := errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, wire.ErrShortFrame) || errors.Is(err, wire.ErrBadKind)
 		if err != nil && !framing {
 			return
-		}
-		if t.frames > 0 {
-			s.obs.batch.ObserveN(uint64(t.frames))
-			s.bobs.runOps.ObserveN(uint64(t.ops))
-			s.bobs.flushes.Inc()
 		}
 		if t.mutated && s.dur != nil && s.dur.Commit() != nil {
 			return // commit failed: nothing applied here may be ACKed
@@ -414,55 +400,52 @@ func (s *Server) finishBatch(fr *flight.Recorder, traced []tracedReq, batch int)
 }
 
 // applyOp executes one operation — a single-op frame or one batch entry —
-// against the backend and returns its status triple; mutated reports
-// whether the backend changed (the signal that the micro-batch needs a WAL
-// commit before its replies flush). data aliases the connection read
-// buffer, so an insert hands the backend a clone: the value is the one
-// datum a backend keeps.
-func (s *Server) applyOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
+// against the backend, tallies it by kind in t, and returns its status
+// triple; mutated reports whether the backend changed (the signal that
+// the micro-batch needs a WAL commit before its replies flush). data
+// aliases the connection read buffer, so an insert hands the backend a
+// clone: the value is the one datum a backend keeps.
+func (s *Server) applyOp(t *task, k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
+	switch {
+	case !k.IsRequest():
+		s.obs.bad.Inc()
+		return wire.StatusErr, 0, []byte("not a request: " + k.String()), false
+	case k >= wire.OpPopLease && s.lease == nil:
+		// Without a lease table the lease opcodes are a configuration
+		// error, not a queue condition: StatusErr rather than NOLEASE.
+		s.obs.bad.Inc()
+		return wire.StatusErr, 0, []byte("lease protocol not enabled"), false
+	}
+	t.kinds[k]++
 	switch k {
 	case wire.OpInsert:
-		s.obs.insert.Inc()
 		s.cfg.Backend.Push(arg, bytes.Clone(data))
 		return wire.StatusOK, 0, nil, true
 	case wire.OpDeleteMin:
-		s.obs.deleteMin.Inc()
 		if p, v, ok := s.cfg.Backend.Pop(); ok {
 			return wire.StatusOK, p, v, true
 		}
 		return wire.StatusEmpty, 0, nil, false
 	case wire.OpPeek:
-		s.obs.peek.Inc()
 		if p, v, ok := s.cfg.Backend.Peek(); ok {
 			return wire.StatusOK, p, v, false
 		}
 		return wire.StatusEmpty, 0, nil, false
 	case wire.OpLen:
-		s.obs.length.Inc()
 		return wire.StatusOK, int64(s.cfg.Backend.Len()), nil, false
 	case wire.OpPing:
-		s.obs.ping.Inc()
 		return wire.StatusOK, 0, nil, false
-	case wire.OpPopLease, wire.OpAck, wire.OpNack, wire.OpExtend, wire.OpInsertDelay:
-		return s.applyLeaseOp(k, arg, data)
 	default:
-		s.obs.bad.Inc()
-		return wire.StatusErr, 0, []byte("not a request: " + k.String()), false
+		return s.applyLeaseOp(k, arg, data)
 	}
 }
 
-// applyLeaseOp executes one at-least-once-protocol operation. The lease
-// table is required; without one the opcodes are a configuration error,
-// not a queue condition, so they answer StatusErr rather than NOLEASE.
+// applyLeaseOp executes one at-least-once-protocol operation against the
+// lease table.
 func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
 	lt := s.lease
-	if lt == nil {
-		s.obs.bad.Inc()
-		return wire.StatusErr, 0, []byte("lease protocol not enabled"), false
-	}
 	switch k {
 	case wire.OpPopLease:
-		s.obs.popLease.Inc()
 		dead := string(data) == wire.SelectorDead
 		id, prio, deadline, value, ok := lt.PopLease(time.Duration(arg)*time.Millisecond, dead)
 		if !ok {
@@ -473,19 +456,16 @@ func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind
 		// consumer sees the element.
 		return wire.StatusLeased, prio, wire.AppendLeaseGrant(nil, id, deadline.UnixNano(), value), true
 	case wire.OpAck:
-		s.obs.ack.Inc()
 		if lt.Ack(uint64(arg)) {
 			return wire.StatusOK, 0, nil, true
 		}
 		return wire.StatusNoLease, 0, nil, false
 	case wire.OpNack:
-		s.obs.nack.Inc()
 		if lt.Nack(uint64(arg)) {
 			return wire.StatusOK, 0, nil, true
 		}
 		return wire.StatusNoLease, 0, nil, false
 	case wire.OpExtend:
-		s.obs.extend.Inc()
 		ttl := time.Duration(0)
 		if len(data) >= 8 {
 			if ms, _, err := wire.ParseDelayValue(data); err == nil {
@@ -499,7 +479,6 @@ func (s *Server) applyLeaseOp(k wire.Kind, arg int64, data []byte) (st wire.Kind
 		}
 		return wire.StatusNoLease, 0, nil, false
 	default: // wire.OpInsertDelay
-		s.obs.insDelay.Inc()
 		delayMillis, value, err := wire.ParseDelayValue(data)
 		if err != nil {
 			s.obs.bad.Inc()

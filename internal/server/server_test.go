@@ -113,7 +113,7 @@ func TestEmptyValues(t *testing.T) {
 // TestMaxConnsBackpressure: beyond MaxConns a connection gets one BUSY
 // frame, which surfaces as the typed ErrBusy.
 func TestMaxConnsBackpressure(t *testing.T) {
-	srv, _, addr := startServer(t, server.Config{MaxConns: 1, Metrics: true})
+	srv, _, addr := startServer(t, server.Config{MaxConns: 1})
 
 	cl1, err := client.Dial(client.Config{Addr: addr})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestMaxConnsBackpressure(t *testing.T) {
 // TestMalformedFrame: a corrupt frame draws a typed ERR reply and the
 // connection closes; the server survives.
 func TestMalformedFrame(t *testing.T) {
-	_, _, addr := startServer(t, server.Config{Metrics: true})
+	_, _, addr := startServer(t, server.Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestOversizedFrame(t *testing.T) {
 // TestPipeliningCounters: pipelined async calls all complete and the frame
 // counters account for every request.
 func TestPipeliningCounters(t *testing.T) {
-	srv, _, addr := startServer(t, server.Config{Metrics: true})
+	srv, _, addr := startServer(t, server.Config{})
 	cl, err := client.Dial(client.Config{Addr: addr, Window: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestPipeliningCounters(t *testing.T) {
 // TestShutdownDrain: Shutdown answers in-flight work, refuses new
 // connections with SHUTDOWN, and Serve returns ErrServerClosed.
 func TestShutdownDrain(t *testing.T) {
-	srv, backend, addr := startServer(t, server.Config{Metrics: true, DrainWindow: 100 * time.Millisecond})
+	srv, backend, addr := startServer(t, server.Config{DrainWindow: 100 * time.Millisecond})
 	cl, err := client.Dial(client.Config{Addr: addr, Window: 256})
 	if err != nil {
 		t.Fatal(err)

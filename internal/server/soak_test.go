@@ -43,7 +43,7 @@ func TestSoakMixedClients(t *testing.T) {
 // soakBackend runs the mixed-client soak against one backend and verifies
 // the full history.
 func soakBackend(t *testing.T, backend multiset.Queue[[]byte], duration time.Duration) {
-	srv := server.New(server.Config{Backend: backend, Metrics: true})
+	srv := server.New(server.Config{Backend: backend})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func readAll(t *testing.T, nc net.Conn) ([]byte, error) {
 // ERR and closes — the frames after it are never answered, so no reply
 // lands on the wrong call.
 func TestFramingErrorInBatch(t *testing.T) {
-	_, _, addr := startServer(t, server.Config{Metrics: true})
+	_, _, addr := startServer(t, server.Config{})
 	nc := rawConn(t, addr)
 	if _, err := nc.Write(pingBadPing()); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func FuzzServerStream(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 1, 2, 3}) // short frame
 	f.Add([]byte{0xff, 0, 0, 0})       // oversized length prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, addr := startServer(t, server.Config{Metrics: true})
+		_, _, addr := startServer(t, server.Config{})
 		stream, want, bad, exact := expectReplies(data)
 		nc := rawConn(t, addr)
 		go func() {

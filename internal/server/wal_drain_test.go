@@ -119,7 +119,7 @@ func TestWALDrainRestart(t *testing.T) {
 // strictly fewer fsyncs than it wrote records.
 func TestGroupCommitAcrossConns(t *testing.T) {
 	dir := t.TempDir()
-	q, _, err := wal.OpenQueue(wal.Config{Dir: dir, Mode: wal.ModeSync, Metrics: true}, skipqueue.NewPQ[[]byte]())
+	q, _, err := wal.OpenQueue(wal.Config{Dir: dir, Mode: wal.ModeSync}, skipqueue.NewPQ[[]byte]())
 	if err != nil {
 		t.Fatal(err)
 	}

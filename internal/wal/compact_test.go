@@ -386,7 +386,7 @@ func TestCompactionFailsOnUnreadableSnapshot(t *testing.T) {
 // failure count stays put.
 func TestFailedCompactionCounted(t *testing.T) {
 	dir := t.TempDir()
-	q, _, err := OpenQueue(Config{Dir: dir, SegmentBytes: 512, SnapshotSegments: -1, Metrics: true}, &memPQ{})
+	q, _, err := OpenQueue(Config{Dir: dir, SegmentBytes: 512, SnapshotSegments: -1}, &memPQ{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestCompactAtOpen(t *testing.T) {
 	}
 	want, _ := recovered(t, dir)
 
-	q, _, err := OpenQueue(Config{Dir: dir, SnapshotSegments: trigger, Metrics: true}, &memPQ{})
+	q, _, err := OpenQueue(Config{Dir: dir, SnapshotSegments: trigger}, &memPQ{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,8 +85,11 @@ func ParseMode(s string) (Mode, error) {
 const (
 	DefaultSyncInterval = time.Millisecond
 	DefaultSegmentBytes = 64 << 20
-	DefaultStallAfter   = 50 * time.Millisecond
 )
+
+// stallAfter is the fsync latency above which a sync is counted as a
+// stall (sync.stalls) and captured as a flight anomaly.
+const stallAfter = 50 * time.Millisecond
 
 // batchBytes is the async-mode size watermark: an append that brings the
 // pending batch past it kicks the syncer immediately instead of waiting
@@ -106,17 +109,12 @@ type Config struct {
 	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it grows past this.
 	SegmentBytes int64
-	// StallAfter is the fsync latency above which a sync is counted as a
-	// stall (sync.stalls) and captured as a flight anomaly.
-	StallAfter time.Duration
 	// SnapshotSegments is the compaction trigger for OpenQueue: once the
 	// on-disk segment count exceeds it, the sealed segments are compacted
 	// into a snapshot in the background and then deleted.
 	// 0 selects the default (4); negative disables automatic snapshots
 	// (they still happen on Close).
 	SnapshotSegments int
-	// Metrics enables the "skipqueue.wal" probe set.
-	Metrics bool
 	// Flight, if non-nil, receives fsync-stall and torn-tail anomalies.
 	Flight *flight.Recorder
 
@@ -133,18 +131,16 @@ func (cfg *Config) fillDefaults() {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = DefaultStallAfter
-	}
 }
 
 // probes is the "skipqueue.wal" observability set (docs/OBSERVABILITY.md).
+// The log always counts.
 type probes struct {
 	set *obs.Set
 
 	appendRecords *obs.Counter // records appended (pushes + pops)
 	appendBytes   *obs.Counter // encoded record bytes appended
-	syncStalls    *obs.Counter // fsyncs slower than StallAfter
+	syncStalls    *obs.Counter // fsyncs slower than stallAfter
 	rotated       *obs.Counter // segment rotations
 	dropped       *obs.Counter // segments deleted by snapshot compaction
 	snapshots     *obs.Counter // snapshots written
@@ -158,10 +154,7 @@ type probes struct {
 	commitWt  *obs.Hist // Commit wait latency (sync mode)
 }
 
-func newProbes(enabled bool) probes {
-	if !enabled {
-		return probes{}
-	}
+func newProbes() probes {
 	set := obs.NewSet("skipqueue.wal")
 	return probes{
 		set:           set,
@@ -229,7 +222,7 @@ func Open(cfg Config, rec *RecoverResult) (*Log, error) {
 	}
 	l := &Log{
 		cfg:     cfg,
-		obs:     newProbes(cfg.Metrics),
+		obs:     newProbes(),
 		lastLSN: nextLSN - 1,
 		durable: nextLSN - 1,
 		segs:    append([]segment(nil), retained...),
@@ -254,7 +247,7 @@ func Open(cfg Config, rec *RecoverResult) (*Log, error) {
 	return l, nil
 }
 
-// Snapshot reads the log's probe set (zero Snapshot without Config.Metrics).
+// Snapshot reads the log's probe set, "skipqueue.wal".
 func (l *Log) Snapshot() obs.Snapshot { return l.obs.set.Snapshot() }
 
 // openSegment creates the segment file whose first record is LSN start and
@@ -448,7 +441,7 @@ func (l *Log) flush() {
 		d = time.Since(t0)
 		l.obs.fsync.Observe(d)
 		l.obs.syncBatch.ObserveN(uint64(recs))
-		if d > l.cfg.StallAfter {
+		if d > stallAfter {
 			l.obs.syncStalls.Inc()
 			l.cfg.Flight.Anomaly(flight.KFsyncStall, 0, int64(d))
 		}

@@ -494,7 +494,7 @@ func TestSyncOpenStartsNoGoroutine(t *testing.T) {
 }
 
 func TestLoneCommitFlushesOnCaller(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir(), Metrics: true}, nil)
+	l, err := Open(Config{Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

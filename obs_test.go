@@ -2,11 +2,18 @@ package skipqueue
 
 import (
 	"encoding/json"
+	"net"
 	"os"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+
+	"skipqueue/internal/lease"
+	"skipqueue/internal/obs"
+	"skipqueue/internal/server"
+	"skipqueue/internal/wal"
+	"skipqueue/internal/wire"
 )
 
 // TestSnapshotDisabledByDefault: without WithMetrics every family returns the
@@ -120,6 +127,99 @@ func TestSnapshotAllFamilies(t *testing.T) {
 		}
 		if s.String() == "" {
 			t.Errorf("%s: empty table rendering", name)
+		}
+	}
+}
+
+// TestObservabilityDocListsServiceProbes: pqd's service layers — a server
+// over a lease table over a WAL queue, built from configs without any
+// metrics switch — publish every counter and histogram as a row of their
+// tables in docs/OBSERVABILITY.md, and every row is published. An OpBatch
+// counts its entries in frames.insert.
+func TestObservabilityDocListsServiceProbes(t *testing.T) {
+	q, _, err := wal.OpenQueue(wal.Config{Dir: t.TempDir()}, NewPQ[[]byte]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	tbl := lease.New(lease.Config{Tick: -1}, q)
+	defer tbl.Close()
+	srv := server.New(server.Config{Backend: tbl})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	// call(want)(out, err) sends one encoded request frame and requires a
+	// reply of kind want.
+	var rbuf []byte
+	call := func(want wire.Kind) func([]byte, error) wire.Frame {
+		return func(out []byte, err error) wire.Frame {
+			t.Helper()
+			if err == nil {
+				_, err = nc.Write(out)
+			}
+			var f wire.Frame
+			if err == nil {
+				f, rbuf, err = wire.Read(nc, rbuf, wire.DefaultMaxFrame)
+			}
+			if err != nil || f.Kind != want {
+				t.Fatalf("reply %v (err %v), want %v", f.Kind, err, want)
+			}
+			return f
+		}
+	}
+	for p := int64(0); p < 3; p++ {
+		call(wire.StatusOK)(wire.Append(nil, wire.Frame{Kind: wire.OpInsert, Arg: p}))
+	}
+	call(wire.StatusBatch)(wire.AppendBatch(nil, []wire.BatchEntry{{Kind: wire.OpInsert, Arg: 3}, {Kind: wire.OpInsert, Arg: 4}}, 0, 0))
+	grant := call(wire.StatusLeased)(wire.Append(nil, wire.Frame{Kind: wire.OpPopLease}))
+	id, _, _, err := wire.ParseLeaseGrant(grant.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call(wire.StatusOK)(wire.Append(nil, wire.Frame{Kind: wire.OpAck, Arg: int64(id)}))
+	if err := tbl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Snapshot().Counter("frames.insert"); got != 5 {
+		t.Errorf("frames.insert = %d, want 5: three frames plus two batch entries", got)
+	}
+
+	rows := docProbeRows(t)
+	for _, snap := range []obs.Snapshot{srv.Snapshot(), srv.BatchSnapshot(), q.Log().Snapshot(), tbl.Snapshot()} {
+		documented := map[string]bool{}
+		for _, r := range rows[snap.Name] {
+			documented[r] = true
+		}
+		if len(documented) == 0 {
+			t.Errorf("docs/OBSERVABILITY.md has no table for %s", snap.Name)
+		}
+		var names []string
+		for _, c := range snap.Counters {
+			names = append(names, c.Name)
+		}
+		for _, h := range snap.Hists {
+			names = append(names, h.Name)
+		}
+		published := map[string]bool{}
+		for _, n := range names {
+			published[n] = true
+			if !documented[n] {
+				t.Errorf("%s publishes %q, which docs/OBSERVABILITY.md does not list", snap.Name, n)
+			}
+		}
+		for r := range documented {
+			if !published[r] {
+				t.Errorf("docs/OBSERVABILITY.md lists %s probe %q, which is not published", snap.Name, r)
+			}
 		}
 	}
 }

@@ -19,7 +19,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	value := make([]byte, 64)
 	run := func(mode wal.Mode, workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			l, err := wal.Open(wal.Config{Dir: b.TempDir(), Mode: mode, Metrics: true}, nil)
+			l, err := wal.Open(wal.Config{Dir: b.TempDir(), Mode: mode}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
