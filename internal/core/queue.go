@@ -482,6 +482,45 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 	}
 }
 
+// Load links n elements into an empty queue in one pass: at(i) returns the
+// i-th element, and the elements must come in strictly ascending (key, seq)
+// order. Sorted input needs no search and no lock: each node is linked
+// after the last node of each of its levels. Towers come from the same
+// randomLevel sequence, so a given Seed builds exactly the towers a sorted
+// InsertSeq loop would; each node is stamped from the clock, counted as an
+// insert and traced like one. Load must finish before the queue is shared
+// between goroutines; it panics on a non-empty queue or out-of-order input.
+func (q *Queue[K, V]) Load(n int, at func(i int) (key K, seq uint64, value V)) {
+	if q.head.loadNext(0) != q.tail {
+		panic("core: Load on a non-empty queue")
+	}
+	var stack [DefaultMaxLevel]*node[K, V]
+	last := q.savedBuf(&stack) // the last node linked on each level
+	for i := range last {
+		last[i] = q.head
+	}
+	for i := 0; i < n; i++ {
+		key, seq, value := at(i)
+		if last[0] != q.head && !last[0].before(key, seq) {
+			panic("core: Load input is not in ascending (key, seq) order")
+		}
+		nn := newNode(key, seq, value, q.randomLevel())
+		for l := range nn.links {
+			last[l].storeNext(l, nn)
+			last[l] = nn
+		}
+		stamp := q.clock.Now()
+		nn.timeStamp.Store(stamp)
+		if q.tracer != nil {
+			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
+		}
+	}
+	for l, nd := range last {
+		nd.storeNext(l, q.tail)
+	}
+	q.shard().inserts.Add(uint64(n))
+}
+
 // DeleteMin removes and returns the minimum element (Figure 11). In strict
 // mode the returned element is the minimum of all elements whose insertions
 // completed before this call began, minus previously deleted elements

@@ -224,6 +224,57 @@ func TestQueueSatisfiesDefinition1(t *testing.T) {
 	}
 }
 
+// TestLoadedQueueSatisfiesDefinition1: a queue filled by the one-pass
+// Load and then churned by concurrent Inserts and DeleteMins is as
+// linearizable as one built by Inserts. The loaded keys are distinct and
+// negative, below every key the workers insert, so the first DeleteMins
+// must drain them in order.
+func TestLoadedQueueSatisfiesDefinition1(t *testing.T) {
+	rounds := 10
+	if testing.Short() {
+		rounds = 3
+	}
+	for round := 0; round < rounds; round++ {
+		q := core.New[int64, int64](core.Config{Seed: uint64(round + 1)})
+		var mu sync.Mutex
+		var history []Op
+		q.SetTracer(func(ev core.TraceEvent[int64]) {
+			mu.Lock()
+			history = append(history, Op{
+				Insert: ev.Insert, Key: ev.Key, OK: ev.OK,
+				Stamp: ev.Stamp, Done: ev.Done, Start: ev.Start,
+			})
+			mu.Unlock()
+		})
+		const loaded = 3000
+		q.Load(loaded, func(i int) (int64, uint64, int64) { return int64(3*i - 3*loaded), 0, int64(i) })
+
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*100 + w)))
+				for i := 0; i < 1500; i++ {
+					if rng.Intn(2) == 0 {
+						q.Insert(int64(w)*1_000_000+int64(i), int64(i))
+					} else {
+						q.DeleteMin()
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		if err := Verify(history); err != nil {
+			t.Fatalf("round %d: Definition 1 violated: %v", round, err)
+		}
+		if err := VerifyConservation(history, q.CollectKeys(nil)); err != nil {
+			t.Fatalf("round %d: conservation violated: %v", round, err)
+		}
+	}
+}
+
 // TestCheckerCatchesBrokenQueue mutates a recorded correct history in ways a
 // buggy queue would produce, ensuring the checker is sensitive (a checker
 // that accepts everything proves nothing).

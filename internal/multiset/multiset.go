@@ -21,3 +21,15 @@ type Queue[V any] interface {
 	// Len returns the number of elements (exact when quiescent).
 	Len() int
 }
+
+// Loader is a Queue that can take its initial contents in one pass, faster
+// than a Push per element. Layers that rebuild a queue from a sorted source
+// (the WAL's recovery) use it when the queue they are handed implements it,
+// and fall back to Push otherwise.
+type Loader[V any] interface {
+	Queue[V]
+	// Load adds n elements, the i-th given by at(i), in ascending priority
+	// order; equal priorities drain in index order. It is valid only on an
+	// empty queue that no other goroutine uses yet.
+	Load(n int, at func(i int) (priority int64, value V))
+}

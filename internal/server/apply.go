@@ -39,6 +39,7 @@ type task struct {
 	kinds   [opKinds]int // operations applied, by kind
 	mutated bool         // the backend changed: the replies wait for a Commit
 
+	entries  []wire.BatchEntry // scratch: decoded entries of one batch frame
 	statuses []wire.BatchEntry // scratch: per-op statuses of one batch frame
 	order    []int             // scratch: apply order of one batch frame
 }
@@ -85,12 +86,13 @@ func (t *task) replyBatch() (err error) {
 // the backend.
 func (s *Server) applyFrame(t *task, f wire.Frame) error {
 	t.frames++
-	var entries []wire.BatchEntry
-	if f.Kind == wire.OpBatch {
+	batch := f.Kind == wire.OpBatch
+	if batch {
 		var err error
-		entries, err = wire.DecodeBatch(f)
-		if err == nil && len(entries) > maxBatchOps {
-			err = errBatchCap
+		t.entries, err = wire.AppendBatchEntries(t.entries[:0], f)
+		if err == nil && len(t.entries) > maxBatchOps {
+			// Keep no scratch larger than an applied batch needs.
+			t.entries, err = nil, errBatchCap
 		}
 		if err != nil {
 			// A malformed batch is a semantic error on a well-framed
@@ -99,25 +101,25 @@ func (s *Server) applyFrame(t *task, f wire.Frame) error {
 			t.ops++
 			return t.reply(wire.StatusErr, 0, []byte(err.Error()))
 		}
-		t.ops += len(entries)
+		t.ops += len(t.entries)
 	} else {
 		t.ops++
 	}
 	if s.draining.Load() {
 		s.obs.shutdownReplies.Inc()
-		if entries == nil {
+		if !batch {
 			return t.reply(wire.StatusShutdown, 0, nil)
 		}
 		t.statuses = t.statuses[:0]
-		for range entries {
+		for range t.entries {
 			t.statuses = append(t.statuses, wire.BatchEntry{Kind: wire.StatusShutdown})
 		}
 		return t.replyBatch()
 	}
 	t0 := time.Now()
 	var err error
-	if entries != nil {
-		err = s.applyBatch(t, entries)
+	if batch {
+		err = s.applyBatch(t, t.entries)
 	} else {
 		st, arg, data, m := s.applyOp(t, f.Kind, f.Arg, f.Data)
 		t.mutated = t.mutated || m

@@ -532,7 +532,7 @@ func BenchmarkCompact(b *testing.B) {
 	}
 	defer l.Close()
 	all := slices.Clone(l.segs)
-	q := &Queue{log: l, snap: snapPath, snapMaxID: snapItems}
+	q := &Queue{log: l, snap: snapPath}
 
 	var mallocs uint64
 	var ms runtime.MemStats
@@ -553,7 +553,7 @@ func BenchmarkCompact(b *testing.B) {
 				b.Fatalf("compacted %d items (err %v), want %d", n, err, snapItems/2+segs*perSeg/2)
 			}
 		}
-		q.snap, q.snapMaxID = snapPath, snapItems
+		q.snap = snapPath
 		l.mu.Lock()
 		l.segs = slices.Clone(all)
 		l.mu.Unlock()

@@ -43,11 +43,8 @@ type Queue struct {
 	inner  multiset.Queue[[]byte]
 	seq    atomic.Uint64
 	snapMu sync.Mutex // one compaction at a time
-	// The snapshot compaction starts from and its largest id; guarded by
-	// snapMu.
-	snap      string
-	snapMaxID uint64
-	closed    atomic.Bool
+	snap   string     // the snapshot compaction starts from; guarded by snapMu
+	closed atomic.Bool
 }
 
 // OpenQueue recovers the durable state in cfg.Dir, rebuilds it into inner,
@@ -59,7 +56,7 @@ func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult
 	if err != nil {
 		return nil, nil, err
 	}
-	q := &Queue{inner: inner, snap: rec.snapshot, snapMaxID: rec.snapMaxID}
+	q := &Queue{inner: inner, snap: rec.snapshot}
 
 	snapSegs := cfg.SnapshotSegments
 	if snapSegs == 0 {
@@ -79,11 +76,24 @@ func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult
 		return nil, nil, err
 	}
 	cfg.onRotate(q.log.Segments())
-	for _, it := range rec.Items {
-		inner.Push(it.Priority, encodeValue(it.ID, it.Value))
-	}
+	rebuild(inner, rec.Items)
 	q.seq.Store(rec.NextID - 1)
 	return q, rec, nil
+}
+
+// rebuild enqueues the recovered items, sorted by (Priority, ID), into
+// inner: in one pass when inner is an empty multiset.Loader, else one
+// Push at a time.
+func rebuild(inner multiset.Queue[[]byte], items []Item) {
+	if l, ok := inner.(multiset.Loader[[]byte]); ok && inner.Len() == 0 {
+		l.Load(len(items), func(i int) (int64, []byte) {
+			return items[i].Priority, encodeValue(items[i].ID, items[i].Value)
+		})
+		return
+	}
+	for _, it := range items {
+		inner.Push(it.Priority, encodeValue(it.ID, it.Value))
+	}
 }
 
 // Log returns the underlying log (its probe set feeds the admin surface).
@@ -182,52 +192,31 @@ func (q *Queue) SnapshotNow() error {
 }
 
 // compact is log compaction: it replays the snapshot the queue last
-// recovered or wrote and every sealed segment by Recover's rule, streaming
-// both, and writes the survivors as the snapshot at the last sealed LSN.
+// recovered or wrote and every sealed segment by Recover's rule (replay),
+// and writes the survivors, unsorted, as the snapshot at the last sealed
+// LSN.
 // The cut is a segment boundary, so every record at or below it was read,
 // and dropping the sealed segments loses nothing. Any failure to read
 // returns before a segment or snapshot is deleted. Caller holds snapMu.
 func (q *Queue) compact() error {
 	dir := q.log.cfg.Dir
 	segs, cut := q.log.sealed()
-	r := newReplay(q.snapMaxID)
+	r := newReplay()
+	prev := q.snap
+	if prev != "" {
+		if _, _, err := readSnapshot(prev, r.add); err != nil {
+			return fmt.Errorf("wal: compacting %s: %w", prev, err)
+		}
+	}
+	r.snapID = r.maxID
 	for _, seg := range segs {
 		if _, _, err := readSegment(seg, r.apply); err != nil {
 			return fmt.Errorf("wal: compacting %s: %w", seg.path, err)
 		}
 	}
-	// The snapshot is streamed twice, to count its survivors for the new
-	// file's header and then to copy them, so it is never held whole.
-	prev := q.snap
-	kept := 0
-	streamPrev := func(fn func(Item)) error {
-		if prev == "" {
-			return nil
-		}
-		if _, _, err := readSnapshot(prev, fn); err != nil {
-			return fmt.Errorf("wal: compacting %s: %w", prev, err)
-		}
-		return nil
-	}
-	if err := streamPrev(func(it Item) {
-		if r.keep(it.ID) {
-			kept++
-		}
-	}); err != nil {
-		return err
-	}
-	maxID := uint64(0)
-	n, err := writeSnapshot(dir, cut, kept+len(r.pushes), func(emit func(Item)) error {
-		if err := streamPrev(func(it Item) {
-			if r.keep(it.ID) {
-				maxID = max(maxID, it.ID)
-				emit(it)
-			}
-		}); err != nil {
-			return err
-		}
-		for _, it := range r.pushes {
-			maxID = max(maxID, it.ID)
+	r.compact()
+	n, err := writeSnapshot(dir, cut, len(r.items), func(emit func(Item)) error {
+		for _, it := range r.items {
 			emit(it)
 		}
 		return nil
@@ -235,7 +224,7 @@ func (q *Queue) compact() error {
 	if err != nil {
 		return err
 	}
-	q.snap, q.snapMaxID = filepath.Join(dir, snapshotName(cut)), maxID
+	q.snap = filepath.Join(dir, snapshotName(cut))
 	q.log.obs.snapshots.Inc()
 	q.log.obs.snapshotBytes.Add(uint64(n))
 	q.log.dropSegmentsBefore(cut)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,9 +33,8 @@ type RecoverResult struct {
 	// record, which recovery truncated away.
 	TornTail bool
 
-	retained  []segment
-	snapshot  string // path of the loaded snapshot ("" = none)
-	snapMaxID uint64 // largest id in it
+	retained []segment
+	snapshot string // path of the loaded snapshot ("" = none)
 }
 
 // replay is the one rule recovery and compaction resolve the live multiset
@@ -44,48 +42,88 @@ type RecoverResult struct {
 //
 //	live = (snapshot ∪ pushes) − pops
 //
-// keyed by element identity. Segment records are applied first; the
-// snapshot is then streamed through keep, so neither it nor a segment is
-// ever held whole. A pop or ack drops its id's push at once, so pushes
-// holds only the segments' still-live pushes. pops exists for keep to drop
-// a snapshot copy, so it remembers only ids no larger than the snapshot's
-// largest: compaction, which knows that id, then holds about as many pops
-// as the snapshot holds items, however many pops its segments carry. The
+// keyed by element identity, the newest push or requeue of an id winning.
+// The snapshot is read first and the segments after it, in log order, all
+// into one flat slice: a push or requeue appends, a pop or ack only notes
+// its id in dead, and a requeue (or a push of an id the snapshot may hold)
+// notes in newest which entry is the id's freshest. compact drops the dead
+// and superseded entries in place and forgets both side sets, because no id
+// is pushed or requeued after its pop or ack record. It runs whenever the
+// side sets outgrow the slice the last compaction kept, so a replay holds
+// about the live sets at the snapshot's cut and at the end of the log. The
 // rule is insensitive to exactly where the snapshot cut fell relative to
-// segment boundaries: records both older and newer than the cut replay to
-// the same answer, because no id is pushed or requeued after its pop or
-// ack record.
+// segment boundaries: a segment record older than the cut only repeats what
+// the snapshot holds, and a newer one supersedes it.
 type replay struct {
-	pushes map[uint64]Item     // newest push or requeue per id
-	pops   map[uint64]struct{} // ids a pop or ack retired
+	items  []Item              // snapshot items, then pushes and requeues in log order
+	dead   map[uint64]struct{} // ids a pop or ack retired since the last compaction
+	newest map[uint64]int      // the items index of an id that may have an older copy
+	snapID uint64              // the snapshot's largest id: a push at or below it may repeat an item
 	maxID  uint64
-	snapID uint64 // no snapshot item this replay reads has a larger id
+	kept   int    // len(items) after the last compaction or the snapshot
 	slab   []byte // backs the kept values: one allocation per ioBufBytes
 }
 
-func newReplay(snapID uint64) *replay {
-	return &replay{pushes: map[uint64]Item{}, pops: map[uint64]struct{}{}, snapID: snapID}
+// minCompact is the side-set size below which a replay never compacts.
+const minCompact = 1024
+
+func newReplay() *replay {
+	return &replay{dead: map[uint64]struct{}{}, newest: map[uint64]int{}}
+}
+
+// add appends one snapshot item, whose Value is valid only during the call.
+// Snapshot items are distinct and live, so they count as kept by a
+// compaction.
+func (r *replay) add(it Item) {
+	r.maxID = max(r.maxID, it.ID)
+	r.items = append(r.items, Item{ID: it.ID, Priority: it.Priority, Value: r.copyValue(it.Value)})
+	r.kept = len(r.items)
+}
+
+// reset forgets every item, for a snapshot that failed to read back whole.
+func (r *replay) reset() {
+	clear(r.items)
+	r.items, r.maxID, r.kept = r.items[:0], 0, 0
 }
 
 func (r *replay) apply(rec record) {
-	if rec.id > r.maxID {
-		r.maxID = rec.id
-	}
+	r.maxID = max(r.maxID, rec.id)
 	switch rec.op {
 	case opPush, opRequeue:
 		// A requeue replays exactly like a push: the newest value wins
 		// (it carries the freshest delivery count).
-		r.pushes[rec.id] = Item{ID: rec.id, Priority: rec.prio, Value: r.copyValue(rec.value)}
-	case opPop, opAck:
-		// Invariant 2 puts the push before its pop, so it is never
-		// re-added once deleted here.
-		delete(r.pushes, rec.id)
-		if rec.id <= r.snapID {
-			r.pops[rec.id] = struct{}{}
+		if rec.op == opRequeue || rec.id <= r.snapID {
+			r.newest[rec.id] = len(r.items)
 		}
+		r.items = append(r.items, Item{ID: rec.id, Priority: rec.prio, Value: r.copyValue(rec.value)})
+	case opPop, opAck:
+		r.dead[rec.id] = struct{}{}
 	}
 	// opLease, which older logs carry, retires nothing: a leased element
 	// stays live until its ack.
+	if len(r.dead)+len(r.newest) > max(r.kept, minCompact) {
+		r.compact()
+	}
+}
+
+// compact drops, in place, every entry a pop or ack retired or a newer
+// copy superseded, and forgets the side sets.
+func (r *replay) compact() {
+	w := 0
+	for i, it := range r.items {
+		if _, ok := r.dead[it.ID]; ok {
+			continue
+		}
+		if j, ok := r.newest[it.ID]; ok && j != i {
+			continue
+		}
+		r.items[w] = it
+		w++
+	}
+	clear(r.items[w:])
+	r.items, r.kept = r.items[:w], w
+	clear(r.dead)
+	clear(r.newest)
 }
 
 // copyValue copies v out of a reader's reused buffer into the slab.
@@ -97,12 +135,19 @@ func (r *replay) copyValue(v []byte) []byte {
 	return r.slab[len(r.slab)-len(v) : len(r.slab) : len(r.slab)]
 }
 
-// keep reports whether a snapshot item is live and not superseded by a
-// newer push or requeue — the snapshot's half of the live multiset.
-func (r *replay) keep(id uint64) bool {
-	_, popped := r.pops[id]
-	_, pushed := r.pushes[id]
-	return !popped && !pushed
+// byPriorityID orders items as a rebuilt backend must hold them: by
+// priority, and by id, which is push order, among equal priorities. It
+// compares in place: a comparator taking Items by value copies twice the
+// bytes it reads.
+type byPriorityID []Item
+
+func (s byPriorityID) Len() int      { return len(s) }
+func (s byPriorityID) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byPriorityID) Less(i, j int) bool {
+	if s[i].Priority != s[j].Priority {
+		return s[i].Priority < s[j].Priority
+	}
+	return s[i].ID < s[j].ID
 }
 
 // readSegment streams one segment's records to fn through a bounded
@@ -128,13 +173,24 @@ func readSegment(seg segment, fn func(record)) (records int, clean int64, err er
 	return records, segHdrSize + consumed, err
 }
 
-// Recover rebuilds the durable queue state from dir: it replays every
-// segment, loads the newest valid snapshot, tolerates a torn final record
+// Recover rebuilds the durable queue state from dir: it loads the newest
+// valid snapshot, replays every segment, tolerates a torn final record
 // (truncating it), removes stranded snapshot temp files, and returns the
-// live multiset by replay's rule. An empty or absent set of files
-// recovers to an empty queue. fr, when non-nil, receives a torn-tail
+// live multiset by replay's rule, sorted once. An empty or absent set of
+// files recovers to an empty queue. fr, when non-nil, receives a torn-tail
 // anomaly capture.
 func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
+	res, err := replayDir(dir, fr)
+	if err != nil {
+		return nil, err
+	}
+	sort.Sort(byPriorityID(res.Items))
+	return res, nil
+}
+
+// replayDir is Recover up to the sort: res.Items holds the live multiset
+// in the order replay left it.
+func replayDir(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -149,11 +205,28 @@ func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 		return nil, err
 	}
 	res := &RecoverResult{NextLSN: 1, NextID: 1}
-	// The snapshot is chosen after the segments are read, so any id may
-	// be in it.
-	r := newReplay(math.MaxUint64)
-	maxLSN := uint64(0)
+	r := newReplay()
 
+	// Load the newest snapshot that reads back whole. An invalid or
+	// unreadable one is skipped (the atomic rename makes that near-
+	// impossible, but disks bit-rot) and left on disk; snapshots older than
+	// the loaded one are redundant and removed once the segments replayed.
+	older := snaps[:0]
+	for i := len(snaps) - 1; i >= 0; i-- {
+		r.reset()
+		cut, n, err := readSnapshot(snaps[i], r.add)
+		if err == nil {
+			res.snapshot, older = snaps[i], snaps[:i]
+			res.SnapshotLSN, res.SnapshotItems = cut, n
+			break
+		}
+	}
+	if res.snapshot == "" {
+		r.reset()
+	}
+	r.snapID = r.maxID
+
+	maxLSN := uint64(0)
 	for i, seg := range segs {
 		final := i == len(segs)-1
 		records, clean, serr := readSegment(seg, r.apply)
@@ -203,45 +276,13 @@ func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 		fr.Anomaly(flight.KTornTail, 0, int64(res.Records))
 		syncDir(dir)
 	}
-
-	// Load the newest snapshot that reads back whole. An invalid or
-	// unreadable one is skipped (the atomic rename makes that near-
-	// impossible, but disks bit-rot) and left on disk; snapshots older than
-	// the loaded one are redundant and removed.
-	for i := len(snaps) - 1; i >= 0; i-- {
-		res.Items = res.Items[:0]
-		maxID := uint64(0)
-		cut, n, err := readSnapshot(snaps[i], func(it Item) {
-			maxID = max(maxID, it.ID)
-			if r.keep(it.ID) {
-				res.Items = append(res.Items, Item{ID: it.ID, Priority: it.Priority, Value: r.copyValue(it.Value)})
-			}
-		})
-		if err == nil {
-			res.snapshot, res.snapMaxID = snaps[i], maxID
-			res.SnapshotLSN, res.SnapshotItems = cut, n
-			for _, old := range snaps[:i] {
-				os.Remove(old)
-			}
-			break
-		}
+	for _, old := range older {
+		os.Remove(old)
 	}
-	if res.snapshot == "" {
-		res.Items = res.Items[:0]
-	}
-
-	for _, it := range r.pushes {
-		res.Items = append(res.Items, it)
-	}
-	sort.Slice(res.Items, func(i, j int) bool {
-		if res.Items[i].Priority != res.Items[j].Priority {
-			return res.Items[i].Priority < res.Items[j].Priority
-		}
-		return res.Items[i].ID < res.Items[j].ID
-	})
-
+	r.compact()
+	res.Items = r.items
 	res.NextLSN = max(maxLSN, res.SnapshotLSN) + 1
-	res.NextID = max(r.maxID, res.snapMaxID) + 1
+	res.NextID = r.maxID + 1
 	res.retained = segs
 	return res, nil
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrBadBatch means a batch frame's entry payload was malformed: torn
@@ -146,29 +147,39 @@ func AppendBatch(dst []byte, entries []BatchEntry, trace uint64, sendNano int64)
 // into its entries. The entry count must match the frame's Arg exactly.
 // Entry Data aliases the frame's Data.
 func DecodeBatch(f Frame) ([]BatchEntry, error) {
+	return AppendBatchEntries(nil, f)
+}
+
+// AppendBatchEntries is DecodeBatch appending the entries to dst, so a
+// reader that decodes batch after batch reuses one slice. On error dst is
+// returned unextended.
+func AppendBatchEntries(dst []BatchEntry, f Frame) ([]BatchEntry, error) {
 	request := f.Kind == OpBatch
 	if !request && f.Kind != StatusBatch {
-		return nil, fmt.Errorf("%w: frame kind %v is not a batch", ErrBadBatch, f.Kind)
+		return dst, fmt.Errorf("%w: frame kind %v is not a batch", ErrBadBatch, f.Kind)
 	}
 	n := f.Arg
 	if n <= 0 || n > MaxBatchOps {
-		return nil, fmt.Errorf("%w: entry count %d", ErrBadBatch, n)
+		return dst, fmt.Errorf("%w: entry count %d", ErrBadBatch, n)
 	}
-	entries := make([]BatchEntry, 0, n)
+	// Every entry takes at least its header, so the data bounds the room
+	// a declared count can claim.
+	start := len(dst)
+	entries := slices.Grow(dst, min(int(n), len(f.Data)/entryHeaderSize))
 	data := f.Data
 	for len(data) > 0 {
 		e, rest, err := NextBatchEntry(data, request)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		entries = append(entries, e)
-		if int64(len(entries)) > n {
-			return nil, fmt.Errorf("%w: more entries than the declared %d", ErrBadBatch, n)
+		if int64(len(entries)-start) > n {
+			return dst, fmt.Errorf("%w: more entries than the declared %d", ErrBadBatch, n)
 		}
 		data = rest
 	}
-	if int64(len(entries)) != n {
-		return nil, fmt.Errorf("%w: %d entries declared, %d decoded", ErrBadBatch, n, len(entries))
+	if got := int64(len(entries) - start); got != n {
+		return dst, fmt.Errorf("%w: %d entries declared, %d decoded", ErrBadBatch, n, got)
 	}
 	return entries, nil
 }

@@ -50,6 +50,40 @@ func TestBatchEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBatchEntriesAllocs: decoding a 64-entry OpBatch into warm
+// scratch allocates nothing, and appends after what dst already held.
+func TestAppendBatchEntriesAllocs(t *testing.T) {
+	reqs := make([]BatchEntry, 64)
+	for i := range reqs {
+		reqs[i] = BatchEntry{Kind: OpInsert, Arg: int64(i), Data: []byte("payload-16-bytes")}
+	}
+	enc, err := AppendBatch(nil, reqs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := Read(bytes.NewReader(enc), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := AppendBatchEntries(nil, f)
+	if err != nil || len(scratch) != len(reqs) {
+		t.Fatalf("decoded %d entries, err %v", len(scratch), err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		scratch, err = AppendBatchEntries(scratch[:0], f)
+	}); allocs != 0 || err != nil {
+		t.Fatalf("decoding into warm scratch: %v allocs per frame (err %v), want 0", allocs, err)
+	}
+	head := []BatchEntry{{Kind: OpPing}}
+	got, err := AppendBatchEntries(head, f)
+	if err != nil || len(got) != 1+len(reqs) || got[0].Kind != OpPing || got[64].Arg != 63 {
+		t.Fatalf("appending after one entry: %d entries, err %v", len(got), err)
+	}
+	if got, err := AppendBatchEntries(head, Frame{Kind: OpBatch, Arg: 2, Data: f.Data}); !errors.Is(err, ErrBadBatch) || len(got) != 1 {
+		t.Fatalf("count mismatch: %d entries, err %v; want dst unextended and ErrBadBatch", len(got), err)
+	}
+}
+
 // TestBatchFrameRoundTrip: whole batch frames — request and response
 // direction, traced and untraced — survive AppendBatch -> Read ->
 // DecodeBatch.

@@ -87,6 +87,20 @@ func NewPQ[V any](opts ...Option) *PQ[V] {
 // Stats returns the underlying queue's operation counters.
 func (pq *PQ[V]) Stats() Stats { return pq.q.Stats() }
 
+// Load fills an empty PQ with n elements in one pass: at(i) returns the
+// i-th, and priorities must not decrease with i. Equal priorities drain in
+// index order, as if pushed one by one in that order, and the resulting
+// queue is the one those Pushes would build. Load must finish before the
+// queue is shared between goroutines; it panics on a non-empty queue or
+// a decreasing priority.
+func (pq *PQ[V]) Load(n int, at func(i int) (priority int64, value V)) {
+	base := pq.seq.Add(uint64(n)) - uint64(n)
+	pq.q.Load(n, func(i int) (int64, uint64, V) {
+		priority, value := at(i)
+		return priority, base + uint64(i) + 1, value
+	})
+}
+
 // LockFreePQ is the multiset layer over LockFree, the CAS-based skiplist
 // queue: PQ's semantics (duplicate priorities, FIFO within a priority) with
 // LockFree's progress guarantee. Construct with NewLockFreePQ. All methods
