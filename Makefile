@@ -28,7 +28,7 @@ race:
 # cores.
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
-	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray' ./internal/core/
+	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load' ./internal/core/
 	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/ ./internal/admin/ ./internal/wire/ ./internal/flight/
 	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/

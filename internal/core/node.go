@@ -14,12 +14,16 @@ type link[K ordered, V any] struct {
 	next atomic.Pointer[node[K, V]]
 }
 
-// node is a SkipQueue record (Figure 1 of the paper): a key, a value, a
-// tower of forward pointers with one lock per level, a whole-node lock that
-// guards against deletion racing with an in-progress insertion, the deleted
-// flag targeted by DeleteMin's SWAP, and the completion timestamp used by
-// the strict ordering mechanism. Like the paper's record it is one
-// allocation: newNode carves node and tower out of one size-classed block.
+// node is a SkipQueue record (Figure 1 of the paper), field by field:
+//
+//   - key and value are the paper's key and value (value split into val and
+//     an atomic pointer, below); seq extends the key to a (key, seq) position;
+//   - links is the tower: level i's next pointer and lock(node, i);
+//   - state folds the paper's timeStamp and deleted flag into one word, and
+//     makes its whole-node lock unnecessary (see state).
+//
+// Like the paper's record it is one allocation: newNode carves node and
+// tower out of one size-classed block.
 type node[K ordered, V any] struct {
 	// key and seq are the node's position: nodes order by key, then by seq
 	// (see before). Map-style callers leave seq zero; the multiset adapters
@@ -39,27 +43,20 @@ type node[K ordered, V any] struct {
 	// protocol).
 	value atomic.Pointer[V]
 
-	// deleted is the logical-deletion mark: zero while live, and the
-	// winning DeleteMin's claim ticket once claimed. The paper marks with a
-	// plain SWAP of a boolean; carrying a clock ticket drawn just before
-	// the winning atomic costs the same arbitration but leaves evidence of
-	// the SWAP serialization order that the Section 4.2 proof relies on —
-	// evidence the Definition 1 checker (internal/lincheck) verifies
-	// against. Tickets read later by a scanning DeleteMin are always
-	// smaller than that scanner's own subsequent ticket, because tickets
-	// are drawn from the same monotone clock after the observation.
-	deleted atomic.Int64
-
-	// timeStamp is vclock.MaxTime while the insertion is incomplete
-	// (Figure 10 line 19) and is set to the clock value once the node is
-	// fully linked (Figure 10 line 29).
-	timeStamp atomic.Int64
-
-	// nodeMu is the whole-node lock: held by Insert while the tower is being
-	// linked and acquired by the physical deletion before unlinking, so a
-	// node is never unlinked mid-insertion (Figure 10 line 20 / Figure 11
-	// line 27).
-	nodeMu sync.Mutex
+	// state is the node's life in one word, moving only forward:
+	//
+	//   - vclock.MaxTime while Insert links the tower (Figure 10 line 19);
+	//   - the completion stamp, a clock value ≥ 1, once every level is
+	//     spliced (Figure 10 line 29);
+	//   - negative once a deleter wins the claim (the SWAP of Figure 11
+	//     line 5): the negated claim ticket on a traced queue, −1 otherwise.
+	//
+	// Only a stamped node can be claimed, strict or relaxed, so a claimed
+	// node is always fully linked and remove never meets a half-linked one:
+	// the fact the paper's whole-node lock (Figure 10 line 20, Figure 11
+	// line 27) establishes. A traced claim's ticket is drawn just before the
+	// winning CAS, so it orders the claims as the Section 4.2 proof does.
+	state atomic.Int64
 
 	// links[i] is level i (0-based; level 0 is the full linked list).
 	links []link[K, V]
@@ -91,8 +88,8 @@ type (
 )
 
 // newNode allocates a node with the given tower height, node and tower in
-// one block up to inlineLevels. The timestamp starts at MaxTime so concurrent
-// strict DeleteMins ignore the node until the insertion completes.
+// one block up to inlineLevels. The state starts at MaxTime so no deleter
+// claims the node until the insertion completes.
 func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V] {
 	var n *node[K, V]
 	switch {
@@ -113,7 +110,7 @@ func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V
 	}
 	n.key, n.seq, n.val = key, seq, value
 	n.value.Store(&n.val)
-	n.timeStamp.Store(vclock.MaxTime)
+	n.state.Store(vclock.MaxTime)
 	return n
 }
 

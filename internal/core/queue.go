@@ -4,25 +4,25 @@
 //
 // The structure follows the paper's pseudocode closely:
 //
-//   - Insert (Figure 10) searches for the predecessor at every level, locks
-//     the new node, and splices it in one level at a time from bottom to
-//     top, holding only one predecessor level-lock at a time. When the key
+//   - Insert (Figure 10) searches for the predecessor at every level and
+//     splices the new node in one level at a time from bottom to top,
+//     holding only one predecessor level-lock at a time. When the key
 //     is already present the value is updated in place. Nodes order by
 //     (key, seq): Insert is InsertSeq with seq 0, and the multiset adapters
 //     give every element its own seq so equal keys coexist in arrival order.
 //   - DeleteMin (Figure 11) reads the shared clock, traverses the bottom
 //     level from the head, skips nodes whose completion timestamp is newer
-//     than its own start time, and claims the first unmarked node with an
-//     atomic swap on its deleted flag. It then performs the ordinary
+//     than its own start time, and claims the first unclaimed node with a
+//     CAS on its state word (see node.state). It then performs the ordinary
 //     skiplist deletion: top-down, two locks per level, unlinking the
 //     incoming pointer first and then pointing the removed node backwards so
 //     concurrent traversers that still hold a reference simply fall back.
 //     Unlike the paper, the per-level lock walk finds the predecessors
 //     itself, with no MaxLevel-deep search first.
 //
-// The relaxed variant of Section 5.4 is the same code with the timestamp
-// read and test compiled out; it may return an element inserted concurrently
-// with the DeleteMin if that element is smaller than the strict minimum.
+// The relaxed variant of Section 5.4 is the same code without the start
+// time; it may return a stamped element inserted concurrently with the
+// DeleteMin if that element is smaller than the strict minimum.
 //
 // All locking is distributed: there is no root lock, and rebalancing is
 // probabilistic, which is the property the paper exploits to scale past
@@ -202,11 +202,11 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	var zeroV V
 	q.tail = newNode(zeroK, 0, zeroV, cfg.MaxLevel)
 	q.head = newNode(zeroK, 0, zeroV, cfg.MaxLevel)
-	// Sentinels are born marked: a DeleteMin scan that bounces onto the
+	// Sentinels are born claimed: a DeleteMin scan that bounces onto the
 	// head via a removed node's backward pointer (see remove) must skip it,
 	// never claim it.
-	q.head.deleted.Store(1)
-	q.tail.deleted.Store(1)
+	q.head.state.Store(-1)
+	q.tail.state.Store(-1)
 	for i := 0; i < cfg.MaxLevel; i++ {
 		q.head.storeNext(i, q.tail)
 		q.tail.storeNext(i, nil)
@@ -460,7 +460,6 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 
 		level := q.randomLevel()
 		nn := newNode(key, seq, value, level)
-		nn.nodeMu.Lock() // Figure 10 line 20: lock the whole node until fully linked.
 
 		for i := 0; i < level; i++ {
 			if i != 0 { // level 0 is already locked
@@ -471,9 +470,8 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 			node1.links[i].mu.Unlock()
 		}
 
-		nn.nodeMu.Unlock()
 		stamp := q.clock.Now()
-		nn.timeStamp.Store(stamp) // Figure 10 line 29
+		nn.state.Store(stamp) // Figure 10 line 29; now deleters may claim nn
 		st.inserts.Add(1)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
@@ -510,7 +508,7 @@ func (q *Queue[K, V]) Load(n int, at func(i int) (key K, seq uint64, value V)) {
 			last[l] = nn
 		}
 		stamp := q.clock.Now()
-		nn.timeStamp.Store(stamp)
+		nn.state.Store(stamp)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
@@ -534,28 +532,33 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 
 // DeleteMinSeq is DeleteMin that also returns the element's seq.
 func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
-	var t int64
+	t := vclock.MaxTime // relaxed: any stamped node is claimable
 	if !q.cfg.Relaxed {
 		t = q.clock.Now() // Figure 11 line 1
 	}
 
 	// Scan the bottom level for the first claimable node (lines 2–10). The
-	// claim (the SWAP of line 5) installs a ticket drawn from the clock just
-	// before the winning atomic; see node.deleted. One load of the mark per
-	// step both gates the claim and attributes the skip: an already-claimed
-	// node is deletion contention, a too-new timestamp is the strict
-	// ordering at work. The scan counts in locals, added to the operation's
-	// stats shard once.
+	// claim (the SWAP of line 5) is a CAS of the node's state from its
+	// stamp to a negative mark; a traced queue marks with the negated
+	// ticket it draws just before the CAS, see node.state. One load of the
+	// state per step both gates the claim and attributes the skip: an
+	// already-claimed node is deletion contention, a too-new (or missing)
+	// stamp is the ordering at work. The scan counts in locals, added to
+	// the operation's stats shard once.
 	var claim int64
 	var steps, skips, marked, lost uint64
 	victim := q.head.loadNext(0)
 	for victim != q.tail {
 		steps++
-		if victim.deleted.Load() != 0 {
+		if s := victim.state.Load(); s < 0 {
 			marked++
-		} else if q.cfg.Relaxed || victim.timeStamp.Load() < t {
-			claim = q.clock.Now()
-			if victim.deleted.CompareAndSwap(0, claim) {
+		} else if s < t {
+			mark := int64(-1)
+			if q.tracer != nil {
+				claim = q.clock.Now()
+				mark = -claim
+			}
+			if victim.state.CompareAndSwap(s, mark) {
 				break
 			}
 			// Lost the SWAP to a racing deleter: the node is marked now.
@@ -596,15 +599,15 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 }
 
 // remove physically unlinks a claimed node from every level (Figure 11
-// lines 23–37): take the whole-node lock so an in-progress insertion
-// finishes first, then unlink top-down holding the predecessor's and the
-// victim's level locks, pointing the victim backwards (line 32) so
-// concurrent traversers holding it fall back to a live node. The search of
+// lines 23–37): top-down, holding the predecessor's and the victim's level
+// locks, pointing the victim backwards (line 32) so concurrent traversers
+// holding it fall back to a live node. The paper's whole-node lock (line 27)
+// is not needed: only a stamped node is claimed, and its insertion linked
+// every level before the stamp (see node.state). The search of
 // lines 15–22 is folded into the lock walk: each level starts from the
 // predecessor found one level up (the head on top), which precedes the
 // victim, so getLockFor walks on from it or from its backward pointer.
 func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
-	victim.nodeMu.Lock() // Figure 11 line 27
 	for i, node1 := victim.level()-1, q.head; i >= 0; i-- {
 		node1 = q.getLockFor(st, node1, victim, i)
 		victim.links[i].mu.Lock()
@@ -613,13 +616,14 @@ func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
 		victim.links[i].mu.Unlock()
 		node1.links[i].mu.Unlock()
 	}
-	victim.nodeMu.Unlock()
 }
 
 // PeekMin returns the current minimum without removing it. The result is
 // advisory: by the time the caller acts on it, a concurrent DeleteMin may
-// have claimed the element. ok is false when the queue has no unclaimed
-// element.
+// have claimed the element. Like a relaxed DeleteMin it passes over a node
+// whose insert is still linking, so a caller that peeks shards and claims
+// from the smallest (internal/sharded) never chases an element no DeleteMin
+// may take yet. ok is false when the queue has no such element.
 func (q *Queue[K, V]) PeekMin() (key K, value V, ok bool) {
 	key, _, value, ok = q.PeekMinSeq()
 	return key, value, ok
@@ -629,7 +633,7 @@ func (q *Queue[K, V]) PeekMin() (key K, value V, ok bool) {
 func (q *Queue[K, V]) PeekMinSeq() (key K, seq uint64, value V, ok bool) {
 	n := q.head.loadNext(0)
 	for n != q.tail {
-		if n.deleted.Load() == 0 {
+		if s := n.state.Load(); s >= 0 && s < vclock.MaxTime {
 			if v := n.value.Load(); v != nil {
 				return n.key, n.seq, *v, true
 			}
@@ -645,7 +649,7 @@ func (q *Queue[K, V]) PeekMinSeq() (key K, seq uint64, value V, ok bool) {
 func (q *Queue[K, V]) Each(fn func(key K, seq uint64)) {
 	n := q.head.loadNext(0)
 	for n != q.tail {
-		if n.deleted.Load() == 0 {
+		if n.state.Load() >= 0 {
 			fn(n.key, n.seq)
 		}
 		n = n.loadNext(0)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -245,6 +246,33 @@ func TestSharedWordsOwnLines(t *testing.T) {
 			if g := gap(w, o); g < cacheLine {
 				t.Errorf("%s and %s are %d B apart, want >= %d", w.name, o.name, g, cacheLine)
 			}
+		}
+	}
+}
+
+// TestNodeSizeClasses: the node header and its inline tower classes each
+// fill a Go size class exactly, so a field added to node moves every node
+// up a class and fails here by name.
+func TestNodeSizeClasses(t *testing.T) {
+	var (
+		n  node[int64, []byte]
+		n1 node1[int64, []byte]
+		n2 node2[int64, []byte]
+		n4 node4[int64, []byte]
+		n8 node8[int64, []byte]
+	)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"node", unsafe.Sizeof(n), 80},
+		{"node1", unsafe.Sizeof(n1), 96},
+		{"node2", unsafe.Sizeof(n2), 112},
+		{"node4", unsafe.Sizeof(n4), 144},
+		{"node8", unsafe.Sizeof(n8), 208},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s[int64, []byte] is %d B, want %d", c.name, c.got, c.want)
 		}
 	}
 }
@@ -562,7 +590,7 @@ func TestRemovePastMarkedPredecessors(t *testing.T) {
 	marked, victim := nodes[:k], nodes[k]
 	st := &q.stats[0]
 	for _, m := range marked {
-		m.deleted.Store(q.clock.Now())
+		m.state.Store(-q.clock.Now())
 		st.deleteMins.Add(1) // the claim, not the unlink, takes an element out of Len
 	}
 
@@ -594,5 +622,74 @@ func TestRemovePastMarkedPredecessors(t *testing.T) {
 	}
 	if cnt, err := q.checkLevels(); err != nil || cnt != q.Len() {
 		t.Fatalf("node count %d (err %v), Len %d", cnt, err, q.Len())
+	}
+}
+
+// TestHalfLinkedNodeNeverClaimed links a two-level node on level 0 only,
+// its state still MaxTime, as an Insert between its splices leaves it. No
+// deleter may claim it: remove would then wait on level 1 for a node that
+// is not there, so a wrong claim shows as a hang, caught here by a deadline.
+// PeekMin must not report it either, or a peeking sampler (internal/sharded)
+// keeps choosing a shard whose DeleteMin then takes a larger element. Once
+// the insertion finishes the link and stamps the node, it comes back.
+func TestHalfLinkedNodeNeverClaimed(t *testing.T) {
+	deleteMin := func(q *Queue[int64, int64]) (int64, bool) {
+		k, _, ok := q.DeleteMin()
+		return k, ok
+	}
+	for _, tc := range []struct {
+		name    string
+		relaxed bool
+		pop     func(q *Queue[int64, int64]) (int64, bool)
+	}{
+		{"strict", false, deleteMin},
+		{"relaxed", true, deleteMin},
+		{"spray", true, func(q *Queue[int64, int64]) (int64, bool) {
+			k, _, _, ok, _ := q.DeleteSpray(2, 1, 1, 1)
+			return k, ok
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New[int64, int64](Config{Relaxed: tc.relaxed, MaxLevel: 4})
+			nn := newNode[int64, int64](7, 0, 70, 2)
+			nn.storeNext(0, q.tail)
+			q.head.storeNext(0, nn)
+
+			type result struct {
+				key int64
+				ok  bool
+			}
+			pop := func(when string) result {
+				done := make(chan result, 1)
+				go func() {
+					k, ok := tc.pop(q)
+					done <- result{k, ok}
+				}()
+				select {
+				case r := <-done:
+					return r
+				case <-time.After(time.Second):
+					t.Fatalf("%s: pop still running after 1s (a claimed half-linked node stalls remove)", when)
+					return result{}
+				}
+			}
+			if k, _, ok := q.PeekMin(); ok {
+				t.Fatalf("PeekMin = %d: reported a node no DeleteMin may claim yet", k)
+			}
+			if r := pop("half-linked"); r.ok {
+				t.Fatalf("half-linked node %d claimed", r.key)
+			}
+
+			nn.storeNext(1, q.tail)
+			q.head.storeNext(1, nn)
+			nn.state.Store(q.clock.Now())
+			q.stats[0].inserts.Add(1)
+			if r := pop("stamped"); !r.ok || r.key != 7 {
+				t.Fatalf("after stamping: pop = (%d, %v), want (7, true)", r.key, r.ok)
+			}
+			if cnt, err := q.checkLevels(); err != nil || cnt != 0 {
+				t.Fatalf("after removal: %d nodes linked (err %v), want 0", cnt, err)
+			}
+		})
 	}
 }

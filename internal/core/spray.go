@@ -1,21 +1,24 @@
 package core
 
-import "skipqueue/internal/xrand"
+import (
+	"skipqueue/internal/vclock"
+	"skipqueue/internal/xrand"
+)
 
 // DeleteSpray is the SprayList's DeleteMin (Alistarh, Kopinsky, Li, Shavit,
 // SPAA 2015) for relaxed queues: it removes a *near-minimal* element. One
 // randomized descending walk starts height levels up at the head and hops
 // forward a uniform number of nodes in [0, jump] on each level; from the
-// landing node it claims the first unclaimed node with DeleteMin's ticket
-// SWAP, and unlinks the victim with remove, which handles any claimed node.
+// landing node it claims the first unclaimed node with DeleteMin's claim
+// CAS, and unlinks the victim with remove, which handles any claimed node.
 // The hunt examines at most attempts·(jump+1) bottom-level nodes and loses
 // at most attempts claims before giving up.
 //
 // ok is false when no claim landed; that is NOT an EMPTY certificate — only
 // a full bottom-level scan (DeleteMin) may report EMPTY. collisions counts
 // already-claimed nodes the hunt stepped over plus claims lost outright, the
-// contention signal for the caller. The timestamp test is skipped (a claim
-// drawn from a random prefix cannot honor it) and nothing is traced. seed
+// contention signal for the caller. Any stamped node is claimable (a claim
+// from a random prefix cannot honor a start time); nothing is traced. seed
 // drives the walk; pass a fresh draw per call so concurrent sprayers land on
 // different prefixes.
 func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key K, seq uint64, value V, ok bool, collisions int) {
@@ -37,13 +40,14 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 		}
 	}
 
-	// Claim hunt along the bottom level. The sentinel head is born marked,
-	// so a walk that never left it (or bounced back onto it) steps off it
-	// here without counting a collision.
+	// Claim hunt along the bottom level. Neither a half-linked node nor the
+	// head (born claimed; a walk may never leave it, or bounce back onto
+	// it) counts as a collision.
 	var lost uint64
 	for hunt := attempts * (jump + 1); hunt > 0 && curr != q.tail; hunt-- {
-		if curr.deleted.Load() == 0 {
-			if curr.deleted.CompareAndSwap(0, q.clock.Now()) {
+		s := curr.state.Load()
+		if s >= 0 && s < vclock.MaxTime {
+			if curr.state.CompareAndSwap(s, -1) {
 				if v := curr.value.Swap(nil); v != nil {
 					value = *v
 				}
@@ -60,7 +64,7 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 				return key, 0, value, false, collisions + 1
 			}
 		}
-		if curr != q.head {
+		if s < vclock.MaxTime && curr != q.head {
 			collisions++
 		}
 		curr = curr.loadNext(0)

@@ -181,7 +181,7 @@ func TestDeleteSprayUnlinksInterior(t *testing.T) {
 		t.Fatalf("%d nodes linked on the bottom level, Len %d", cnt, q.Len())
 	}
 	for n := q.head.loadNext(0); n != q.tail; n = n.loadNext(0) {
-		if n.deleted.Load() != 0 {
+		if n.state.Load() < 0 {
 			t.Fatalf("claimed node %d still linked", n.key)
 		}
 	}

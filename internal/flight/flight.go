@@ -49,7 +49,7 @@ const (
 
 	// Structure events, recorded from the queues' existing probe sites.
 
-	// KLockRetry: the lock-based skiplist re-acquired a node lock after
+	// KLockRetry: the lock-based skiplist re-acquired a level lock after
 	// losing a race (core's lock.retries probe site).
 	KLockRetry
 	// KCASRetry: the lock-free skiplist retried a failed structural CAS

@@ -9,8 +9,8 @@
 // operation still updates a few queue-wide atomic words, each on cache
 // lines of its own: the timestamp clock, the tower-height seed and, for PQ,
 // the FIFO sequence counter. The statistics counters are sharded.)
-// DeleteMin claims the first unmarked bottom-level node with an
-// atomic swap on its deleted flag and then physically unlinks it with the
+// DeleteMin claims the first unclaimed, fully inserted bottom-level node
+// with one atomic on its state word and then physically unlinks it with the
 // ordinary skiplist deletion.
 //
 // Two orderings are offered:
