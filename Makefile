@@ -20,14 +20,15 @@ race:
 # One target that gates a change: vet, full tests, the race detector on the
 # concurrency-heavy packages (the durable path's lease table, WAL and server
 # among them, and the admin handler, wire codec and flight recorder, as in
-# CI's race job) and on the root's stress matrix (-short; it is
+# CI's race job, and the simulator, whose coroutine hand-off is its only
+# synchronization) and on the root's stress matrix (-short; it is
 # where the exchanger's slot race lived unseen), and the benchmark module's
 # vet and smoke (the line CI's bench-module job runs; bench/ is a nested
 # module that `./...` does not reach). core's and lockfree's sharded
 # counters also race at one P (every op on one shard) and at more Ps than
 # cores.
 check: vet test
-	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/
+	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/ ./internal/sim/ ./internal/simq/
 	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load' ./internal/core/
 	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/ ./internal/admin/ ./internal/wire/ ./internal/flight/

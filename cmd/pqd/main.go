@@ -190,7 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return out
 		}
 		adm = admin.New(admin.Config{
-			Namespace: "pqd",
 			Snapshots: snapshots,
 			Draining:  draining.Load,
 			Flight:    []*flight.Recorder{serverFR, structFR},

@@ -4,8 +4,8 @@
 // Endpoints:
 //
 //   - /metrics — Prometheus text exposition (obs.WriteProm) of every
-//     configured snapshot source. A scrape changes no state: the scraper
-//     rates the _total counters itself.
+//     configured snapshot source, each name prefixed "pqd_". A scrape
+//     changes no state: the scraper rates the _total counters itself.
 //   - /healthz — "ok" with 200 while serving, "draining" with 503 once a
 //     graceful shutdown began. Load balancers key off this to stop routing
 //     before the listener actually closes.
@@ -39,8 +39,6 @@ import (
 // Config wires the admin surface to the process it describes. All fields
 // are optional; nil sources serve empty (but well-formed) responses.
 type Config struct {
-	// Namespace prefixes every metric name (default "pqd").
-	Namespace string
 	// Snapshots is called per /metrics scrape for the current probe state.
 	Snapshots func() []obs.Snapshot
 	// Draining reports whether a graceful shutdown has begun (/healthz).
@@ -61,9 +59,6 @@ type Server struct {
 
 // New builds the mux; call Serve (or mount Handler yourself).
 func New(cfg Config) *Server {
-	if cfg.Namespace == "" {
-		cfg.Namespace = "pqd"
-	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.metrics)
 	s.mux.HandleFunc("/healthz", s.healthz)
@@ -108,7 +103,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if s.cfg.Snapshots != nil {
-		obs.WriteProm(w, s.cfg.Namespace, s.cfg.Snapshots()...)
+		obs.WriteProm(w, "pqd", s.cfg.Snapshots()...)
 	}
 }
 

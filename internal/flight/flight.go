@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"skipqueue/internal/obs"
 )
 
 // Kind classifies one recorded event. The catalog spans every layer that
@@ -239,20 +241,6 @@ type ringShard struct {
 	slots []slot
 }
 
-// token carries a goroutine-affine shard hint, pooled exactly like
-// internal/obs's counter tokens: sync.Pool's per-P fast path hands a
-// goroutine a token last used on its current P, spreading writers across
-// shards without any per-call hashing or allocation.
-type token struct {
-	idx uint32
-}
-
-var tokenSeq atomic.Uint32
-
-var tokenPool = sync.Pool{New: func() any {
-	return &token{idx: tokenSeq.Add(1)}
-}}
-
 // Defaults for New's zero parameters.
 const (
 	// DefaultShards bounds writer spreading; rings are cheap, so a
@@ -348,12 +336,11 @@ func (r *Recorder) RecordAt(ts int64, k Kind, trace uint64, arg int64) {
 	r.write(ts, k, trace, arg)
 }
 
-// write claims the next slot of a goroutine-affine shard and publishes the
-// event with a seqlock-style last store. Allocation-free after the token
-// pool warms up.
+// write claims the next slot of a goroutine-affine shard (obs.ShardHint,
+// the hint the sharded counters spread by) and publishes the event with a
+// seqlock-style last store. Allocation-free after the hint pool warms up.
 func (r *Recorder) write(ts int64, k Kind, trace uint64, arg int64) {
-	t := tokenPool.Get().(*token)
-	s := &r.shards[int(t.idx)%len(r.shards)]
+	s := &r.shards[int(obs.ShardHint())%len(r.shards)]
 	i := s.cur.Add(1) - 1
 	sl := &s.slots[i&r.mask]
 	sl.seq.Store(0) // invalidate for readers while the payload changes
@@ -362,7 +349,6 @@ func (r *Recorder) write(ts int64, k Kind, trace uint64, arg int64) {
 	sl.trace.Store(trace)
 	sl.arg.Store(arg)
 	sl.seq.Store(i + 1) // publish
-	tokenPool.Put(t)
 }
 
 // Anomaly records the event like Record, counts it, and captures a dump of

@@ -176,3 +176,30 @@ func TestHeapDegradesSkipQueueScales(t *testing.T) {
 			heapGrowth, skipGrowth)
 	}
 }
+
+// TestSimGuardCyclesGolden pins the cycle counts of the benchmark ladder's
+// simulator guard (the figure-4 point: 64 processors, 1000 prefilled
+// elements, 7000 operations, seed 1). The simulation is deterministic, so a
+// change to the engine or to the simulated structures that moves any of
+// these values changes the reproduction itself. Each value is an integer sum
+// over an integer count, so exact comparison is portable.
+func TestSimGuardCyclesGolden(t *testing.T) {
+	run := func(s Structure) Result {
+		return Run(Params{Structure: s, Procs: 64, InitialSize: 1000, Ops: 7000,
+			InsertRatio: 0.5, Work: 100, Seed: 1})
+	}
+	sq := run(SkipQueue)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"SkipQueue AvgInsert", sq.AvgInsert, 1856.2252042007},
+		{"SkipQueue AvgDelete", sq.AvgDelete, 4970.267756482525},
+		{"Heap AvgDelete", run(Heap).AvgDelete, 30854.45321307779},
+		{"FunnelList AvgDelete", run(FunnelList).AvgDelete, 248640.82592486378},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v cycles, want %v", c.name, c.got, c.want)
+		}
+	}
+}

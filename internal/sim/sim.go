@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event multiprocessor simulator:
 // the repository's stand-in for the Proteus simulation of a 256-node
 // ccNUMA machine (MIT Alewife) on which the paper's evaluation ran.
@@ -20,6 +22,9 @@
 //     processors hammering them — the effect that separates the three
 //     structures in the paper's figures. Locks queue FIFO, modelling the
 //     Proteus semaphores the paper used.
+//   - Each processor body runs as an iter.Pull coroutine. A step resumes
+//     the body through next and every primitive returns the token through
+//     the coroutine's yield, so the schedule is the heap's order alone.
 //
 // Absolute cycle counts are not Proteus's; the latency *shapes* across the
 // 1..256 processor sweep are what the harness reproduces.
@@ -28,6 +33,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 
 	"skipqueue/internal/xrand"
 )
@@ -137,7 +143,6 @@ type procState int8
 const (
 	stateReady procState = iota
 	stateBlocked
-	stateDone
 )
 
 // Proc is a virtual processor. The function passed to Machine.Run receives
@@ -152,23 +157,20 @@ type Proc struct {
 	time      int64
 	state     procState
 	blockedAt int64
-	resume    chan struct{}
-	wake      []*Proc // procs unblocked by this proc's last step
+	next      func() (struct{}, bool) // runs the body up to its next step
+	suspend   func(struct{}) bool     // the body coroutine's yield
+	wake      []*Proc                 // procs unblocked by this proc's last step
 }
+
+// stopped is the panic that unwinds a body whose Run has ended early.
+type stopped struct{}
 
 // Machine is the simulated multiprocessor. Create with New, then call Run.
 type Machine struct {
-	cfg     Config
-	procs   []*Proc
-	yieldCh chan *Proc
-	ready   procHeap
-	now     int64 // time of the most recently scheduled step
-
-	// A panic inside a processor body is captured and re-raised from Run,
-	// so buggy simulated programs fail the calling test instead of killing
-	// the process from an anonymous goroutine.
-	panicked bool
-	panicVal any
+	cfg   Config
+	procs []*Proc
+	ready procHeap
+	now   int64 // time of the most recently scheduled step
 
 	totals Totals
 }
@@ -191,16 +193,11 @@ func (m *Machine) Totals() Totals { return m.totals }
 // zero Config gives the default model with one processor.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
-	m := &Machine{cfg: cfg, yieldCh: make(chan *Proc)}
+	m := &Machine{cfg: cfg}
 	seeds := xrand.NewSplitMix64(cfg.Seed)
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
-		m.procs[i] = &Proc{
-			ID:     i,
-			Rand:   xrand.NewRand(seeds.Next()),
-			m:      m,
-			resume: make(chan struct{}),
-		}
+		m.procs[i] = &Proc{ID: i, Rand: xrand.NewRand(seeds.Next()), m: m}
 	}
 	return m
 }
@@ -223,28 +220,23 @@ func (m *Machine) Now() int64 { return m.now }
 
 // Run executes body on every processor from time zero and returns when all
 // processors have finished. It panics if the simulated program deadlocks
-// (every unfinished processor blocked on a lock).
+// (every unfinished processor blocked on a lock), and re-raises a panic from
+// a processor body. Either way the unfinished bodies are unwound first.
 //
 // Run is not reentrant; a Machine runs once.
 func (m *Machine) Run(body func(p *Proc)) {
 	for _, p := range m.procs {
-		p := p
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					// Surface a simulated program's panic through Run: the
-					// panicking processor holds the execution token, so the
-					// scheduler is waiting for this yield.
-					p.state = stateDone
-					m.panicVal = r
-					m.panicked = true
+		var stop func()
+		p.next, stop = iter.Pull(func(yield func(struct{}) bool) {
+			defer func() { // a stopped body ends quietly; next re-raises the rest
+				if r := recover(); r != nil && r != (stopped{}) {
+					panic(r)
 				}
-				m.yieldCh <- p
 			}()
-			<-p.resume
+			p.suspend = yield
 			body(p)
-			p.state = stateDone
-		}()
+		})
+		defer stop()
 	}
 	m.ready = append(m.ready[:0], m.procs...)
 	heap.Init(&m.ready)
@@ -261,31 +253,29 @@ func (m *Machine) Run(body func(p *Proc)) {
 		}
 		p := heap.Pop(&m.ready).(*Proc)
 		m.now = p.time
-		p.resume <- struct{}{}
-		stepped := <-m.yieldCh
-		if m.panicked {
-			panic(m.panicVal)
-		}
-		for _, w := range stepped.wake {
+		_, more := p.next()
+		for _, w := range p.wake {
 			heap.Push(&m.ready, w)
 		}
-		stepped.wake = stepped.wake[:0]
-		switch stepped.state {
-		case stateReady:
-			heap.Push(&m.ready, stepped)
-		case stateBlocked:
-			// Parked on a lock's waiter queue; its unlocker will wake it.
-		case stateDone:
+		p.wake = p.wake[:0]
+		switch {
+		case !more:
 			running--
+		case p.state == stateReady:
+			heap.Push(&m.ready, p)
+		case p.state == stateBlocked:
+			// Parked on a lock's waiter queue; its unlocker will wake it.
 		}
 	}
 }
 
-// yield hands the token back to the scheduler and blocks until this
-// processor is scheduled again.
+// yield hands the token back to the scheduler and returns when this
+// processor is scheduled again. If Run has ended early it unwinds the body
+// instead.
 func (p *Proc) yield() {
-	p.m.yieldCh <- p
-	<-p.resume
+	if !p.suspend(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Now returns the processor's local clock, which equals global machine time

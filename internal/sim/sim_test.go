@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -302,6 +303,38 @@ func TestNegativeWorkPanics(t *testing.T) {
 	m.Run(func(p *Proc) {
 		p.Work(-1)
 	})
+}
+
+// TestRunLeavesNoGoroutines checks that a Run that panics, whether from a
+// deadlock or from a processor body, leaves none of its unfinished
+// processors parked behind it.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	mustPanic := func(body func(p *Proc)) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run did not panic")
+			}
+		}()
+		m := New(Config{Procs: 4})
+		m.Run(body)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		l := &Lock{}
+		mustPanic(func(p *Proc) { p.Lock(l) }) // the holder exits, the rest deadlock
+		mustPanic(func(p *Proc) {
+			p.Work(int64(10 * p.ID))
+			if p.ID == 1 {
+				panic("boom")
+			}
+			p.Work(1000)
+		})
+	}
+	// Run returns only after stopping every body, so there is nothing to
+	// wait for.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before 100 panicking runs, %d after", before, after)
+	}
 }
 
 func TestDefaultsNormalization(t *testing.T) {
