@@ -26,14 +26,15 @@ race:
 # vet and smoke (the line CI's bench-module job runs; bench/ is a nested
 # module that `./...` does not reach). core's and lockfree's sharded
 # counters also race at one P (every op on one shard) and at more Ps than
-# cores.
+# cores, and so do core's tower-layout tests, where the race build's
+# checkptr checks that each tower address stays inside its node's block.
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/ ./internal/sim/ ./internal/simq/
-	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load' ./internal/core/
+	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load|Tower|NodeSize' ./internal/core/
 	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/ ./internal/admin/ ./internal/wire/ ./internal/flight/
 	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
-	go test -run '^$$' -bench 'Recover|Compact' -benchtime 1x ./internal/wal/
+	go test -run '^$$' -bench 'Recover|Compact|Deep' -benchtime 1x ./internal/wal/ ./internal/core/
 	cd bench && go vet . && go test -short .
 
 # Build the network daemon and its load generator into bin/.

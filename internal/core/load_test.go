@@ -180,3 +180,36 @@ func TestLoadPanics(t *testing.T) {
 		t.Fatalf("Len = %d after loading nothing", empty.Len())
 	}
 }
+
+// BenchmarkDeep times one goroutine's Insert and DeleteMin on a queue of
+// 2^19 elements built with Load, so the search path's cost beyond cache
+// has a number of its own. Keys are spaced deep apart and inserts land
+// uniformly between them; the queue is rebuilt, off the clock, after every
+// deep/2 operations, so it always holds between 2^18 and 3·2^18 elements.
+func BenchmarkDeep(b *testing.B) {
+	const deep = 1 << 19
+	build := func() *Queue[int64, []byte] {
+		q := New[int64, []byte](Config{Seed: 1})
+		q.Load(deep, func(i int) (int64, uint64, []byte) { return int64(i) * deep, 0, nil })
+		return q
+	}
+	run := func(b *testing.B, op func(q *Queue[int64, []byte], i int)) {
+		q := build()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%(deep/2) == deep/2-1 {
+				b.StopTimer()
+				q = build()
+				b.StartTimer()
+			}
+			op(q, i)
+		}
+	}
+	b.Run("insert", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		run(b, func(q *Queue[int64, []byte], i int) { q.InsertSeq(rng.Int63n(deep*deep), uint64(i)+1, nil) })
+	})
+	b.Run("deletemin", func(b *testing.B) {
+		run(b, func(q *Queue[int64, []byte], _ int) { q.DeleteMin() })
+	})
+}

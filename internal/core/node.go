@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"skipqueue/internal/vclock"
 )
@@ -18,7 +19,8 @@ type link[K ordered, V any] struct {
 //
 //   - key and value are the paper's key and value (value split into val and
 //     an atomic pointer, below); seq extends the key to a (key, seq) position;
-//   - links is the tower: level i's next pointer and lock(node, i);
+//   - the tower, level i's next pointer and lock(node, i), follows the node
+//     in the same block; lvl is its height and link(i) reaches level i;
 //   - state folds the paper's timeStamp and deleted flag into one word, and
 //     makes its whole-node lock unnecessary (see state).
 //
@@ -58,16 +60,17 @@ type node[K ordered, V any] struct {
 	// winning CAS, so it orders the claims as the Section 4.2 proof does.
 	state atomic.Int64
 
-	// links[i] is level i (0-based; level 0 is the full linked list).
-	links []link[K, V]
+	// lvl is the tower height. Levels 0 … lvl−1 (level 0 is the full
+	// linked list) follow the node at a fixed offset: see link.
+	lvl int
 }
 
-// inlineLevels is the tallest tower newNode embeds in the node's own
-// allocation; a tower grows past it with probability p^8.
-const inlineLevels = 8
+// maxTowerLevel is the tallest tower a size class holds, and so the cap on
+// Config.MaxLevel.
+const maxTowerLevel = 64
 
-// node1 … node8 are the allocation size classes: a node followed by its
-// tower, so that links slices memory of the same block.
+// node1 … node64 are the allocation size classes: a node followed by its
+// tower, which link addresses at offset unsafe.Sizeof(node).
 type (
 	node1[K ordered, V any] struct {
 		node[K, V]
@@ -83,32 +86,46 @@ type (
 	}
 	node8[K ordered, V any] struct {
 		node[K, V]
-		tower [inlineLevels]link[K, V]
+		tower [8]link[K, V]
+	}
+	node16[K ordered, V any] struct {
+		node[K, V]
+		tower [16]link[K, V]
+	}
+	node32[K ordered, V any] struct {
+		node[K, V]
+		tower [32]link[K, V]
+	}
+	node64[K ordered, V any] struct {
+		node[K, V]
+		tower [maxTowerLevel]link[K, V]
 	}
 )
 
-// newNode allocates a node with the given tower height, node and tower in
-// one block up to inlineLevels. The state starts at MaxTime so no deleter
-// claims the node until the insertion completes.
+// newNode allocates a node and its tower in one block, of the smallest class
+// that holds the height (tall towers and sentinels included). The state starts
+// at MaxTime so no deleter claims the node until the insertion completes.
 func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V] {
 	var n *node[K, V]
 	switch {
 	case level <= 1:
-		b := new(node1[K, V])
-		n, b.links = &b.node, b.tower[:level]
+		n = &new(node1[K, V]).node
 	case level <= 2:
-		b := new(node2[K, V])
-		n, b.links = &b.node, b.tower[:level]
+		n = &new(node2[K, V]).node
 	case level <= 4:
-		b := new(node4[K, V])
-		n, b.links = &b.node, b.tower[:level]
-	case level <= inlineLevels:
-		b := new(node8[K, V])
-		n, b.links = &b.node, b.tower[:level]
+		n = &new(node4[K, V]).node
+	case level <= 8:
+		n = &new(node8[K, V]).node
+	case level <= 16:
+		n = &new(node16[K, V]).node
+	case level <= 32:
+		n = &new(node32[K, V]).node
+	case level <= maxTowerLevel:
+		n = &new(node64[K, V]).node
 	default:
-		n = &node[K, V]{links: make([]link[K, V], level)}
+		panic("core: tower taller than 64 levels")
 	}
-	n.key, n.seq, n.val = key, seq, value
+	n.key, n.seq, n.val, n.lvl = key, seq, value, level
 	n.value.Store(&n.val)
 	n.state.Store(vclock.MaxTime)
 	return n
@@ -120,11 +137,23 @@ func (n *node[K, V]) before(key K, seq uint64) bool {
 }
 
 // level returns the tower height of the node.
-func (n *node[K, V]) level() int { return len(n.links) }
+func (n *node[K, V]) level() int { return n.lvl }
+
+// link returns level i of the tower that newNode placed right after n in
+// its block. Like a slice index it panics unless 0 <= i < n.level(), so the
+// address never leaves the block. The sum is spelled with uintptr rather
+// than unsafe.Add because the race build's checkptr checks only that form
+// stays inside n's allocation.
+func (n *node[K, V]) link(i int) *link[K, V] {
+	if uint(i) >= uint(n.lvl) {
+		panic("core: tower level out of range")
+	}
+	return (*link[K, V])(unsafe.Pointer(uintptr(unsafe.Pointer(n)) + unsafe.Sizeof(*n) + uintptr(i)*unsafe.Sizeof(link[K, V]{})))
+}
 
 // loadNext returns the level-i successor.
-func (n *node[K, V]) loadNext(i int) *node[K, V] { return n.links[i].next.Load() }
+func (n *node[K, V]) loadNext(i int) *node[K, V] { return n.link(i).next.Load() }
 
-// storeNext sets the level-i successor. Callers must hold n.links[i].mu
+// storeNext sets the level-i successor. Callers must hold n.link(i).mu
 // except during single-threaded construction.
-func (n *node[K, V]) storeNext(i int, to *node[K, V]) { n.links[i].next.Store(to) }
+func (n *node[K, V]) storeNext(i int, to *node[K, V]) { n.link(i).next.Store(to) }

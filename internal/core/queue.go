@@ -65,7 +65,8 @@ const DefaultP = 0.5
 // Config carries the tunables of a Queue. The zero value is usable: it is
 // normalized to the defaults by New.
 type Config struct {
-	// MaxLevel bounds tower height (the paper's queue->maxLevel).
+	// MaxLevel bounds tower height (the paper's queue->maxLevel). New caps
+	// it at 64, the tallest tower a node's size classes hold.
 	MaxLevel int
 	// P is the geometric level probability (the paper's p).
 	P float64
@@ -86,6 +87,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = DefaultMaxLevel
 	}
+	c.MaxLevel = min(c.MaxLevel, maxTowerLevel)
 	if c.P <= 0 || c.P >= 1 {
 		c.P = DefaultP
 	}
@@ -319,7 +321,7 @@ func (q *Queue[K, V]) beyond(n, victim *node[K, V]) bool {
 // advance along level to the last node before (key, seq), lock that node's
 // level, then re-validate and slide the lock forward past any node that was
 // inserted (or any backward pointer left by a deletion) before the lock was
-// won. On return the caller holds node1.links[level].mu. Re-acquisitions
+// won. On return the caller holds node1.link(level).mu. Re-acquisitions
 // count in st, the operation's stats shard.
 func (q *Queue[K, V]) getLock(st *statsShard, node1 *node[K, V], key K, seq uint64, level int) *node[K, V] {
 	node2 := node1.loadNext(level)
@@ -327,13 +329,13 @@ func (q *Queue[K, V]) getLock(st *statsShard, node1 *node[K, V], key K, seq uint
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
-	node1.links[level].mu.Lock()
+	node1.link(level).mu.Lock()
 	node2 = node1.loadNext(level)
 	for q.precedes(node2, key, seq) {
 		q.lockRetry(st, level)
-		node1.links[level].mu.Unlock()
+		node1.link(level).mu.Unlock()
 		node1 = node2
-		node1.links[level].mu.Lock()
+		node1.link(level).mu.Lock()
 		node2 = node1.loadNext(level)
 	}
 	return node1
@@ -351,7 +353,7 @@ func (q *Queue[K, V]) getLockFor(st *statsShard, start, victim *node[K, V], leve
 		node1 = node2
 		node2 = node1.loadNext(level)
 	}
-	node1.links[level].mu.Lock()
+	node1.link(level).mu.Lock()
 	for node1.loadNext(level) != victim {
 		node2 = node1.loadNext(level)
 		if q.beyond(node2, victim) {
@@ -359,15 +361,15 @@ func (q *Queue[K, V]) getLockFor(st *statsShard, start, victim *node[K, V], leve
 			// This can only be a transient view caused by a backward
 			// pointer; restart from the head.
 			q.lockRetry(st, level)
-			node1.links[level].mu.Unlock()
+			node1.link(level).mu.Unlock()
 			node1 = q.head
-			node1.links[level].mu.Lock()
+			node1.link(level).mu.Lock()
 			continue
 		}
 		q.lockRetry(st, level)
-		node1.links[level].mu.Unlock()
+		node1.link(level).mu.Unlock()
 		node1 = node2
-		node1.links[level].mu.Lock()
+		node1.link(level).mu.Lock()
 	}
 	return node1
 }
@@ -445,7 +447,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 			box := new(V)
 			*box = value
 			old := node2.value.Swap(box)
-			node1.links[0].mu.Unlock()
+			node1.link(0).mu.Unlock()
 			if old != nil {
 				st.updates.Add(1)
 				return Updated
@@ -467,7 +469,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 			}
 			nn.storeNext(i, node1.loadNext(i))
 			node1.storeNext(i, nn)
-			node1.links[i].mu.Unlock()
+			node1.link(i).mu.Unlock()
 		}
 
 		stamp := q.clock.Now()
@@ -503,7 +505,7 @@ func (q *Queue[K, V]) Load(n int, at func(i int) (key K, seq uint64, value V)) {
 			panic("core: Load input is not in ascending (key, seq) order")
 		}
 		nn := newNode(key, seq, value, q.randomLevel())
-		for l := range nn.links {
+		for l := range nn.level() {
 			last[l].storeNext(l, nn)
 			last[l] = nn
 		}
@@ -610,11 +612,11 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
 	for i, node1 := victim.level()-1, q.head; i >= 0; i-- {
 		node1 = q.getLockFor(st, node1, victim, i)
-		victim.links[i].mu.Lock()
+		victim.link(i).mu.Lock()
 		node1.storeNext(i, victim.loadNext(i))
 		victim.storeNext(i, node1) // point backwards (line 32)
-		victim.links[i].mu.Unlock()
-		node1.links[i].mu.Unlock()
+		victim.link(i).mu.Unlock()
+		node1.link(i).mu.Unlock()
 	}
 }
 

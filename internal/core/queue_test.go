@@ -250,30 +250,122 @@ func TestSharedWordsOwnLines(t *testing.T) {
 	}
 }
 
-// TestNodeSizeClasses: the node header and its inline tower classes each
+// TestNodeSizeClasses: the node header and its classes up to node8 each
 // fill a Go size class exactly, so a field added to node moves every node
-// up a class and fails here by name.
+// up a class and fails here by name. The tall classes are pinned too.
 func TestNodeSizeClasses(t *testing.T) {
 	var (
-		n  node[int64, []byte]
-		n1 node1[int64, []byte]
-		n2 node2[int64, []byte]
-		n4 node4[int64, []byte]
-		n8 node8[int64, []byte]
+		n   node[int64, []byte]
+		n1  node1[int64, []byte]
+		n2  node2[int64, []byte]
+		n4  node4[int64, []byte]
+		n8  node8[int64, []byte]
+		n16 node16[int64, []byte]
+		n32 node32[int64, []byte]
+		n64 node64[int64, []byte]
 	)
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"node", unsafe.Sizeof(n), 80},
-		{"node1", unsafe.Sizeof(n1), 96},
-		{"node2", unsafe.Sizeof(n2), 112},
-		{"node4", unsafe.Sizeof(n4), 144},
-		{"node8", unsafe.Sizeof(n8), 208},
+		{"node", unsafe.Sizeof(n), 64},
+		{"node1", unsafe.Sizeof(n1), 80},
+		{"node2", unsafe.Sizeof(n2), 96},
+		{"node4", unsafe.Sizeof(n4), 128},
+		{"node8", unsafe.Sizeof(n8), 192},
+		{"node16", unsafe.Sizeof(n16), 320},
+		{"node32", unsafe.Sizeof(n32), 576},
+		{"node64", unsafe.Sizeof(n64), 1088},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s[int64, []byte] is %d B, want %d", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestTowerAtFixedOffset: in every size class the tower starts where the
+// node ends, link(i) is the class's tower[i] for every level the node has,
+// and link panics at the node's level, inside the block or not.
+func TestTowerAtFixedOffset(t *testing.T) {
+	t.Run("int64,[]byte", checkTowerAtFixedOffset[int64, []byte])
+	t.Run("string,[]byte", checkTowerAtFixedOffset[string, []byte])
+	t.Run("int64,int64", checkTowerAtFixedOffset[int64, int64])
+}
+
+func checkTowerAtFixedOffset[K ordered, V any](t *testing.T) {
+	var (
+		b1  node1[K, V]
+		b2  node2[K, V]
+		b4  node4[K, V]
+		b8  node8[K, V]
+		b16 node16[K, V]
+		b32 node32[K, V]
+		b64 node64[K, V]
+	)
+	classes := []struct {
+		levels         int
+		offset, header uintptr
+		tower          func(*node[K, V]) []link[K, V]
+	}{
+		{1, unsafe.Offsetof(b1.tower), unsafe.Sizeof(b1.node),
+			func(n *node[K, V]) []link[K, V] { return (*node1[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{2, unsafe.Offsetof(b2.tower), unsafe.Sizeof(b2.node),
+			func(n *node[K, V]) []link[K, V] { return (*node2[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{4, unsafe.Offsetof(b4.tower), unsafe.Sizeof(b4.node),
+			func(n *node[K, V]) []link[K, V] { return (*node4[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{8, unsafe.Offsetof(b8.tower), unsafe.Sizeof(b8.node),
+			func(n *node[K, V]) []link[K, V] { return (*node8[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{16, unsafe.Offsetof(b16.tower), unsafe.Sizeof(b16.node),
+			func(n *node[K, V]) []link[K, V] { return (*node16[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{32, unsafe.Offsetof(b32.tower), unsafe.Sizeof(b32.node),
+			func(n *node[K, V]) []link[K, V] { return (*node32[K, V])(unsafe.Pointer(n)).tower[:] }},
+		{maxTowerLevel, unsafe.Offsetof(b64.tower), unsafe.Sizeof(b64.node),
+			func(n *node[K, V]) []link[K, V] { return (*node64[K, V])(unsafe.Pointer(n)).tower[:] }},
+	}
+	smallest := 1
+	for _, c := range classes {
+		if c.offset != c.header {
+			t.Errorf("class of %d levels: tower at offset %d, node is %d B", c.levels, c.offset, c.header)
+		}
+		// The smallest and the tallest tower the class holds.
+		for _, level := range []int{smallest, c.levels} {
+			var key K
+			var value V
+			n := newNode(key, 0, value, level)
+			tower := c.tower(n)
+			for i := range level {
+				if n.link(i) != &tower[i] {
+					t.Errorf("level %d: link(%d) is not tower[%d] of the %d-level class", level, i, i, c.levels)
+				}
+			}
+			for _, i := range []int{-1, level} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("level %d: link(%d) did not panic", level, i)
+						}
+					}()
+					n.link(i)
+				}()
+			}
+		}
+		smallest = c.levels + 1
+	}
+}
+
+// TestTowerMaxLevelCap: a MaxLevel past the tallest class is capped at it,
+// and a queue of tall towers stays well formed.
+func TestTowerMaxLevelCap(t *testing.T) {
+	q := New[int64, int64](Config{MaxLevel: 100, P: 0.9, Seed: 3})
+	if got := q.MaxLevel(); got != maxTowerLevel {
+		t.Fatalf("MaxLevel() = %d, want %d", got, maxTowerLevel)
+	}
+	const n = 10_000
+	for i := int64(0); i < n; i++ {
+		q.InsertSeq(i*7919%n, uint64(i), i)
+	}
+	if c, err := q.checkLevels(); err != nil || c != n {
+		t.Fatalf("checkLevels = %d, %v, want %d nodes", c, err, n)
 	}
 }
 

@@ -99,8 +99,9 @@ func TestTowerHeightsGolden(t *testing.T) {
 	}
 }
 
-// TestTowersBeyondInlineClasses covers both heap fallbacks: towers taller
-// than the largest inline size class, and a MaxLevel past the stack scratch.
+// TestTowersBeyondInlineClasses covers the tall size classes (towers of
+// more than 8 levels) and a MaxLevel past the stack scratch, whose
+// predecessor array falls back to the heap.
 func TestTowersBeyondInlineClasses(t *testing.T) {
 	q := New[int64, int64](Config{MaxLevel: DefaultMaxLevel + 8, P: 0.9, Seed: 5})
 	const n = 400
@@ -109,12 +110,12 @@ func TestTowersBeyondInlineClasses(t *testing.T) {
 		q.InsertSeq(i%7, uint64(i), i)
 	}
 	for nd := q.head.loadNext(0); nd != q.tail; nd = nd.loadNext(0) {
-		if nd.level() > inlineLevels {
+		if nd.level() > 8 {
 			tall++
 		}
 	}
 	if tall == 0 {
-		t.Fatal("no tower outgrew the inline classes; the fallback went untested")
+		t.Fatal("no tower outgrew node8; the tall classes went untested")
 	}
 	if c, err := q.checkLevels(); err != nil || c != n {
 		t.Fatalf("checkLevels = %d, %v, want %d nodes", c, err, n)

@@ -37,8 +37,8 @@ func TestPushPopAllocs(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				push()
 			}
-			// The average rounds down, which absorbs the one tower in 256
-			// that outgrows the inline size classes and allocates twice.
+			// Every tower, however tall, lives in its node's one block, so
+			// each Push allocates exactly its node.
 			if n := testing.AllocsPerRun(1000, push); n > 1 {
 				t.Errorf("Push allocates %v times per call, want <= 1", n)
 			}

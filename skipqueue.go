@@ -86,7 +86,7 @@ func WithRelaxed() Option { return func(c *options) { c.Relaxed = true } }
 
 // WithMaxLevel bounds skiplist tower heights. The default (24) is ample for
 // tens of millions of elements; lower values save a little memory for small
-// queues.
+// queues. The SkipQueue caps it at 64.
 func WithMaxLevel(n int) Option { return func(c *options) { c.MaxLevel = n } }
 
 // WithP sets the geometric tower-growth probability (default 0.5).
