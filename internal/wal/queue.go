@@ -5,31 +5,36 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"skipqueue/internal/multiset"
 )
 
-// idPrefixSize frames the element identity into the value stored in the
-// in-memory backend: Queue.Push prepends the 8-byte id, Pop/Peek strip it.
-// Identity must travel *through* the backend so a pop knows which durable
-// element it consumed without any shadow lookup on the hot path.
-const idPrefixSize = 8
+// idSize frames the element identity into the value stored in the
+// in-memory backend: the value followed by its 8-byte id. Identity must
+// travel *through* the backend so a pop knows which durable element it
+// consumed without any shadow lookup on the hot path. As a suffix, the id
+// fits in a recovered value's spare capacity, so a restart copies it once.
+const idSize = 8
 
-func encodeValue(id uint64, value []byte) []byte {
-	buf := make([]byte, idPrefixSize+len(value))
-	binary.BigEndian.PutUint64(buf, id)
-	copy(buf[idPrefixSize:], value)
-	return buf
+// encodeValue appends the stored form of (id, value) to dst, growing it
+// at most once.
+func encodeValue(dst []byte, id uint64, value []byte) []byte {
+	dst = slices.Grow(dst, len(value)+idSize)
+	return binary.BigEndian.AppendUint64(append(dst, value...), id)
 }
 
+// decodeValue splits a stored form. The value's capacity ends at its
+// length, so appending to it never reaches the id.
 func decodeValue(stored []byte) (uint64, []byte) {
-	if len(stored) < idPrefixSize {
+	n := len(stored) - idSize
+	if n < 0 {
 		// Every stored value came from encodeValue; this is pure defense.
 		return 0, stored
 	}
-	return binary.BigEndian.Uint64(stored), stored[idPrefixSize:]
+	return binary.BigEndian.Uint64(stored[n:]), stored[:n:n]
 }
 
 // Queue is the durable decorator around an in-memory multiset.Queue: every
@@ -83,16 +88,19 @@ func OpenQueue(cfg Config, inner multiset.Queue[[]byte]) (*Queue, *RecoverResult
 
 // rebuild enqueues the recovered items, sorted by (Priority, ID), into
 // inner: in one pass when inner is an empty multiset.Loader, else one
-// Push at a time.
+// Push at a time. replay.copyValue wrote each Value's id in its spare
+// capacity, so the stored form is the Value extended over it: rebuild
+// neither copies a value nor touches its bytes.
 func rebuild(inner multiset.Queue[[]byte], items []Item) {
+	stored := func(v []byte) []byte { return v[:len(v)+idSize] }
 	if l, ok := inner.(multiset.Loader[[]byte]); ok && inner.Len() == 0 {
 		l.Load(len(items), func(i int) (int64, []byte) {
-			return items[i].Priority, encodeValue(items[i].ID, items[i].Value)
+			return items[i].Priority, stored(items[i].Value)
 		})
 		return
 	}
 	for _, it := range items {
-		inner.Push(it.Priority, encodeValue(it.ID, it.Value))
+		inner.Push(it.Priority, stored(it.Value))
 	}
 }
 
@@ -104,7 +112,7 @@ func (q *Queue) Log() *Log { return q.log }
 func (q *Queue) Push(priority int64, value []byte) {
 	id := q.seq.Add(1)
 	q.log.AppendPush(id, priority, value)
-	q.inner.Push(priority, encodeValue(id, value))
+	q.inner.Push(priority, encodeValue(nil, id, value))
 }
 
 // Pop dequeues one element and logs its consumption. The pop is
@@ -145,7 +153,7 @@ func (q *Queue) Ack(token uint64) {
 // the element is visible to a Pop, so its pop record always follows it.
 func (q *Queue) Requeue(token uint64, prio int64, value []byte) {
 	q.log.AppendRequeue(token, prio, value)
-	q.inner.Push(prio, encodeValue(token, value))
+	q.inner.Push(prio, encodeValue(nil, token, value))
 }
 
 // Rewrite durably updates a leased element's value and priority *without*

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"skipqueue/internal/flight"
@@ -16,7 +17,8 @@ import (
 // live multiset plus the counters a restarting Queue needs to continue.
 type RecoverResult struct {
 	// Items is the recovered live multiset, sorted by (Priority, ID) so a
-	// rebuilt backend preserves FIFO order among equal priorities.
+	// rebuilt backend preserves FIFO order among equal priorities. A
+	// rebuilt backend stores each Value's id in its capacity: never append.
 	Items []Item
 	// NextLSN is the LSN the reopened log must assign to its first record.
 	NextLSN uint64
@@ -44,39 +46,38 @@ type RecoverResult struct {
 //
 // keyed by element identity, the newest push or requeue of an id winning.
 // The snapshot is read first and the segments after it, in log order, all
-// into one flat slice: a push or requeue appends, a pop or ack only notes
-// its id in dead, and a requeue (or a push of an id the snapshot may hold)
-// notes in newest which entry is the id's freshest. compact drops the dead
-// and superseded entries in place and forgets both side sets, because no id
-// is pushed or requeued after its pop or ack record. It runs whenever the
-// side sets outgrow the slice the last compaction kept, so a replay holds
-// about the live sets at the snapshot's cut and at the end of the log. The
-// rule is insensitive to exactly where the snapshot cut fell relative to
-// segment boundaries: a segment record older than the cut only repeats what
-// the snapshot holds, and a newer one supersedes it.
+// into one flat slice: a push or requeue appends, a pop or ack only appends
+// its id to dead, and a requeue (or a push of an id the snapshot may hold)
+// appends its id to newest, whose last entry in items is its freshest.
+// compact drops the dead and superseded entries in place and forgets both
+// side sets, because no id is pushed or requeued after its pop or ack
+// record. It runs whenever the side sets outgrow the slice the last
+// compaction kept, so a replay holds about the live sets at the snapshot's
+// cut and at the end of the log. The rule is insensitive to exactly where
+// the snapshot cut fell relative to segment boundaries: a segment record
+// older than the cut only repeats what the snapshot holds, and a newer one
+// supersedes it.
 type replay struct {
-	items  []Item              // snapshot items, then pushes and requeues in log order
-	dead   map[uint64]struct{} // ids a pop or ack retired since the last compaction
-	newest map[uint64]int      // the items index of an id that may have an older copy
-	snapID uint64              // the snapshot's largest id: a push at or below it may repeat an item
+	items  []Item   // snapshot items, then pushes and requeues in log order
+	dead   []uint64 // ids a pop or ack retired since the last compaction
+	newest []uint64 // ids whose last entry in items may supersede an older copy
+	snapID uint64   // the snapshot's largest id: a push at or below it may repeat an item
 	maxID  uint64
 	kept   int    // len(items) after the last compaction or the snapshot
-	slab   []byte // backs the kept values: one allocation per ioBufBytes
+	slab   []byte // backs the values and their ids: one allocation per ioBufBytes
 }
 
 // minCompact is the side-set size below which a replay never compacts.
 const minCompact = 1024
 
-func newReplay() *replay {
-	return &replay{dead: map[uint64]struct{}{}, newest: map[uint64]int{}}
-}
+func newReplay() *replay { return &replay{} }
 
 // add appends one snapshot item, whose Value is valid only during the call.
 // Snapshot items are distinct and live, so they count as kept by a
 // compaction.
 func (r *replay) add(it Item) {
 	r.maxID = max(r.maxID, it.ID)
-	r.items = append(r.items, Item{ID: it.ID, Priority: it.Priority, Value: r.copyValue(it.Value)})
+	r.items = append(r.items, Item{ID: it.ID, Priority: it.Priority, Value: r.copyValue(it.ID, it.Value)})
 	r.kept = len(r.items)
 }
 
@@ -93,11 +94,11 @@ func (r *replay) apply(rec record) {
 		// A requeue replays exactly like a push: the newest value wins
 		// (it carries the freshest delivery count).
 		if rec.op == opRequeue || rec.id <= r.snapID {
-			r.newest[rec.id] = len(r.items)
+			r.newest = append(r.newest, rec.id)
 		}
-		r.items = append(r.items, Item{ID: rec.id, Priority: rec.prio, Value: r.copyValue(rec.value)})
+		r.items = append(r.items, Item{ID: rec.id, Priority: rec.prio, Value: r.copyValue(rec.id, rec.value)})
 	case opPop, opAck:
-		r.dead[rec.id] = struct{}{}
+		r.dead = append(r.dead, rec.id)
 	}
 	// opLease, which older logs carry, retires nothing: a leased element
 	// stays live until its ack.
@@ -107,32 +108,85 @@ func (r *replay) apply(rec record) {
 }
 
 // compact drops, in place, every entry a pop or ack retired or a newer
-// copy superseded, and forgets the side sets.
+// copy superseded, and forgets the side sets. It walks items from the end,
+// so the first entry of an id in newest that it meets is the freshest: it
+// keeps that one and marks the id dead for the older copies.
 func (r *replay) compact() {
-	w := 0
-	for i, it := range r.items {
-		if _, ok := r.dead[it.ID]; ok {
-			continue
+	if len(r.dead)+len(r.newest) > 0 {
+		s, w := newIDSet(r.dead, r.newest), len(r.items)
+		for i := len(r.items) - 1; i >= 0; i-- {
+			if st := s.get(r.items[i].ID); st&idDead != 0 {
+				continue
+			} else if st != 0 {
+				s.set(r.items[i].ID, idDead)
+			}
+			w--
+			r.items[w] = r.items[i]
 		}
-		if j, ok := r.newest[it.ID]; ok && j != i {
-			continue
-		}
-		r.items[w] = it
-		w++
+		n := copy(r.items, r.items[w:])
+		clear(r.items[n:])
+		r.items, r.dead, r.newest = r.items[:n], r.dead[:0], r.newest[:0]
 	}
-	clear(r.items[w:])
-	r.items, r.kept = r.items[:w], w
-	clear(r.dead)
-	clear(r.newest)
+	r.kept = len(r.items)
 }
 
-// copyValue copies v out of a reader's reused buffer into the slab.
-func (r *replay) copyValue(v []byte) []byte {
-	if cap(r.slab)-len(r.slab) < len(v) {
-		r.slab = make([]byte, 0, max(ioBufBytes, len(v)))
+// idSet is compact's state per id: a byte per id over the ids' [lo, hi]
+// when that range is dense (at most 4 words per id, plus 16), as the ids
+// one counter hands out are, and a map otherwise, so that one very old id
+// costs one entry, not a range.
+type idSet struct {
+	lo    uint64
+	dense []uint8
+	m     map[uint64]uint8
+}
+
+const (
+	idDead   = 1 // a pop or ack retired the id, or compact kept a fresher copy
+	idNewest = 2 // the id's last entry in items supersedes its older copies
+)
+
+func newIDSet(dead, newest []uint64) *idSet {
+	all := slices.Concat(dead, newest)
+	lo, hi, n := slices.Min(all), slices.Max(all), uint64(len(all))
+	s := &idSet{lo: lo}
+	if (hi-lo)/8 < 4*n+16 {
+		s.dense = make([]uint8, hi-lo+1)
+	} else {
+		s.m = make(map[uint64]uint8, n)
 	}
-	r.slab = append(r.slab, v...)
-	return r.slab[len(r.slab)-len(v) : len(r.slab) : len(r.slab)]
+	for st, ids := range [...][]uint64{idDead: dead, idNewest: newest} {
+		for _, id := range ids {
+			s.set(id, uint8(st))
+		}
+	}
+	return s
+}
+
+func (s *idSet) get(id uint64) uint8 {
+	if i := id - s.lo; s.m == nil && i < uint64(len(s.dense)) { // an id below lo wraps
+		return s.dense[i]
+	}
+	return s.m[id]
+}
+
+func (s *idSet) set(id uint64, st uint8) {
+	if s.m == nil {
+		s.dense[id-s.lo] |= st
+	} else {
+		s.m[id] |= st
+	}
+}
+
+// copyValue copies v out of a reader's reused buffer into the slab, in
+// encodeValue's layout, and returns the copy with the id in its spare
+// capacity.
+func (r *replay) copyValue(id uint64, v []byte) []byte {
+	if n := len(v) + idSize; cap(r.slab)-len(r.slab) < n {
+		r.slab = make([]byte, 0, max(ioBufBytes, n))
+	}
+	r.slab = encodeValue(r.slab, id, v)
+	end := len(r.slab) - idSize
+	return r.slab[end-len(v) : end : len(r.slab)]
 }
 
 // byPriorityID orders items as a rebuilt backend must hold them: by
@@ -171,6 +225,43 @@ func readSegment(seg segment, fn func(record)) (records int, clean int64, err er
 	}
 	consumed, records, err := readRecords(r, fn)
 	return records, segHdrSize + consumed, err
+}
+
+// livePushes counts the segments' pushes less their pops and acks from the
+// record frames alone, so that replay can make room for them in items at
+// once instead of regrowing it. Bodies are neither read nor checked: the
+// count only sizes memory, and the files' bytes bound it.
+func livePushes(segs []segment) int {
+	n := 0
+	for _, seg := range segs {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			continue
+		}
+		r := bufio.NewReaderSize(f, ioBufBytes)
+		r.Discard(segHdrSize) // a short file fails the first Peek
+		for {
+			hdr, err := r.Peek(recordHdrSize + 1)
+			if err != nil {
+				break
+			}
+			body, err := frameLen(hdr)
+			if err != nil {
+				break
+			}
+			switch hdr[recordHdrSize] {
+			case opPush:
+				n++
+			case opPop, opAck:
+				n--
+			}
+			if _, err := r.Discard(recordHdrSize + body); err != nil {
+				break
+			}
+		}
+		f.Close()
+	}
+	return max(n, 0)
 }
 
 // Recover rebuilds the durable queue state from dir: it loads the newest
@@ -225,6 +316,7 @@ func replayDir(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 		r.reset()
 	}
 	r.snapID = r.maxID
+	r.items = slices.Grow(r.items, livePushes(segs))
 
 	maxLSN := uint64(0)
 	for i, seg := range segs {

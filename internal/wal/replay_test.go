@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -253,12 +254,159 @@ func TestReplayBound(t *testing.T) {
 	}
 }
 
+// TestReplayDeadSetBound: compact's dead set is a bitmap only over a dense
+// id range. One very old id popped among 10⁵ new ones must fall back to a
+// map, not size a bitmap over the whole id range, and the compaction must
+// still resolve the live multiset.
+func TestReplayDeadSetBound(t *testing.T) {
+	const old, base, fresh = 3, uint64(1) << 40, 100_000
+	r := newReplay()
+	val := []byte("v")
+	for id := uint64(1); id <= old; id++ {
+		r.add(Item{ID: id, Priority: 0, Value: val})
+	}
+	r.snapID = r.maxID
+	ids := make([]uint64, 0, fresh+1)
+	for i := uint64(0); i < fresh; i++ {
+		r.apply(record{op: opPush, id: base + i, prio: 1, value: val})
+		if i%2 == 1 {
+			r.apply(record{op: opPop, id: base + i})
+			ids = append(ids, base+i)
+		}
+	}
+	r.apply(record{op: opPop, id: 1})
+	r.apply(record{op: opRequeue, id: 2, prio: 2, value: []byte("requeued")})
+	ids = append(ids, 1)
+
+	s := newIDSet(ids, nil)
+	if s.dense != nil || len(s.m) != len(ids) {
+		t.Fatalf("one old id among %d new ones: %d-byte dense set, %d map entries; want a map of %d", fresh/2, len(s.dense), len(s.m), len(ids))
+	}
+	if s.get(1) != idDead || s.get(2) != 0 || s.get(base+1) != idDead || s.get(base) != 0 {
+		t.Fatal("sparse set answers wrong")
+	}
+	d := newIDSet(ids[:len(ids)-1], []uint64{base})
+	if n := uint64(len(ids)); d.dense == nil || uint64(len(d.dense)) > 8*(4*n+16) {
+		t.Fatalf("dense ids: %d-byte set over %d ids, want a dense set of at most 4 words per id plus 16", len(d.dense), n)
+	}
+	if d.get(0) != 0 || d.get(base) != idNewest || d.get(base+1) != idDead || d.get(base+fresh) != 0 {
+		t.Fatal("dense set answers wrong")
+	}
+
+	r.compact()
+	want := []Item{{ID: 3, Value: val}}
+	for i := uint64(0); i < fresh; i += 2 {
+		want = append(want, Item{ID: base + i, Priority: 1, Value: val})
+	}
+	want = append(want, Item{ID: 2, Priority: 2, Value: []byte("requeued")})
+	sort.Sort(byPriorityID(r.items))
+	sameItems(t, "compaction over a sparse dead set", r.items, want)
+}
+
+// TestRecoverAllocs: a restart copies each recovered value once, into a
+// shared slab, and the one-pass build stores that copy. Recovering and
+// rebuilding a push-only log into a skipqueue.PQ allocates about one object
+// per element, its node, plus a few per slab and for the items slice.
+func TestRecoverAllocs(t *testing.T) {
+	const n = 10_000
+	dir := t.TempDir()
+	data := segmentHeader(1)
+	for id := uint64(1); id <= n; id++ {
+		data = appendPushRecord(data, id, int64(id*7919%n), []byte("sixteen-byte-val"))
+	}
+	seg := segment{start: 1, path: filepath.Join(dir, segmentName(1))}
+	// A torn tail is not counted: replay makes room for the n pushes alone.
+	if err := os.WriteFile(seg.path, append(data, 0, 0, 0, 0, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := livePushes([]segment{seg}); got != n {
+		t.Fatalf("livePushes = %d, want %d", got, n)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		rec, err := Recover(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq := skipqueue.NewPQ[[]byte]()
+		rebuild(pq, rec.Items)
+		if pq.Len() != n {
+			t.Fatalf("rebuilt %d elements, want %d", pq.Len(), n)
+		}
+	})
+	if perElem := allocs / n; perElem > 1.02 {
+		t.Fatalf("recover + rebuild allocated %.0f objects for %d elements (%.3f each), want at most 1.02 each", allocs, n, perElem)
+	}
+}
+
+// TestStoredValueAliasing: a value Peek, Pop or LeaseMin returns shares
+// bytes with the stored form, whose id follows it (in a recovery slab,
+// the next value follows that). Each has cap == len, so appending to one
+// copies it and changes no id, no other value and no log record.
+func TestStoredValueAliasing(t *testing.T) {
+	dir := t.TempDir()
+	q, _, err := OpenQueue(Config{Dir: dir, SnapshotSegments: -1}, skipqueue.NewPQ[[]byte]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Push(1, []byte("one"))
+	q.Push(2, []byte("two"))
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Elements 1 and 2 now come back from one slab, element 3 from Push.
+	q, _, err = OpenQueue(Config{Dir: dir, SnapshotSegments: -1}, skipqueue.NewPQ[[]byte]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Push(3, []byte("three"))
+	tail := []byte("XXXXXXXXXXXXXXXXXXXXXXXX")
+	check := func(what string, v []byte, want string) {
+		t.Helper()
+		if string(v) != want || cap(v) != len(v) {
+			t.Fatalf("%s = %q with cap %d, want %q with cap %d", what, v, cap(v), want, len(want))
+		}
+		_ = append(v, tail...)
+	}
+	for i, want := range []string{"one", "two", "three"} {
+		_, v, ok := q.Peek()
+		if !ok {
+			t.Fatalf("Peek %d: empty", i)
+		}
+		check("Peek", v, want)
+		if i == 1 {
+			tok, _, v, ok := q.LeaseMin()
+			if !ok || tok != 2 {
+				t.Fatalf("LeaseMin = token %d, %v; want token 2", tok, ok)
+			}
+			check("LeaseMin", v, want)
+			q.Ack(tok)
+			continue
+		}
+		_, v, ok = q.Pop()
+		if !ok {
+			t.Fatalf("Pop %d: empty", i)
+		}
+		check("Pop", v, want)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Items) != 0 {
+		t.Fatalf("log keeps %d items live after every element was popped or acked: %+v", len(rec.Items), rec.Items)
+	}
+}
+
 // BenchmarkRecover times a restart's three phases over two logs of 2×10⁵
 // recovered elements with 16-byte values: the replay (replayDir), the one
 // sort, and the rebuild into a skipqueue.PQ (its one-pass Load). It
-// reports each phase in ns per recovered element. "push-only" is one
-// segment of pushes; "half-pops" is a 2×10⁵-item snapshot under segments
-// that push 2×10⁵ fresh ids and pop 2×10⁵, half of them snapshot items.
+// reports each phase in ns per recovered element, and the allocations of
+// all three per recovered element. "push-only" is one segment of pushes;
+// "half-pops" is a 2×10⁵-item snapshot under segments that push 2×10⁵
+// fresh ids and pop 2×10⁵, half of them snapshot items.
 func BenchmarkRecover(b *testing.B) {
 	const n = 200_000
 	val := bytes.Repeat([]byte("v"), 16)
@@ -304,6 +452,9 @@ func benchRecover(b *testing.B, n int, write func(dir string, rng *rand.Rand) er
 		b.Fatal(err)
 	}
 	var replayT, sortT, rebuildT time.Duration
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		res, err := replayDir(dir, nil)
@@ -321,7 +472,9 @@ func benchRecover(b *testing.B, n int, write func(dir string, rng *rand.Rand) er
 		}
 		replayT, sortT, rebuildT = replayT+t1.Sub(t0), sortT+t2.Sub(t1), rebuildT+t3.Sub(t2)
 	}
+	runtime.ReadMemStats(&ms)
 	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*n) }
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(b.N*n), "allocs/elem")
 	b.ReportMetric(per(replayT), "replay-ns/elem")
 	b.ReportMetric(per(sortT), "sort-ns/elem")
 	b.ReportMetric(per(rebuildT), "rebuild-ns/elem")

@@ -146,7 +146,7 @@ type probes struct {
 	snapshots     *obs.Counter // snapshots written
 	snapFailed    *obs.Counter // background compactions that returned an error
 	snapshotBytes *obs.Counter // snapshot bytes written
-	recovryRecs   *obs.Counter // records replayed by recovery
+	recoveryRecs  *obs.Counter // records replayed by recovery
 	tornTails     *obs.Counter // torn final records truncated by recovery
 
 	syncBatch *obs.Hist // records per fsync
@@ -166,7 +166,7 @@ func newProbes() probes {
 		snapshots:     set.Counter("snapshots"),
 		snapFailed:    set.Counter("snapshots.failed"),
 		snapshotBytes: set.Counter("snapshot.bytes"),
-		recovryRecs:   set.Counter("recovery.records"),
+		recoveryRecs:  set.Counter("recovery.records"),
 		tornTails:     set.Counter("recovery.torn_tails"),
 		syncBatch:     set.Values("sync.batch"),
 		fsync:         set.Durations("sync.fsync"),
@@ -234,7 +234,7 @@ func Open(cfg Config, rec *RecoverResult) (*Log, error) {
 		return nil, err
 	}
 	if rec != nil {
-		l.obs.recovryRecs.Add(uint64(rec.Records))
+		l.obs.recoveryRecs.Add(uint64(rec.Records))
 		if rec.TornTail {
 			l.obs.tornTails.Inc()
 		}
