@@ -34,7 +34,7 @@ check: vet test
 	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/ ./internal/admin/ ./internal/wire/ ./internal/flight/
 	go test -race -short . ./internal/elim/ ./internal/spray/ ./internal/quality/ ./internal/client/ ./internal/lincheck/ ./internal/sharded/ ./internal/backends/
-	go test -run '^$$' -bench 'Recover|Compact|Deep' -benchtime 1x -benchmem ./internal/wal/ ./internal/core/
+	go test -run '^$$' -bench 'Recover|Compact|Deep|LockFreeVsLockBased' -benchtime 1x -benchmem ./internal/wal/ ./internal/core/ .
 	cd bench && go vet . && go test -short .
 
 # Build the network daemon and its load generator into bin/.

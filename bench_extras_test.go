@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"skipqueue/internal/lockfree"
 	"skipqueue/internal/sim"
 	"skipqueue/internal/xrand"
 )
@@ -77,9 +78,9 @@ func BenchmarkBoundedVsGeneral(b *testing.B) {
 	})
 }
 
-// BenchmarkLockFreeVsLockBased compares the paper's lock-based SkipQueue
-// with its lock-free successor on the small-structure mixed workload, in
-// both ordering modes.
+// BenchmarkLockFreeVsLockBased compares the paper's lock-based SkipQueue,
+// in both ordering modes, with the strict lock-free skiplist
+// (internal/lockfree) on the small-structure mixed workload.
 func BenchmarkLockFreeVsLockBased(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -87,8 +88,7 @@ func BenchmarkLockFreeVsLockBased(b *testing.B) {
 	}{
 		{"LockBased-Strict", func() pqUnderTest { return benchSkipQ{New[int64, int64](WithSeed(1))} }},
 		{"LockBased-Relaxed", func() pqUnderTest { return benchSkipQ{New[int64, int64](WithSeed(1), WithRelaxed())} }},
-		{"LockFree-Strict", func() pqUnderTest { return benchLockFree{NewLockFree[int64, int64](WithSeed(1))} }},
-		{"LockFree-Relaxed", func() pqUnderTest { return benchLockFree{NewLockFree[int64, int64](WithSeed(1), WithRelaxed())} }},
+		{"LockFree-Strict", func() pqUnderTest { return benchLockFree{lockfree.New[int64, int64](lockfree.Config{Seed: 1})} }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -105,7 +105,7 @@ func BenchmarkLockFreeVsLockBased(b *testing.B) {
 	}
 }
 
-type benchLockFree struct{ q *LockFree[int64, int64] }
+type benchLockFree struct{ q *lockfree.Queue[int64, int64] }
 
 func (s benchLockFree) insert(k, v int64)        { s.q.Insert(k, v) }
 func (s benchLockFree) deleteMin() (int64, bool) { k, _, ok := s.q.DeleteMin(); return k, ok }

@@ -178,17 +178,22 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 // TestRunBadBackend: an unknown backend is a usage error (exit 2) whose
 // message names every backend there is.
 func TestRunBadBackend(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-backend", "nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown backend") {
-		t.Fatalf("stderr missing backend error: %s", errOut.String())
-	}
-	for _, row := range backends.Rows {
-		if !strings.Contains(errOut.String(), row.Name) {
-			t.Errorf("backend error does not name %q: %s", row.Name, errOut.String())
-		}
+	// lockfree names no backend: the lock-free skiplist is not served.
+	for _, name := range []string{"nope", "lockfree"} {
+		t.Run(name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run([]string{"-backend", name}, &out, &errOut); code != 2 {
+				t.Fatalf("exit = %d, want 2", code)
+			}
+			if !strings.Contains(errOut.String(), "unknown backend") {
+				t.Fatalf("stderr missing backend error: %s", errOut.String())
+			}
+			for _, row := range backends.Rows {
+				if !strings.Contains(errOut.String(), row.Name) {
+					t.Errorf("backend error does not name %q: %s", row.Name, errOut.String())
+				}
+			}
+		})
 	}
 }
 

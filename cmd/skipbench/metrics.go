@@ -15,10 +15,9 @@ import (
 // runMetrics drives the native queue families through a short mixed
 // workload with the observability probes on and prints each family's
 // snapshot: the contention counters specific to its synchronization design
-// (lock retries for the skiplist, CAS retries and helping for the lock-free
-// queue, bit-reversal lock chases for the Hunt heap, combining depth for the
-// funnel), plus per-operation latency histograms for the heap and funnel
-// baselines. Unlike the simulated
+// (lock retries for the skiplist, bit-reversal lock chases for the Hunt
+// heap, combining depth for the funnel), plus per-operation latency
+// histograms for the heap and funnel baselines. Unlike the simulated
 // experiments above, this measures the real Go implementations on the host.
 func runMetrics(w *os.File, workers int, d time.Duration, seed uint64, outPath string) {
 	fmt.Fprintf(w, "# Observability: native queues under a mixed workload (workers=%d duration=%v)\n\n",
@@ -31,7 +30,6 @@ func runMetrics(w *os.File, workers int, d time.Duration, seed uint64, outPath s
 		del    func()
 	}
 	sq := skipqueue.New[int64, int64](skipqueue.WithSeed(seed), skipqueue.WithMetrics())
-	lf := skipqueue.NewLockFree[int64, int64](skipqueue.WithSeed(seed), skipqueue.WithMetrics())
 	hp := skipqueue.NewHeap[int64, int64](1<<22, skipqueue.WithMetrics())
 	fl := skipqueue.NewFunnelList[int64, int64](skipqueue.WithMetrics())
 	sh := skipqueue.NewShardedPQ[int64](0, skipqueue.WithSeed(seed), skipqueue.WithMetrics())
@@ -39,7 +37,6 @@ func runMetrics(w *os.File, workers int, d time.Duration, seed uint64, outPath s
 	sp := skipqueue.NewSprayPQ[int64](0, skipqueue.WithSeed(seed), skipqueue.WithMetrics())
 	targets := []target{
 		{"SkipQueue", sq, func(k int64) { sq.Insert(k, k) }, func() { sq.DeleteMin() }},
-		{"LockFree", lf, func(k int64) { lf.Insert(k, k) }, func() { lf.DeleteMin() }},
 		{"Heap", hp, func(k int64) { _ = hp.Insert(k, k) }, func() { hp.DeleteMin() }},
 		{"FunnelList", fl, func(k int64) { fl.Insert(k, k) }, func() { fl.DeleteMin() }},
 		{"Sharded", sh, func(k int64) { sh.Push(k, k) }, func() { sh.Pop() }},

@@ -58,16 +58,6 @@ func ExampleNew_relaxed() {
 	// 7 true
 }
 
-func ExampleLockFree() {
-	q := skipqueue.NewLockFree[int, string]()
-	q.Insert(2, "b")
-	q.Insert(1, "a")
-	k, v, _ := q.DeleteMin()
-	fmt.Println(k, v)
-	// Output:
-	// 1 a
-}
-
 func ExampleBounded() {
 	// Priorities known to be in [0, 8): the bin queue the paper contrasts
 	// the general SkipQueue with.

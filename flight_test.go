@@ -50,18 +50,6 @@ func TestFlightRecordsContention(t *testing.T) {
 		}
 	})
 
-	t.Run("lockfree", func(t *testing.T) {
-		fr := NewFlightRecorder("lockfree", 0, 0)
-		q := NewLockFree[int64, int](WithFlight(fr), WithRelaxed())
-		hammer(workers, ops,
-			func(p int64) { q.Insert(p, 0) },
-			func() bool { _, _, ok := q.DeleteMin(); return ok })
-		d := fr.Snapshot()
-		if q.Stats().CASRetries > 0 && kindsOf(d)[flight.KCASRetry] == 0 {
-			t.Fatalf("CAS retries counted but no KCASRetry events: %+v", kindsOf(d))
-		}
-	})
-
 	t.Run("sharded", func(t *testing.T) {
 		fr := NewFlightRecorder("sharded", 0, 0)
 		q := NewShardedPQ[int](4, WithFlight(fr))

@@ -6,13 +6,15 @@ import (
 	"sync"
 	"testing"
 
+	"skipqueue/internal/lockfree"
 	"skipqueue/internal/sim"
 	"skipqueue/internal/simq"
 )
 
 // TestCrossSubstrateAgreement drives one deterministic operation sequence
-// through every implementation of the queue — native lock-based, native
-// lock-free, and the three simulated versions — and demands identical
+// through every implementation of the queue — native lock-based, the
+// native lock-free skiplist the benchmark ladder times, and the simulated
+// versions — and demands identical
 // observable behaviour (the sequence of DeleteMin results).
 func TestCrossSubstrateAgreement(t *testing.T) {
 	type step struct {
@@ -53,7 +55,7 @@ func TestCrossSubstrateAgreement(t *testing.T) {
 	gotLB := runNative(func(k int64) { lb.Insert(k, k) },
 		func() (int64, bool) { k, _, ok := lb.DeleteMin(); return k, ok })
 
-	lf := NewLockFree[int64, int64](WithSeed(1))
+	lf := lockfree.New[int64, int64](lockfree.Config{Seed: 1})
 	gotLF := runNative(func(k int64) { lf.Insert(k, k) },
 		func() (int64, bool) { k, _, ok := lf.DeleteMin(); return k, ok })
 
@@ -108,7 +110,7 @@ func TestAllStructuresConcurrentConservation(t *testing.T) {
 		remaining func() int
 	}
 	lb := New[int64, int64](WithSeed(2))
-	lf := NewLockFree[int64, int64](WithSeed(2))
+	lf := lockfree.New[int64, int64](lockfree.Config{Seed: 2})
 	hp := NewHeap[int64, int64](1 << 18)
 	fl := NewFunnelList[int64, int64]()
 	pq := NewPQ[int64](WithSeed(2))
@@ -196,7 +198,7 @@ func TestSortedDrainAgreementAfterConcurrency(t *testing.T) {
 	insertAll(func(k int64) { lb.Insert(k, k) })
 	gotLB := drain(func() (int64, bool) { k, _, ok := lb.DeleteMin(); return k, ok })
 
-	lf := NewLockFree[int64, int64](WithSeed(3))
+	lf := lockfree.New[int64, int64](lockfree.Config{Seed: 3})
 	insertAll(func(k int64) { lf.Insert(k, k) })
 	gotLF := drain(func() (int64, bool) { k, _, ok := lf.DeleteMin(); return k, ok })
 
@@ -217,4 +219,68 @@ func TestSortedDrainAgreementAfterConcurrency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLockFreeConcurrentAgainstLockBased holds the lock-based queue and
+// the lock-free skiplist to the same account of one concurrent workload.
+func TestLockFreeConcurrentAgainstLockBased(t *testing.T) {
+	// Both queues process the same concurrent workload; afterwards their
+	// conservation properties and final contents (as multisets of keys)
+	// must agree with what went in.
+	run := func(insert func(int64), deleteMin func() (int64, bool), remaining func() []int64) {
+		var wg sync.WaitGroup
+		var deleted sync.Map
+		inserted := make([][]int64, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < 2000; i++ {
+					if rng.Intn(2) == 0 {
+						k := int64(w)*100_000 + int64(i)
+						insert(k)
+						inserted[w] = append(inserted[w], k)
+					} else if k, ok := deleteMin(); ok {
+						if _, dup := deleted.LoadOrStore(k, true); dup {
+							t.Errorf("key %d deleted twice", k)
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		expect := map[int64]bool{}
+		for _, ins := range inserted {
+			for _, k := range ins {
+				expect[k] = true
+			}
+		}
+		deleted.Range(func(k, _ any) bool {
+			if !expect[k.(int64)] {
+				t.Errorf("deleted unknown key %d", k)
+			}
+			delete(expect, k.(int64))
+			return true
+		})
+		for _, k := range remaining() {
+			if !expect[k] {
+				t.Errorf("unexpected remaining key %d", k)
+			}
+			delete(expect, k)
+		}
+		if len(expect) != 0 {
+			t.Errorf("%d keys lost", len(expect))
+		}
+	}
+
+	lb := New[int64, int64](WithSeed(5))
+	run(func(k int64) { lb.Insert(k, k) },
+		func() (int64, bool) { k, _, ok := lb.DeleteMin(); return k, ok },
+		lb.Keys)
+
+	lf := lockfree.New[int64, int64](lockfree.Config{Seed: 5})
+	run(func(k int64) { lf.Insert(k, k) },
+		func() (int64, bool) { k, _, ok := lf.DeleteMin(); return k, ok },
+		func() []int64 { return lf.CollectKeys(nil) })
 }

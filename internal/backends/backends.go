@@ -61,8 +61,6 @@ var Rows = []Row{
 	{"relaxed", Exact, func(p Params) Queue {
 		return skipqueue.NewPQ[[]byte](append([]skipqueue.Option{skipqueue.WithRelaxed()}, p.Opts...)...)
 	}},
-	// The CAS-based successor.
-	{"lockfree", Exact, func(p Params) Queue { return skipqueue.NewLockFreePQ[[]byte](p.Opts...) }},
 	// The single-lock binary heap baseline.
 	{"glheap", Exact, func(p Params) Queue { return skipqueue.NewGlobalHeapPQ[[]byte](p.Opts...) }},
 	// The relaxed choice-of-two multi-queue.

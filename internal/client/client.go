@@ -77,7 +77,8 @@ type Config struct {
 	// BatchMax turns on transparent op coalescing: pending Insert and
 	// DeleteMin calls that are adjacent in the write queue are packed, up
 	// to BatchMax per frame, into one wire.OpBatch frame that the server
-	// applies under one backend acquisition and one WAL commit. 0 or 1
+	// applies under one backend acquisition and one WAL commit. It is
+	// clamped to wire.MaxBatchOps, the most a server accepts. 0 or 1
 	// disables batching — every call then goes out as its own single-op
 	// frame, byte-identical to the pre-batch protocol. Peek, Len, Ping and
 	// traced calls are never batched (they keep per-frame semantics), and

@@ -7,7 +7,7 @@
 // slow request spent its time*, because quality and latency pathologies in
 // relaxed concurrent queues are bursty and vanish in aggregates (Gruber's
 // observation, PAPERS.md). The flight recorder keeps the most recent N
-// events per shard — CAS retries, sweep fallbacks, elimination exchanges,
+// events per shard — lock retries, sweep fallbacks, elimination exchanges,
 // per-request server spans — so that when an anomaly fires (an SLO breach,
 // a BUSY backpressure reject, a drain) the events *leading up to it* are
 // still in memory and can be dumped.
@@ -54,9 +54,6 @@ const (
 	// KLockRetry: the lock-based skiplist re-acquired a level lock after
 	// losing a race (core's lock.retries probe site).
 	KLockRetry
-	// KCASRetry: the lock-free skiplist retried a failed structural CAS
-	// (lockfree's cas.retries probe site).
-	KCASRetry
 	// KSweepFallback: a sharded Pop's sampling attempts all missed and it
 	// fell back to the full shard sweep (sharded's sweep.fallbacks site).
 	// Arg is the number of sampling rounds that came up empty.
@@ -139,7 +136,6 @@ const (
 var kindNames = [...]string{
 	KNone:            "none",
 	KLockRetry:       "lock.retry",
-	KCASRetry:        "cas.retry",
 	KSweepFallback:   "sweep.fallback",
 	KElimExchange:    "elim.exchange",
 	KServerRead:      "server.read",

@@ -17,8 +17,8 @@ func TestNilRecorder(t *testing.T) {
 	if r.Name() != "" || r.Now() != 0 || r.Anomalies() != 0 {
 		t.Fatal("nil recorder accessors not zero")
 	}
-	r.Record(KCASRetry, 1, 2)
-	r.RecordAt(5, KCASRetry, 1, 2)
+	r.Record(KLockRetry, 1, 2)
+	r.RecordAt(5, KLockRetry, 1, 2)
 	r.Anomaly(KSLOBreach, 0, 0)
 	if d := r.Snapshot(); len(d.Events) != 0 || d.Written != 0 {
 		t.Fatalf("nil Snapshot = %+v, want zero", d)
@@ -32,7 +32,7 @@ func TestNilRecorder(t *testing.T) {
 // their trace and arg intact.
 func TestRecordSnapshot(t *testing.T) {
 	r := New("test", 2, 64)
-	r.Record(KCASRetry, 0, 0)
+	r.Record(KLockRetry, 0, 0)
 	r.Record(KServerRead, 42, 1234)
 	r.RecordAt(r.Now(), KServerApply, 42, 99)
 	d := r.Snapshot()
@@ -66,7 +66,7 @@ func TestRecordSnapshot(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	r := New("wrap", 1, 8)
 	for i := 0; i < 100; i++ {
-		r.Record(KCASRetry, 0, int64(i))
+		r.Record(KLockRetry, 0, int64(i))
 	}
 	d := r.Snapshot()
 	if d.Written != 100 {
@@ -100,7 +100,7 @@ func TestSlotRounding(t *testing.T) {
 // one capture.
 func TestAnomalyCapture(t *testing.T) {
 	r := New("anom", 1, 64)
-	r.Record(KCASRetry, 0, 7)
+	r.Record(KLockRetry, 0, 7)
 	r.Anomaly(KBusyReject, 0, 3)
 	d, ok := r.LastAnomaly()
 	if !ok {
@@ -142,7 +142,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				r.Record(KCASRetry, uint64(w+1), int64(i))
+				r.Record(KLockRetry, uint64(w+1), int64(i))
 				if i%64 == 0 {
 					r.Anomaly(KSLOBreach, uint64(w+1), int64(i))
 				}
@@ -171,15 +171,15 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 // trivially — is the disabled (nil) path.
 func TestRecordAllocs(t *testing.T) {
 	r := New("alloc", 2, 64)
-	r.Record(KCASRetry, 0, 0) // warm the token pool
+	r.Record(KLockRetry, 0, 0) // warm the token pool
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Record(KCASRetry, 1, 2)
+		r.Record(KLockRetry, 1, 2)
 	}); n != 0 {
 		t.Fatalf("enabled Record allocates %.1f per op, want 0", n)
 	}
 	var nilR *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
-		nilR.Record(KCASRetry, 1, 2)
+		nilR.Record(KLockRetry, 1, 2)
 	}); n != 0 {
 		t.Fatalf("nil Record allocates %.1f per op, want 0", n)
 	}

@@ -86,7 +86,7 @@ func TestAttributeOrphans(t *testing.T) {
 func TestAttributeIgnoresUntraced(t *testing.T) {
 	client, server := synthetic(2)
 	server.Events = append(server.Events,
-		Event{TS: 1, Kind: KCASRetry},
+		Event{TS: 1, Kind: KLockRetry},
 		Event{TS: 2, Kind: KServerBatch, Arg: 16},
 		Event{TS: 3, Kind: KDrainStart})
 	a := Attribute(client, server)

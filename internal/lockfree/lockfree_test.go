@@ -42,21 +42,19 @@ func TestInsertDeleteSingle(t *testing.T) {
 }
 
 func TestSortedDrain(t *testing.T) {
-	for _, relaxed := range []bool{false, true} {
-		q := New[int64, int64](Config{Relaxed: relaxed, Seed: 3})
-		rng := rand.New(rand.NewSource(5))
-		const n = 3000
-		for _, k := range rng.Perm(n) {
-			q.Insert(int64(k), int64(k)*2)
-		}
-		if cnt, ok := q.CheckInvariants(); !ok || cnt != n {
-			t.Fatalf("relaxed=%v: invariants cnt=%d ok=%v", relaxed, cnt, ok)
-		}
-		for i := int64(0); i < n; i++ {
-			k, v, ok := q.DeleteMin()
-			if !ok || k != i || v != i*2 {
-				t.Fatalf("relaxed=%v: DeleteMin #%d = (%d,%d,%v)", relaxed, i, k, v, ok)
-			}
+	q := New[int64, int64](Config{Seed: 3})
+	rng := rand.New(rand.NewSource(5))
+	const n = 3000
+	for _, k := range rng.Perm(n) {
+		q.Insert(int64(k), int64(k)*2)
+	}
+	if cnt, ok := q.CheckInvariants(); !ok || cnt != n {
+		t.Fatalf("invariants cnt=%d ok=%v", cnt, ok)
+	}
+	for i := int64(0); i < n; i++ {
+		k, v, ok := q.DeleteMin()
+		if !ok || k != i || v != i*2 {
+			t.Fatalf("DeleteMin #%d = (%d,%d,%v)", i, k, v, ok)
 		}
 	}
 }
@@ -94,8 +92,8 @@ func TestStringKeys(t *testing.T) {
 }
 
 func TestPropertySequentialModel(t *testing.T) {
-	f := func(ops []int16, relaxed bool) bool {
-		q := New[int64, int64](Config{Relaxed: relaxed, Seed: 9})
+	f := func(ops []int16) bool {
+		q := New[int64, int64](Config{Seed: 9})
 		model := map[int64]bool{}
 		for _, op := range ops {
 			if op >= 0 {
@@ -169,41 +167,38 @@ func TestConcurrentInsertThenDrain(t *testing.T) {
 }
 
 func TestConcurrentMixedConservation(t *testing.T) {
-	for _, relaxed := range []bool{false, true} {
-		q := New[int64, int64](Config{Relaxed: relaxed, Seed: 13})
-		const workers = 8
-		var wg sync.WaitGroup
-		var deleted sync.Map
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < 3000; i++ {
-					if rng.Intn(2) == 0 {
-						k := int64(w)*1_000_000 + int64(i)
-						q.Insert(k, k)
-					} else if k, v, ok := q.DeleteMin(); ok {
-						if k != v {
-							t.Errorf("key %d carried value %d", k, v)
-						}
-						if _, dup := deleted.LoadOrStore(k, true); dup {
-							t.Errorf("key %d deleted twice", k)
-						}
+	q := New[int64, int64](Config{Seed: 13})
+	const workers = 8
+	var wg sync.WaitGroup
+	var deleted sync.Map
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 3000; i++ {
+				if rng.Intn(2) == 0 {
+					k := int64(w)*1_000_000 + int64(i)
+					q.Insert(k, k)
+				} else if k, v, ok := q.DeleteMin(); ok {
+					if k != v {
+						t.Errorf("key %d carried value %d", k, v)
+					}
+					if _, dup := deleted.LoadOrStore(k, true); dup {
+						t.Errorf("key %d deleted twice", k)
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		st := q.Stats()
-		remaining := len(q.CollectKeys(nil))
-		if int(st.Inserts) != int(st.DeleteMins)+remaining {
-			t.Fatalf("relaxed=%v: conservation: %d in, %d out, %d left",
-				relaxed, st.Inserts, st.DeleteMins, remaining)
-		}
-		if _, ok := q.CheckInvariants(); !ok {
-			t.Fatalf("relaxed=%v: invariants violated", relaxed)
-		}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := q.Stats()
+	remaining := len(q.CollectKeys(nil))
+	if int(st.Inserts) != int(st.DeleteMins)+remaining {
+		t.Fatalf("conservation: %d in, %d out, %d left", st.Inserts, st.DeleteMins, remaining)
+	}
+	if _, ok := q.CheckInvariants(); !ok {
+		t.Fatal("invariants violated")
 	}
 }
 

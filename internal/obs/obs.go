@@ -6,7 +6,7 @@
 //
 //   - Counter is a cache-line-padded, sharded monotone counter. Writers are
 //     spread across shards by a cheap goroutine-affine hint, so a hot counter
-//     (scan steps, CAS retries) never becomes the contention hot-spot it is
+//     (scan steps, lock retries) never becomes the contention hot-spot it is
 //     trying to measure. Reads aggregate the shards.
 //   - Hist is a fixed-memory log-bucket histogram (internal/hist) for
 //     critical-section latencies and batch-size distributions.
@@ -21,8 +21,8 @@
 // (drawing time.Time stamps) gate on Set.Enabled.
 //
 // A structure that already keeps counts of its own needs none of this: the
-// skiplist family (internal/core, internal/lockfree) counts every event once
-// in padded shards of its own and fills a Snapshot with CounterValues when
+// skiplist family (internal/core) counts every event once in padded
+// shards of its own and fills a Snapshot with CounterValues when
 // it is read, and its front-ends (sharded, spray, elim) derive what another
 // layer already counts at that point instead of counting it again.
 package obs

@@ -14,20 +14,12 @@
 package server
 
 import (
-	"errors"
 	"sort"
 	"time"
 
 	"skipqueue/internal/flight"
 	"skipqueue/internal/wire"
 )
-
-// maxBatchOps is the operational cap on operations per OpBatch frame; a
-// larger batch is answered StatusErr without touching the backend. The
-// protocol ceiling is wire.MaxBatchOps.
-const maxBatchOps = 1024
-
-var errBatchCap = errors.New("server: batch exceeds the operation cap")
 
 // task is one connection micro-batch. A reader owns exactly one task and
 // reuses it: apply frames as they are read, commit, write, reset.
@@ -90,13 +82,10 @@ func (s *Server) applyFrame(t *task, f wire.Frame) error {
 	if batch {
 		var err error
 		t.entries, err = wire.AppendBatchEntries(t.entries[:0], f)
-		if err == nil && len(t.entries) > maxBatchOps {
-			// Keep no scratch larger than an applied batch needs.
-			t.entries, err = nil, errBatchCap
-		}
 		if err != nil {
-			// A malformed batch is a semantic error on a well-framed
-			// frame: answered StatusErr, the connection stays up.
+			// A malformed batch, or one over wire.MaxBatchOps entries, is
+			// a semantic error on a well-framed frame: answered
+			// StatusErr, the connection stays up.
 			s.obs.bad.Inc()
 			t.ops++
 			return t.reply(wire.StatusErr, 0, []byte(err.Error()))

@@ -123,17 +123,21 @@ func TestBatchMalformed(t *testing.T) {
 	}
 }
 
-// TestBatchOverCap: a batch over the server's 1024-operation cap is
-// refused with StatusErr without touching the backend.
+// TestBatchOverCap: a batch over wire.MaxBatchOps operations is refused
+// with StatusErr without touching the backend. wire.AppendBatch will not
+// encode such a batch, so the frame is built by hand.
 func TestBatchOverCap(t *testing.T) {
 	_, backend, addr := startServer(t, server.Config{})
 	nc := rawConn(t, addr)
 
-	entries := make([]wire.BatchEntry, 1025)
-	for i := range entries {
-		entries[i] = wire.BatchEntry{Kind: wire.OpInsert, Arg: int64(i)}
+	var data []byte
+	for i := 0; i <= wire.MaxBatchOps; i++ {
+		var err error
+		if data, err = wire.AppendBatchEntry(data, wire.BatchEntry{Kind: wire.OpInsert, Arg: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	req, err := wire.AppendBatch(nil, entries, 0, 0)
+	req, err := wire.Append(nil, wire.Frame{Kind: wire.OpBatch, Arg: wire.MaxBatchOps + 1, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +149,46 @@ func TestBatchOverCap(t *testing.T) {
 	}
 	if backend.Len() != 0 {
 		t.Fatalf("backend.Len = %d, want 0 — refused batch must not apply", backend.Len())
+	}
+}
+
+// TestClientBatchMaxOverServerCap: a client configured for batches wider
+// than the server accepts still gets every call of a lingered burst
+// applied, because it never sends more than wire.MaxBatchOps operations
+// in one frame.
+func TestClientBatchMaxOverServerCap(t *testing.T) {
+	_, backend, addr := startServer(t, server.Config{})
+	cl, err := client.Dial(client.Config{
+		Addr:        addr,
+		Window:      2048,
+		BatchMax:    2048,
+		BatchLinger: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const n = 2000
+	ps := make([]*client.Pending, n)
+	for i := range ps {
+		if ps[i], err = cl.InsertAsync(int64(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := 0
+	for i, p := range ps {
+		if _, err := p.Wait(); err != nil {
+			if failed++; failed == 1 {
+				t.Errorf("InsertAsync #%d: %v", i, err)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d calls failed", failed, n)
+	}
+	if got := backend.Len(); got != n {
+		t.Fatalf("backend.Len = %d, want %d", got, n)
 	}
 }
 

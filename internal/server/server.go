@@ -66,7 +66,7 @@ var ErrServerClosed = errors.New("server: closed")
 // select the defaults above.
 type Config struct {
 	// Backend is the queue served. Required. Every root-package []byte
-	// multiset queue (skipqueue.PQ, LockFreePQ, GlobalHeapPQ, ...) is one;
+	// multiset queue (skipqueue.PQ, GlobalHeapPQ, ShardedPQ, ...) is one;
 	// the server calls it from one goroutine per connection, and a value
 	// passed to Push is a copy out of the read buffer that the backend owns.
 	// A Backend that implements Durability makes ACKs durable: a mutating

@@ -60,7 +60,7 @@ func TestSnapshotGolden(t *testing.T) {
 			t.Fatalf("%s: wrote %d bytes (reported %d), differs from the %d golden bytes", tc.golden, len(got), n, len(want))
 		}
 		var back []Item
-		cut, count, err := readSnapshot(path, func(it Item) {
+		cut, count, err := readSnapshot(path, func(int) {}, func(it Item) {
 			back = append(back, Item{ID: it.ID, Priority: it.Priority, Value: append([]byte(nil), it.Value...)})
 		})
 		if err != nil || cut != tc.cut || count != len(tc.items) || len(back) != len(tc.items) {
@@ -549,7 +549,7 @@ func BenchmarkCompact(b *testing.B) {
 		mallocs += ms.Mallocs - before
 		if i == 0 {
 			// Half the snapshot survives, plus every fresh push.
-			if _, n, err := readSnapshot(q.snap, func(Item) {}); err != nil || n != snapItems/2+segs*perSeg/2 {
+			if _, n, err := readSnapshot(q.snap, func(int) {}, func(Item) {}); err != nil || n != snapItems/2+segs*perSeg/2 {
 				b.Fatalf("compacted %d items (err %v), want %d", n, err, snapItems/2+segs*perSeg/2)
 			}
 		}

@@ -212,7 +212,7 @@ func (q *Queue) compact() error {
 	r := newReplay()
 	prev := q.snap
 	if prev != "" {
-		if _, _, err := readSnapshot(prev, r.add); err != nil {
+		if _, _, err := readSnapshot(prev, r.reserve, r.add); err != nil {
 			return fmt.Errorf("wal: compacting %s: %w", prev, err)
 		}
 	}

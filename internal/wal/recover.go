@@ -81,6 +81,9 @@ func (r *replay) add(it Item) {
 	r.kept = len(r.items)
 }
 
+// reserve makes room for n more items at once.
+func (r *replay) reserve(n int) { r.items = slices.Grow(r.items, n) }
+
 // reset forgets every item, for a snapshot that failed to read back whole.
 func (r *replay) reset() {
 	clear(r.items)
@@ -297,6 +300,10 @@ func replayDir(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	}
 	res := &RecoverResult{NextLSN: 1, NextID: 1}
 	r := newReplay()
+	// items takes the snapshot's items and the segments' net pushes, grown
+	// once to hold both.
+	pushes := livePushes(segs)
+	reserve := func(n int) { r.reserve(n + pushes) }
 
 	// Load the newest snapshot that reads back whole. An invalid or
 	// unreadable one is skipped (the atomic rename makes that near-
@@ -305,7 +312,7 @@ func replayDir(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	older := snaps[:0]
 	for i := len(snaps) - 1; i >= 0; i-- {
 		r.reset()
-		cut, n, err := readSnapshot(snaps[i], r.add)
+		cut, n, err := readSnapshot(snaps[i], reserve, r.add)
 		if err == nil {
 			res.snapshot, older = snaps[i], snaps[:i]
 			res.SnapshotLSN, res.SnapshotItems = cut, n
@@ -316,7 +323,7 @@ func replayDir(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 		r.reset()
 	}
 	r.snapID = r.maxID
-	r.items = slices.Grow(r.items, livePushes(segs))
+	r.reserve(pushes)
 
 	maxLSN := uint64(0)
 	for i, seg := range segs {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -251,6 +252,54 @@ func TestReplayBound(t *testing.T) {
 	r.compact()
 	if len(r.items) != live || r.items[0].ID != pairs+1 {
 		t.Fatalf("replay ended with %d items from id %d, want %d from %d", len(r.items), r.items[0].ID, live, pairs+1)
+	}
+}
+
+// TestSnapshotCountBound: a snapshot whose header claims 2^40 entries
+// still fails to load, and the room recovery reserves for its items is
+// bounded by the entries the file's bytes can hold, not by the claim, so
+// the load allocates in proportion to the file's bytes.
+func TestSnapshotCountBound(t *testing.T) {
+	dir := t.TempDir()
+	const items = 20_000
+	val := []byte("12345678")
+	if _, err := writeSnapshot(dir, 1, items, func(emit func(Item)) error {
+		for id := uint64(1); id <= items; id++ {
+			emit(Item{ID: id, Priority: int64(id), Value: val})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint64(data[len(snapMagic)+8:], 1<<40)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newReplay()
+	reserved := -1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = readSnapshot(path, func(n int) { reserved = n; r.reserve(n) }, r.add)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a snapshot claiming 2^40 entries loaded")
+	}
+	limit := (len(data) - len(snapMagic) - 16) / snapEntryHdr
+	if reserved < items || reserved > limit {
+		t.Fatalf("reserved %d items, want from the %d written to the %d the file's bytes can hold", reserved, items, limit)
+	}
+	// The reservation (40-byte Items for 28-byte entries), the value slabs
+	// and the stream buffers come to about 2.7 times the file's bytes, and
+	// under the race detector 4.7 times; a reservation sized by the claim
+	// could not be made at all.
+	if got, bound := after.TotalAlloc-before.TotalAlloc, 8*uint64(len(data)); got > bound {
+		t.Fatalf("loading a %d-byte snapshot allocated %d bytes, want at most %d", len(data), got, bound)
 	}
 }
 

@@ -158,8 +158,10 @@ func writeSnapshot(dir string, cut uint64, count int, each func(emit func(Item))
 // cut and item count. Any malformed byte fails the whole file — a snapshot
 // is all-or-nothing, unlike the tail-tolerant segment replay — but the CRC
 // is only known at the end, so a caller must discard what fn saw when err
-// is non-nil.
-func readSnapshot(path string, fn func(Item)) (cut uint64, count int, err error) {
+// is non-nil. reserve is called once before the first item with the
+// declared count, bounded by the entries the file's bytes can hold, so a
+// corrupt count cannot size an allocation.
+func readSnapshot(path string, reserve func(n int), fn func(Item)) (cut uint64, count int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -174,6 +176,9 @@ func readSnapshot(path string, fn func(Item)) (cut uint64, count int, err error)
 	crc := crc32.Update(0, castagnoli, hdr[len(snapMagic):])
 	cut = binary.BigEndian.Uint64(hdr[len(snapMagic):])
 	n := binary.BigEndian.Uint64(hdr[len(snapMagic)+8:])
+	if st, err := f.Stat(); err == nil {
+		reserve(int(min(n, uint64(max(st.Size()-int64(len(hdr)), 0))/snapEntryHdr)))
+	}
 	var ent [snapEntryHdr]byte
 	var val []byte
 	for i := uint64(0); i < n; i++ {

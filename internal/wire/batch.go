@@ -43,10 +43,11 @@ var ErrBadBatch = errors.New("wire: malformed batch payload")
 // entryHeaderSize is a batch entry's fixed prefix: kind + arg + dlen.
 const entryHeaderSize = 1 + 8 + 4
 
-// MaxBatchOps is the protocol-level ceiling on entries per batch frame.
-// Both ends enforce it so a hostile count cannot force a giant slice
-// allocation; servers may configure a tighter operational cap.
-const MaxBatchOps = 1 << 16
+// MaxBatchOps is the one cap on entries per batch frame. Both ends enforce
+// it: the encoder refuses a longer batch, and the decoder refuses a larger
+// declared count before it allocates, so a hostile count cannot force a
+// giant slice.
+const MaxBatchOps = 1024
 
 // BatchEntry is one operation (request direction) or one status
 // (response direction) inside a batch frame. Data aliases the enclosing

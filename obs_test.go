@@ -22,7 +22,6 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 	for name, q := range map[string]Instrumented{
 		"Queue":          New[int64, int](),
 		"PQ":             NewPQ[int](),
-		"LockFree":       NewLockFree[int64, int](),
 		"Heap":           NewHeap[int64, int](1 << 10),
 		"GlobalLockHeap": NewGlobalLockHeap[int64, int](),
 		"FunnelList":     NewFunnelList[int64, int](),
@@ -42,7 +41,6 @@ func TestMetricsOffIsZero(t *testing.T) {
 		Push(int64, int)
 		Pop() (int64, int, bool)
 	}{
-		"LockFreePQ":    NewLockFreePQ[int](),
 		"GlobalHeapPQ":  NewGlobalHeapPQ[int](),
 		"ShardedPQ":     NewShardedPQ[int](2),
 		"SprayPQ":       NewSprayPQ[int](2),
@@ -72,7 +70,6 @@ func TestSnapshotAllFamilies(t *testing.T) {
 	}
 	sq := New[int64, int](WithMetrics())
 	pq := NewPQ[int](WithMetrics())
-	lf := NewLockFree[int64, int](WithMetrics())
 	hp := NewHeap[int64, int](1<<12, WithMetrics())
 	gl := NewGlobalLockHeap[int64, int](WithMetrics())
 	fl := NewFunnelList[int64, int](WithMetrics())
@@ -81,8 +78,6 @@ func TestSnapshotAllFamilies(t *testing.T) {
 			func() bool { _, _, ok := sq.DeleteMin(); return ok }, "", ""},
 		"PQ": {pq, func(k int64) { pq.Push(k, 0) },
 			func() bool { _, _, ok := pq.Pop(); return ok }, "", ""},
-		"LockFree": {lf, func(k int64) { lf.Insert(k, 0) },
-			func() bool { _, _, ok := lf.DeleteMin(); return ok }, "", ""},
 		"Heap": {hp, func(k int64) { _ = hp.Insert(k, 0) },
 			func() bool { _, _, ok := hp.DeleteMin(); return ok }, "insert", "deletemin"},
 		"GlobalLockHeap": {gl, func(k int64) { gl.Insert(k, 0) },
@@ -195,31 +190,61 @@ func TestObservabilityDocListsServiceProbes(t *testing.T) {
 
 	rows := docProbeRows(t)
 	for _, snap := range []obs.Snapshot{srv.Snapshot(), srv.BatchSnapshot(), q.Log().Snapshot(), tbl.Snapshot()} {
-		documented := map[string]bool{}
-		for _, r := range rows[snap.Name] {
-			documented[r] = true
+		checkDocRows(t, rows, snap)
+	}
+}
+
+// TestObservabilityDocListsBaselineProbes: for each baseline built
+// WithMetrics, every counter and histogram it publishes is a row of its
+// docs/OBSERVABILITY.md table, and every row is published.
+func TestObservabilityDocListsBaselineProbes(t *testing.T) {
+	rows := docProbeRows(t)
+	hp := NewHeap[int64, int](64, WithMetrics())
+	gl := NewGlobalLockHeap[int64, int](WithMetrics())
+	fl := NewFunnelList[int64, int](WithMetrics())
+	for k := int64(0); k < 20; k++ {
+		_ = hp.Insert(k, 0)
+		gl.Insert(k, 0)
+		fl.Insert(k, 0)
+	}
+	for k := 0; k < 20; k++ {
+		hp.DeleteMin()
+		gl.DeleteMin()
+		fl.DeleteMin()
+	}
+	for _, q := range []Instrumented{hp, gl, fl} {
+		checkDocRows(t, rows, q.Snapshot())
+	}
+}
+
+// checkDocRows requires snap's counters and histograms to be exactly the
+// rows of its set's table in docs/OBSERVABILITY.md.
+func checkDocRows(t *testing.T, rows map[string][]string, snap obs.Snapshot) {
+	t.Helper()
+	documented := map[string]bool{}
+	for _, r := range rows[snap.Name] {
+		documented[r] = true
+	}
+	if len(documented) == 0 {
+		t.Errorf("docs/OBSERVABILITY.md has no table for %s", snap.Name)
+	}
+	var names []string
+	for _, c := range snap.Counters {
+		names = append(names, c.Name)
+	}
+	for _, h := range snap.Hists {
+		names = append(names, h.Name)
+	}
+	published := map[string]bool{}
+	for _, n := range names {
+		published[n] = true
+		if !documented[n] {
+			t.Errorf("%s publishes %q, which docs/OBSERVABILITY.md does not list", snap.Name, n)
 		}
-		if len(documented) == 0 {
-			t.Errorf("docs/OBSERVABILITY.md has no table for %s", snap.Name)
-		}
-		var names []string
-		for _, c := range snap.Counters {
-			names = append(names, c.Name)
-		}
-		for _, h := range snap.Hists {
-			names = append(names, h.Name)
-		}
-		published := map[string]bool{}
-		for _, n := range names {
-			published[n] = true
-			if !documented[n] {
-				t.Errorf("%s publishes %q, which docs/OBSERVABILITY.md does not list", snap.Name, n)
-			}
-		}
-		for r := range documented {
-			if !published[r] {
-				t.Errorf("docs/OBSERVABILITY.md lists %s probe %q, which is not published", snap.Name, r)
-			}
+	}
+	for r := range documented {
+		if !published[r] {
+			t.Errorf("docs/OBSERVABILITY.md lists %s probe %q, which is not published", snap.Name, r)
 		}
 	}
 }
@@ -271,7 +296,6 @@ func TestObservabilityDocListsProbes(t *testing.T) {
 		}
 	}{
 		{[]string{"skipqueue.core"}, NewPQ[int](WithMetrics())},
-		{[]string{"skipqueue.lockfree"}, NewLockFreePQ[int](WithMetrics())},
 		{[]string{"skipqueue.sharded", "skipqueue.core"}, NewShardedPQ[int](4, WithMetrics())},
 		{[]string{"skipqueue.spray", "skipqueue.core"}, NewSprayPQ[int](4, WithMetrics())},
 		{[]string{"skipqueue.elim", "skipqueue.core"}, NewElimPQ[int](0, WithMetrics())},

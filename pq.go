@@ -5,12 +5,11 @@ import (
 
 	"skipqueue/internal/core"
 	"skipqueue/internal/glheap"
-	"skipqueue/internal/lockfree"
 )
 
 // seqQueue is what the multiset adapter needs of a structure that orders
-// natively by (priority, seq): core.Queue, lockfree.Queue and glheap.Heap.
-// R is InsertSeq's result, which differs between them and which the
+// natively by (priority, seq): core.Queue and glheap.Heap. R is
+// InsertSeq's result, which differs between them and which the
 // adapter ignores, since every Push takes a fresh seq.
 type seqQueue[V, R any] interface {
 	InsertSeq(priority int64, seq uint64, value V) R
@@ -22,8 +21,7 @@ type seqQueue[V, R any] interface {
 
 // multisetPQ is the one multiset adapter: each pushed element draws the
 // next sequence number, so elements order first by priority, then by
-// arrival, and duplicate priorities coexist. PQ, LockFreePQ and
-// GlobalHeapPQ embed it.
+// arrival, and duplicate priorities coexist. PQ and GlobalHeapPQ embed it.
 type multisetPQ[Q seqQueue[V, R], V, R any] struct {
 	q       Q
 	metrics bool // WithMetrics: Snapshot publishes q's probes
@@ -68,10 +66,10 @@ func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return published(pq.metrics
 // (priority, sequence number), and each pushed element draws the next
 // sequence number, so elements order first by priority, then by arrival.
 //
-// PQ, LockFreePQ and GlobalHeapPQ are the same multiset layer over the
-// three queue families that order by (priority, seq). A *PQ[[]byte], like
-// the other two, satisfies internal/multiset.Queue, so it can be handed
-// directly to the pqd network daemon (cmd/pqd).
+// PQ and GlobalHeapPQ are the same multiset layer over the two queue
+// families that order by (priority, seq). A *PQ[[]byte], like the other,
+// satisfies internal/multiset.Queue, so it can be handed directly to the
+// pqd network daemon (cmd/pqd).
 type PQ[V any] struct {
 	multisetPQ[*core.Queue[int64, V], V, core.InsertResult]
 }
@@ -99,23 +97,6 @@ func (pq *PQ[V]) Load(n int, at func(i int) (priority int64, value V)) {
 		priority, value := at(i)
 		return priority, base + uint64(i) + 1, value
 	})
-}
-
-// LockFreePQ is the multiset layer over LockFree, the CAS-based skiplist
-// queue: PQ's semantics (duplicate priorities, FIFO within a priority) with
-// LockFree's progress guarantee. Construct with NewLockFreePQ. All methods
-// are safe for concurrent use.
-type LockFreePQ[V any] struct {
-	multisetPQ[*lockfree.Queue[int64, V], V, bool]
-}
-
-// NewLockFreePQ returns an empty lock-free multiset priority queue. It
-// accepts the same options as NewLockFree.
-func NewLockFreePQ[V any](opts ...Option) *LockFreePQ[V] {
-	lf := NewLockFree[int64, V](opts...)
-	pq := new(LockFreePQ[V])
-	pq.q, pq.metrics = lf.q, lf.metrics
-	return pq
 }
 
 // GlobalHeapPQ is the multiset layer over GlobalLockHeap, the single-lock

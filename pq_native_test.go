@@ -3,6 +3,7 @@ package skipqueue
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -49,34 +50,6 @@ func TestPushPopAllocs(t *testing.T) {
 	}
 }
 
-// TestLockFreePQPushAllocs pins LockFreePQ's Push to exactly what
-// lockfree.Queue.InsertSeq allocates on the same seeded stream (node, tower
-// and one markable box per link), so the multiset adapter adds nothing of
-// its own.
-func TestLockFreePQPushAllocs(t *testing.T) {
-	value := make([]byte, 16)
-	stream := func(push func(priority int64, seq uint64)) func() {
-		var next int64
-		return func() {
-			next++
-			push(next*7919%1000, uint64(next))
-		}
-	}
-	measure := func(push func()) float64 {
-		for i := 0; i < 1000; i++ {
-			push()
-		}
-		return testing.AllocsPerRun(1000, push)
-	}
-	q := NewLockFree[int64, []byte](WithSeed(1)).q
-	direct := measure(stream(func(p int64, seq uint64) { q.InsertSeq(p, seq, value) }))
-	pq := NewLockFreePQ[[]byte](WithSeed(1))
-	adapted := measure(stream(func(p int64, _ uint64) { pq.Push(p, value) }))
-	if adapted != direct {
-		t.Errorf("LockFreePQ.Push allocates %v times per call, lockfree.Queue.InsertSeq %v", adapted, direct)
-	}
-}
-
 // TestPQDefinition1DuplicatePriorities records concurrent runs of the
 // strict multiset queues in which eight goroutines push only four distinct
 // priorities, and checks each against Definition 1 under the composite
@@ -105,8 +78,8 @@ func TestPQDefinition1DuplicatePriorities(t *testing.T) {
 			})
 			return pq
 		}},
-		{"LockFreePQ", func(seed uint64, record func(lincheck.Op)) strictPQ {
-			pq := NewLockFreePQ[int64](WithSeed(seed))
+		{"lockfree", func(seed uint64, record func(lincheck.Op)) strictPQ {
+			pq := &lockfreeSeqPQ{q: lockfree.New[int64, int64](lockfree.Config{Seed: seed})}
 			pq.q.SetTracer(func(ev lockfree.TraceEvent[int64]) {
 				record(lincheck.Op{
 					Insert: ev.Insert, Key: rank(ev.Key, ev.Seq), OK: ev.OK,
@@ -163,6 +136,17 @@ func TestPQDefinition1DuplicatePriorities(t *testing.T) {
 		})
 	}
 }
+
+// lockfreeSeqPQ pushes into the lock-free skiplist at (priority, seq) with
+// a fresh seq per Push, as the multiset adapter does for core.
+type lockfreeSeqPQ struct {
+	q   *lockfree.Queue[int64, int64]
+	seq atomic.Uint64
+}
+
+func (pq *lockfreeSeqPQ) Push(priority, value int64) { pq.q.InsertSeq(priority, pq.seq.Add(1), value) }
+func (pq *lockfreeSeqPQ) Pop() (int64, int64, bool)  { return pq.q.DeleteMin() }
+func (pq *lockfreeSeqPQ) Len() int                   { return pq.q.Len() }
 
 // TestSharedWordsOwnLines: the adapter's seq, written by every Push, lies at
 // least a cache line from q, which every operation reads.

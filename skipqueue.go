@@ -97,7 +97,7 @@ func WithP(p float64) Option { return func(c *options) { c.P = p } }
 func WithSeed(s uint64) Option { return func(c *options) { c.Seed = s } }
 
 // WithMetrics publishes the queue's probes through Snapshot. The skiplist
-// family (Queue, PQ, LockFree, LockFreePQ, ShardedPQ, SprayPQ, ElimPQ)
+// family (Queue, PQ, ShardedPQ, SprayPQ, ElimPQ)
 // counts its events always, so its operations run the same code with and
 // without it; Heap, GlobalLockHeap and FunnelList also record
 // per-operation latency histograms, only when it is given. See
@@ -105,8 +105,8 @@ func WithSeed(s uint64) Option { return func(c *options) { c.Seed = s } }
 func WithMetrics() Option { return func(c *options) { c.metrics = true } }
 
 // WithFlight attaches a flight recorder to the queue: a fixed-size
-// in-memory ring of contention events — lock re-acquisitions, failed
-// CASes, sweep fallbacks, elimination exchanges — dumpable at any moment
+// in-memory ring of contention events — lock re-acquisitions, sweep and
+// spray fallbacks, elimination exchanges — dumpable at any moment
 // for post-hoc analysis of a latency spike. Independent of WithMetrics; a
 // nil recorder is equivalent to omitting the option.
 func WithFlight(r *FlightRecorder) Option { return func(c *options) { c.Flight = r } }
@@ -139,8 +139,8 @@ type Stats = core.Stats
 type Snapshot = obs.Snapshot
 
 // Instrumented is implemented by every queue type in this package: Queue,
-// LockFree, Heap, GlobalLockHeap and FunnelList, and the multiset queues
-// PQ, LockFreePQ, GlobalHeapPQ, ShardedPQ, SprayPQ and ElimPQ all
+// Heap, GlobalLockHeap and FunnelList, and the multiset queues PQ,
+// GlobalHeapPQ, ShardedPQ, SprayPQ and ElimPQ all
 // expose their probes through the same Snapshot shape, so harnesses can
 // compare structures without per-type code.
 type Instrumented interface {
@@ -149,12 +149,10 @@ type Instrumented interface {
 
 var (
 	_ Instrumented = (*Queue[int, int])(nil)
-	_ Instrumented = (*LockFree[int, int])(nil)
 	_ Instrumented = (*Heap[int, int])(nil)
 	_ Instrumented = (*GlobalLockHeap[int, int])(nil)
 	_ Instrumented = (*FunnelList[int, int])(nil)
 	_ Instrumented = (*PQ[int])(nil)
-	_ Instrumented = (*LockFreePQ[int])(nil)
 	_ Instrumented = (*GlobalHeapPQ[int])(nil)
 	_ Instrumented = (*ShardedPQ[int])(nil)
 	_ Instrumented = (*SprayPQ[int])(nil)
