@@ -12,8 +12,10 @@ import (
 )
 
 // FuzzOps drives one registry row from a byte string against its
-// contract's Model. The first byte picks the row (modulo the row count)
-// and, through its upper bits, every tuning count (1 to 16); then every
+// contract's Model. The first byte picks the row through its low three
+// bits (modulo the row count) and every tuning count (1 to 16) through its
+// upper bits, so a seed reaches the row it names however many rows there
+// are, up to eight; then every
 // even byte pushes key b/2 and every odd byte checks a Peek and a Pop. Len
 // must then agree, and a final drain must return exactly what the model
 // holds before the queue answers EMPTY.
@@ -42,7 +44,11 @@ func FuzzOps(f *testing.F) {
 	seed := func(name string, n int, ops ...byte) {
 		for i, r := range backends.Rows {
 			if r.Name == name {
-				f.Add(append([]byte{byte(i) | byte(n-1)<<3}, ops...))
+				sel := byte(i) | byte(n-1)<<3
+				if row, m := decodeSel(sel); row.Name != name || m != n {
+					f.Fatalf("seed %s/%d decodes to %s/%d", name, n, row.Name, m)
+				}
+				f.Add(append([]byte{sel}, ops...))
 				return
 			}
 		}
@@ -66,8 +72,7 @@ func FuzzOps(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		row := backends.Rows[int(sel)%len(backends.Rows)]
-		n := 1 + int(sel>>3)%16
+		row, n := decodeSel(sel)
 		q := row.New(backends.Params{Shards: n, ElimSlots: n, SprayK: n,
 			Opts: []skipqueue.Option{skipqueue.WithSeed(1), skipqueue.WithMetrics()}})
 		m := row.Contract.Model()
@@ -97,6 +102,11 @@ func FuzzOps(f *testing.F) {
 			t.Fatalf("%s: sequential run recorded %d exchange hits", row.Name, hits)
 		}
 	})
+}
+
+// decodeSel splits FuzzOps's first byte into the row and the tuning count.
+func decodeSel(sel byte) (backends.Row, int) {
+	return backends.Rows[int(sel&7)%len(backends.Rows)], 1 + int(sel>>3)%16
 }
 
 // TestServerDocListsRows: the -backend row of docs/SERVER.md's flag table
