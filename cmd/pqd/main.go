@@ -63,8 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:9400", "TCP listen address")
 		backendName = fs.String("backend", "skipqueue", "queue backend: "+backends.Names())
-		shards      = fs.Int("shards", 0, "shard count for the sharded backends (0 = two per GOMAXPROCS)")
-		elimSlots   = fs.Int("elim-slots", 0, "exchanger slots for the elim backends (0 = one per core)")
+		shards      = fs.Int("shards", 0, "shard count for the sharded backend (0 = two per GOMAXPROCS)")
+		elimSlots   = fs.Int("elim-slots", 0, "exchanger slots for the elim backend (0 = one per core)")
 		sprayK      = fs.Int("spray-k", 0, "contention width the spray backend shapes its walk for (0 = GOMAXPROCS)")
 		maxConns    = fs.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is refused with BUSY")
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInflight, "max frames applied per connection between response flushes")

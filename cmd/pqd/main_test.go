@@ -178,8 +178,9 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 // TestRunBadBackend: an unknown backend is a usage error (exit 2) whose
 // message names every backend there is.
 func TestRunBadBackend(t *testing.T) {
-	// lockfree names no backend: the lock-free skiplist is not served.
-	for _, name := range []string{"nope", "lockfree"} {
+	// lockfree and elimsharded name no backend: neither the lock-free
+	// skiplist nor elimination over the sharded queue is served.
+	for _, name := range []string{"nope", "lockfree", "elimsharded"} {
 		t.Run(name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
 			if code := run([]string{"-backend", name}, &out, &errOut); code != 2 {

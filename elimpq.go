@@ -2,8 +2,8 @@ package skipqueue
 
 import "skipqueue/internal/elim"
 
-// ElimPQ is the elimination front-end of internal/elim layered over a root
-// multiset queue: an Insert whose priority is at or below the queue's
+// ElimPQ is the elimination front-end of internal/elim layered over the
+// strict multiset PQ: an Insert whose priority is at or below the queue's
 // current minimum and a concurrent Pop can meet in a small exchanger array
 // and cancel directly, never touching the queue. On mixed workloads whose
 // new priorities keep arriving at the front — discrete-event simulation
@@ -11,22 +11,18 @@ import "skipqueue/internal/elim"
 // removes the contended head from the hot path entirely; everything else
 // falls through to the wrapped queue unchanged.
 //
-// Over the strict PQ (NewElimPQ) the combined structure still satisfies the
-// paper's Definition 1: an eliminated pair serializes as Insert(k)
-// immediately followed by DeleteMin -> k at the exchange, and the
-// delete-side eligibility check (one PeekMin taken after the Pop began)
-// guarantees no smaller must-see element is bypassed — see internal/elim's
-// package comment for the full argument and internal/lincheck for the
-// machine-checked witness. Over the relaxed ShardedPQ (NewElimShardedPQ)
-// the multiset guarantees stay exact and eliminated deliveries stay inside
-// the same rank-error bound as the bare sharded queue.
+// The combined structure still satisfies the paper's Definition 1: an
+// eliminated pair serializes as Insert(k) immediately followed by
+// DeleteMin -> k at the exchange, and the delete-side eligibility check
+// (one PeekMin taken after the Pop began) guarantees no smaller must-see
+// element is bypassed — see internal/elim's package comment for the full
+// argument and internal/lincheck for the machine-checked witness.
 //
 // *ElimPQ[[]byte] satisfies internal/multiset.Queue, so pqd can serve it
-// (-backend elim, -backend elimsharded). All methods are safe for
-// concurrent use.
+// (-backend elim). All methods are safe for concurrent use.
 type ElimPQ[V any] struct {
 	e       *elim.PQ[V]
-	inner   Instrumented
+	inner   *PQ[V]
 	metrics bool
 }
 
@@ -37,25 +33,7 @@ type ElimPQ[V any] struct {
 func NewElimPQ[V any](slots int, opts ...Option) *ElimPQ[V] {
 	o := resolve(opts)
 	inner := NewPQ[V](opts...)
-	e := elim.New[V](inner, elim.Config{
-		Slots:  slots,
-		Clock:  inner.q.Now, // one clock across exchange and skiplist stamps
-		Flight: o.Flight,
-	})
-	return &ElimPQ[V]{e: e, inner: inner, metrics: o.metrics}
-}
-
-// NewElimShardedPQ returns an elimination front-end over a relaxed
-// ShardedPQ with the given shard count (0 selects two shards per
-// GOMAXPROCS). slots and opts are as in NewElimPQ.
-func NewElimShardedPQ[V any](slots, shards int, opts ...Option) *ElimPQ[V] {
-	o := resolve(opts)
-	inner := NewShardedPQ[V](shards, opts...)
-	e := elim.New[V](inner, elim.Config{
-		Slots:  slots,
-		Clock:  inner.q.Stamp,
-		Flight: o.Flight,
-	})
+	e := elim.New[V](inner, elim.Config{Slots: slots, Flight: o.Flight})
 	return &ElimPQ[V]{e: e, inner: inner, metrics: o.metrics}
 }
 

@@ -4,50 +4,42 @@ import (
 	"testing"
 )
 
-// TestElimPQBasic: sequential behaviour over both inner queues is exactly
-// the inner queue's (sequential Pushes can never eliminate — no Pop is
-// waiting — so everything falls through).
+// TestElimPQBasic: sequential behaviour is exactly the inner queue's
+// (sequential Pushes can never eliminate — no Pop is waiting — so
+// everything falls through).
 func TestElimPQBasic(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		q    *ElimPQ[uint64]
-	}{
-		{"strict", NewElimPQ[uint64](4, WithSeed(1))},
-		{"sharded", NewElimShardedPQ[uint64](4, 4, WithSeed(1))},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			q := tc.q
-			if _, _, ok := q.Pop(); ok {
-				t.Fatal("Pop on empty reported ok")
+	t.Run("strict", func(t *testing.T) {
+		q := NewElimPQ[uint64](4, WithSeed(1))
+		if _, _, ok := q.Pop(); ok {
+			t.Fatal("Pop on empty reported ok")
+		}
+		for i, pri := range []int64{30, 10, 20, 10} {
+			q.Push(pri, uint64(i))
+		}
+		if q.Len() != 4 {
+			t.Fatalf("Len = %d, want 4", q.Len())
+		}
+		if k, _, ok := q.Peek(); !ok || k != 10 {
+			t.Fatalf("Peek = (%d, %v), want (10, true)", k, ok)
+		}
+		var got []int64
+		for {
+			k, _, ok := q.Pop()
+			if !ok {
+				break
 			}
-			for i, pri := range []int64{30, 10, 20, 10} {
-				q.Push(pri, uint64(i))
-			}
-			if q.Len() != 4 {
-				t.Fatalf("Len = %d, want 4", q.Len())
-			}
-			if k, _, ok := q.Peek(); !ok || k != 10 {
-				t.Fatalf("Peek = (%d, %v), want (10, true)", k, ok)
-			}
-			var got []int64
-			for {
-				k, _, ok := q.Pop()
-				if !ok {
-					break
-				}
-				got = append(got, k)
-			}
-			want := []int64{10, 10, 20, 30}
-			if len(got) != len(want) {
+			got = append(got, k)
+		}
+		want := []int64{10, 10, 20, 30}
+		if len(got) != len(want) {
+			t.Fatalf("drained %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
 				t.Fatalf("drained %v, want %v", got, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("drained %v, want %v", got, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestElimPQSnapshotMerges: the adapter's Snapshot carries both the

@@ -33,8 +33,8 @@ const (
 // Params carries pqd's tuning flags and the queue options. A zero count
 // selects the backend's default; a row ignores the counts it has no use for.
 type Params struct {
-	Shards    int // -shards: sharded, elimsharded
-	ElimSlots int // -elim-slots: elim, elimsharded
+	Shards    int // -shards: sharded
+	ElimSlots int // -elim-slots: elim
 	SprayK    int // -spray-k: spray
 	Opts      []skipqueue.Option
 }
@@ -67,10 +67,6 @@ var Rows = []Row{
 	{"sharded", Multiset, func(p Params) Queue { return skipqueue.NewShardedPQ[[]byte](p.Shards, p.Opts...) }},
 	// The elimination front-end over skipqueue.
 	{"elim", Exact, func(p Params) Queue { return skipqueue.NewElimPQ[[]byte](p.ElimSlots, p.Opts...) }},
-	// The elimination front-end over sharded.
-	{"elimsharded", Multiset, func(p Params) Queue {
-		return skipqueue.NewElimShardedPQ[[]byte](p.ElimSlots, p.Shards, p.Opts...)
-	}},
 	// SprayList-style relaxed near-minimum deletion.
 	{"spray", Multiset, func(p Params) Queue { return skipqueue.NewSprayPQ[[]byte](p.SprayK, p.Opts...) }},
 }

@@ -61,9 +61,9 @@ func FuzzOps(f *testing.F) {
 	seed("sharded", 9, 2, 2, 2, 2, 1, 1, 1, 1, 1)
 	seed("elim", 1)
 	seed("elim", 5, hot...)
-	seed("elimsharded", 5, append(asc, bytes.Repeat([]byte{1}, 16)...)...)
+	seed("elim", 5, append(asc, bytes.Repeat([]byte{1}, 16)...)...)
 	seed("elim", 2, 10, 10, 10, 1, 10, 1, 1)
-	seed("elimsharded", 8, 2, 4, 1, 1, 1)
+	seed("elim", 8, 2, 4, 1, 1, 1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sel byte
 		if len(data) > 0 {

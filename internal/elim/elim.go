@@ -42,14 +42,18 @@
 // I−D. The min-estimate on the insert side is only a heuristic gate for
 // *attempting* elimination; it plays no role in correctness.
 // internal/lincheck checks recorded histories (fall-through operations
-// traced by the inner queue, exchanges traced here, stamps drawn from one
-// shared clock) against exactly this witness.
+// traced by the inner queue, exchanges traced here, stamps drawn from the
+// one clock given to SetTracer) against exactly this witness. The protocol
+// is the same traced or not: the claimer completes the whole exchange, so
+// the checked path is the path production runs.
 //
-// For a relaxed inner queue (internal/sharded) strict ordering is already
-// waived; elimination preserves the multiset guarantees — a slot is handed
-// to exactly one claimer or withdrawn by its publisher, never both — and
-// the eligibility check keeps the rank error of eliminated deliveries
-// small (the key is at most an observed queue minimum).
+// The product composition is the strict queue (the root ElimPQ). Over a
+// relaxed inner queue (internal/sharded, a test-only composition in
+// internal/quality) strict ordering is already waived; elimination
+// preserves the multiset guarantees — a slot is handed to exactly one
+// claimer or withdrawn by its publisher, never both — and the eligibility
+// check keeps the rank error of eliminated deliveries small (the key is at
+// most an observed queue minimum).
 package elim
 
 import (
@@ -90,7 +94,7 @@ const (
 	phasePublishing               // a publisher owns the slot and is installing its offer
 	phaseWaiting                  // an offer is visible; consumers may claim it
 	phaseClaimed                  // a consumer won the claim and is finishing the exchange
-	phaseTaken                    // exchange done; the publisher collects and resets
+	phaseTaken                    // exchange done; the slot is free to republish
 )
 
 const phaseBits = 3
@@ -103,30 +107,29 @@ func pack(ver, phase uint64) uint64 { return ver<<phaseBits | phase }
 
 func phaseOf(s uint64) uint64 { return s & (1<<phaseBits - 1) }
 
-// slot is one exchanger cell. The publisher owns all fields outside the
-// waiting phase; the claiming consumer owns them between its claim CAS and
-// its phaseTaken store. priority alone is read before that CAS, to test
-// eligibility, while a publisher that recycled the slot may be writing it:
-// the versioned CAS rejects the stale read, and the field is atomic so the
-// read is not a data race. The trailing pad keeps neighbouring slots off one
-// cache line so publishers spinning on their own slot do not invalidate
-// their neighbours'.
+// slot is one exchanger cell. The publisher owns all fields until it stores
+// phaseWaiting; the claiming consumer owns them between its claim CAS and
+// its phaseTaken store, and the next publisher after that. priority alone
+// is read before that CAS, to test eligibility, while a publisher that
+// recycled the slot may be writing it: the versioned CAS rejects the stale
+// read, and the field is atomic so the read is not a data race. The
+// trailing pad keeps neighbouring slots off one cache line so publishers
+// spinning on their own slot do not invalidate their neighbours'.
 type slot[V any] struct {
 	state atomic.Uint64
 
 	priority atomic.Int64
 	value    V
 	seq      uint64 // elimination identity, assigned at publish
-	insStamp int64  // exchange stamp of the insert, written by the claimer
 
 	_ [64]byte
 }
 
 // Event describes one half of an eliminated exchange for history checking.
-// ElimPQ traces only exchanges — fall-through operations are traced by the
+// PQ traces only exchanges — fall-through operations are traced by the
 // inner queue under its own clock — so a full history is the merge of
-// both streams, totally ordered by Stamp when Config.Clock draws from the
-// inner queue's clock.
+// both streams, totally ordered by Stamp when the clock given to SetTracer
+// is the inner queue's.
 type Event struct {
 	// Insert is true for the Push half of the pair, false for the Pop half.
 	Insert bool
@@ -141,8 +144,9 @@ type Event struct {
 	// Stamp is the serialization stamp drawn at the exchange — the
 	// insert's is drawn immediately before its paired delete's.
 	Stamp int64
-	// Done, for the insert half, is drawn after the publisher observed the
-	// exchange complete: the earliest evidence the Push returned.
+	// Done, for the insert half, is drawn by the claimer after the delete
+	// half's Stamp and before it releases the slot, so it falls between
+	// the exchange and the Push's return.
 	Done int64
 	// Start, for the delete half, is the Pop's invocation stamp.
 	Start int64
@@ -158,12 +162,6 @@ type Config struct {
 	Slots int
 	// Timeout bounds a publishing Insert's wait (0 selects DefaultTimeout).
 	Timeout time.Duration
-	// Clock, when non-nil, supplies serialization stamps for traced
-	// exchanges. Wire it to the inner queue's clock (core.Queue.Now,
-	// sharded.PQ.Stamp) so merged histories stay totally ordered; nil
-	// falls back to a private counter, fine when only ElimPQ's own events
-	// are recorded.
-	Clock func() int64
 	// Flight, if non-nil, receives a flight-recorder event for every
 	// completed exchange (flight.KElimExchange, arg = the exchanged
 	// priority); nil costs one nil check per hit.
@@ -186,7 +184,7 @@ type probes struct {
 	set *obs.Set
 	fr  *flight.Recorder // exchange event sink, nil-safe, set per Config.Flight
 
-	hits       *obs.Counter // completed exchanges
+	hits       *obs.Counter // completed exchanges, counted by the claimer
 	misses     *obs.Counter // eligible Pushes that found no empty slot
 	timeouts   *obs.Counter // published offers withdrawn unclaimed
 	ineligible *obs.Counter // waiting offers skipped by Pops (key above queue min)
@@ -221,12 +219,12 @@ type PQ[V any] struct {
 	// (MaxInt64) when the inner queue reports EMPTY.
 	est atomic.Int64
 
-	seq      atomic.Uint64 // elimination identities
-	rr       atomic.Uint64 // rotating scan/publish start
-	fallback atomic.Int64  // stamp source when cfg.Clock is nil
+	seq atomic.Uint64 // elimination identities
+	rr  atomic.Uint64 // rotating scan/publish start
 
 	obs    probes
 	tracer func(Event)
+	clock  func() int64 // serialization stamps, drawn only when traced
 }
 
 // New returns an elimination front-end over inner, configured by cfg.
@@ -238,21 +236,17 @@ func New[V any](inner multiset.Queue[V], cfg Config) *PQ[V] {
 	return p
 }
 
-// SetTracer installs fn to observe completed exchanges. It must be called
-// before the queue is shared between goroutines; fn is invoked once per
-// exchange half (insert from the publisher, delete from the claimer).
-func (p *PQ[V]) SetTracer(fn func(Event)) { p.tracer = fn }
+// SetTracer installs fn to observe completed exchanges, stamped from
+// clock. Wire clock to the inner queue's (core.Queue.Now, sharded.PQ.Stamp)
+// so the merged history stays totally ordered. It must be called before the
+// queue is shared between goroutines; the claimer invokes fn twice per
+// exchange, once for each half.
+func (p *PQ[V]) SetTracer(fn func(Event), clock func() int64) {
+	p.tracer, p.clock = fn, clock
+}
 
 // Slots returns the exchanger array length.
 func (p *PQ[V]) Slots() int { return len(p.slots) }
-
-// now draws a serialization stamp (see Config.Clock).
-func (p *PQ[V]) now() int64 {
-	if p.cfg.Clock != nil {
-		return p.cfg.Clock()
-	}
-	return p.fallback.Add(1)
-}
 
 // lowerEst lowers the min-estimate to k if k is smaller. Lower-only: Pops
 // raise the estimate when they learn a fresher minimum.
@@ -285,78 +279,59 @@ func (p *PQ[V]) Push(priority int64, value V) {
 // tryExchangePush publishes (priority, value) into a free slot and waits
 // for a claimer. It reports whether the element was handed off.
 //
-// Two completion protocols, chosen by whether a tracer is installed:
-//
-//   - untraced (the production path): a claimed slot is done with this
-//     publisher the moment the claimer stores phaseTaken — later publishers
-//     may recycle it directly (publish accepts phaseTaken), and this
-//     publisher detects consumption by the version having moved on (or by
-//     seeing phaseTaken at its own version, which it then frees). This
-//     keeps slot turnover off the sleeping publisher's critical path: on an
-//     oversubscribed core a publisher can sleep a full scheduler slice
-//     between publishing and waking, and parking the slot until then would
-//     clog the whole array (measured: hit rates collapse three orders of
-//     magnitude on GOMAXPROCS=1 without recycling).
-//   - traced: the publisher must read the exchange stamp the claimer left
-//     in the slot, so recycling is off (publish skips phaseTaken) and the
-//     slot is held until this publisher collects. Tests pay the latency;
-//     histories stay complete.
+// The claimer completes the exchange alone — stamps, both trace halves,
+// the hit count, the flight event — and its phaseTaken store frees the
+// slot: later publishers may recycle it at once (publish accepts
+// phaseTaken). This keeps slot turnover off the sleeping publisher's
+// critical path: on an oversubscribed core a publisher can sleep a full
+// scheduler slice between publishing and waking, and parking the slot until
+// then would clog the whole array (measured: hit rates collapse three
+// orders of magnitude on GOMAXPROCS=1 without recycling).
 func (p *PQ[V]) tryExchangePush(priority int64, value V) bool {
 	s, ver := p.publish(priority, value)
 	if s == nil {
 		p.obs.misses.Inc()
 		return false
 	}
+	return p.await(s, ver)
+}
+
+// await waits for the offer published in s at version ver to be claimed,
+// withdrawing it at the timeout. It reports whether the offer was consumed:
+// the slot's version moved on (only a claim frees (ver, waiting) for
+// republication) or the slot reads phaseTaken at ver.
+func (p *PQ[V]) await(s *slot[V], ver uint64) bool {
 	deadline := time.Now().Add(p.cfg.Timeout)
 	for {
 		st := s.state.Load()
-		if st>>phaseBits != ver {
-			// The slot was recycled past this publication. The only exit
-			// from (ver, waiting) not taken by this publisher is a claim:
-			// the offer was consumed.
-			p.obs.hits.Inc()
-			p.obs.fr.Record(flight.KElimExchange, 0, priority)
+		if st>>phaseBits != ver || phaseOf(st) == phaseTaken {
 			return true
 		}
-		switch phaseOf(st) {
-		case phaseTaken:
-			if p.tracer != nil {
-				return p.collect(s)
-			}
-			// Try to hand the slot back; a racing publisher recycling it
-			// first is just as good.
-			s.state.CompareAndSwap(st, pack(ver, phaseEmpty))
-			p.obs.hits.Inc()
-			p.obs.fr.Record(flight.KElimExchange, 0, priority)
-			return true
-		case phaseWaiting:
-			if time.Now().After(deadline) {
-				// Withdraw, via phasePublishing so the value can be zeroed
-				// under exclusive ownership. Losing this CAS means a claimer
-				// arrived at the last moment; finish the exchange instead.
-				if s.state.CompareAndSwap(st, pack(ver, phasePublishing)) {
-					p.reset(s)
-					p.obs.timeouts.Inc()
-					return false
-				}
-			}
+		// Withdraw, via phasePublishing so the value can be zeroed under
+		// exclusive ownership. Losing this CAS means a claimer arrived at
+		// the last moment; wait for it to finish the exchange instead.
+		if phaseOf(st) == phaseWaiting && time.Now().After(deadline) &&
+			s.state.CompareAndSwap(st, pack(ver, phasePublishing)) {
+			p.reset(s)
+			p.obs.timeouts.Inc()
+			return false
 		}
-		// phaseClaimed: the claimer is mid-exchange; wait for phaseTaken.
+		// Waiting before the deadline, or phaseClaimed with the claimer
+		// mid-exchange: wait for phaseTaken.
 		runtime.Gosched()
 	}
 }
 
 // publish installs the offer in a free slot and makes it visible, returning
 // the slot and the publication's version. A full scan finding no free slot
-// returns nil. Untraced, phaseTaken slots count as free (see
-// tryExchangePush).
+// returns nil. phaseTaken slots count as free (see tryExchangePush).
 func (p *PQ[V]) publish(priority int64, value V) (*slot[V], uint64) {
 	n := len(p.slots)
 	start := int(p.rr.Add(1))
 	for i := 0; i < n; i++ {
 		s := &p.slots[(start+i)%n]
 		st := s.state.Load()
-		if ph := phaseOf(st); ph != phaseEmpty && !(ph == phaseTaken && p.tracer == nil) {
+		if ph := phaseOf(st); ph != phaseEmpty && ph != phaseTaken {
 			continue
 		}
 		// Bump the version at publication so claims cannot cross offers
@@ -374,21 +349,8 @@ func (p *PQ[V]) publish(priority int64, value V) (*slot[V], uint64) {
 	return nil, 0
 }
 
-// collect finishes a hit on the publisher side: trace the insert half,
-// reset the slot, count the exchange.
-func (p *PQ[V]) collect(s *slot[V]) bool {
-	if p.tracer != nil {
-		p.tracer(Event{Insert: true, Priority: s.priority.Load(), Seq: s.seq, OK: true,
-			Stamp: s.insStamp, Done: p.now()})
-	}
-	p.obs.fr.Record(flight.KElimExchange, 0, s.priority.Load())
-	p.reset(s)
-	p.obs.hits.Inc()
-	return true
-}
-
-// reset clears a slot the caller owns (phasePublishing after a withdrawal,
-// phaseTaken after a collect) and returns it to the empty pool.
+// reset clears a slot its publisher withdrew (phasePublishing) and returns
+// it to the empty pool.
 func (p *PQ[V]) reset(s *slot[V]) {
 	var zero V
 	s.value = zero
@@ -402,7 +364,7 @@ func (p *PQ[V]) reset(s *slot[V]) {
 func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
 	var start int64
 	if p.tracer != nil {
-		start = p.now()
+		start = p.clock()
 	}
 	if k, v, hit := p.tryExchangePop(start); hit {
 		return k, v, true
@@ -451,13 +413,17 @@ func (p *PQ[V]) tryExchangePop(start int64) (int64, V, bool) {
 		v := s.value
 		seq := s.seq
 		s.value = zero // drop the slot's copy before the slot moves on
-		var sIns, sDel int64
+		var sIns, sDel, done int64
 		if p.tracer != nil {
-			sIns, sDel = p.now(), p.now()
-			s.insStamp = sIns
+			// Insert, then delete, then the insert's Done, all before the
+			// slot is released and its publisher can return.
+			sIns, sDel, done = p.clock(), p.clock(), p.clock()
 		}
 		s.state.Store(pack(st>>phaseBits, phaseTaken))
+		p.obs.hits.Inc()
+		p.obs.fr.Record(flight.KElimExchange, 0, k)
 		if p.tracer != nil {
+			p.tracer(Event{Insert: true, Priority: k, Seq: seq, OK: true, Stamp: sIns, Done: done})
 			p.tracer(Event{Priority: k, Seq: seq, OK: true, Start: start, Stamp: sDel})
 		}
 		return k, v, true

@@ -24,12 +24,15 @@ func newStrict(seed uint64) (strictBackend, *core.Queue[int64, int64]) {
 }
 
 // TestPublishClaimCollect walks the slot protocol single-threaded:
-// publish -> claim -> collect, checking phases, payload, and counters.
+// publish -> claim -> the publisher collects its hand-off, checking phases,
+// payload, and counters. The claimer completes the exchange, so the hit is
+// counted once, at the claim, and the publisher leaves the slot as it finds
+// it: phaseTaken is free to republish.
 func TestPublishClaimCollect(t *testing.T) {
 	inner, _ := newStrict(1)
 	p := New[int64](inner, Config{Slots: 2})
 
-	s, _ := p.publish(5, 50)
+	s, ver := p.publish(5, 50)
 	if s == nil {
 		t.Fatal("publish found no empty slot in a fresh array")
 	}
@@ -44,16 +47,77 @@ func TestPublishClaimCollect(t *testing.T) {
 	if ph := phaseOf(s.state.Load()); ph != phaseTaken {
 		t.Fatalf("claimed slot phase = %d, want taken", ph)
 	}
-
-	if !p.collect(s) {
-		t.Fatal("collect reported failure")
+	if got := p.ObsSnapshot().Counter("exchange.hits"); got != 1 {
+		t.Fatalf("exchange.hits after the claim = %d, want 1", got)
 	}
-	if ph := phaseOf(s.state.Load()); ph != phaseEmpty {
-		t.Fatalf("collected slot phase = %d, want empty", ph)
+
+	if !p.await(s, ver) {
+		t.Fatal("publisher did not see its offer consumed")
+	}
+	if ph := phaseOf(s.state.Load()); ph != phaseTaken {
+		t.Fatalf("collected slot phase = %d, want taken (free)", ph)
 	}
 	snap := p.ObsSnapshot()
 	if got := snap.Counter("exchange.hits"); got != 1 {
 		t.Fatalf("exchange.hits = %d, want 1", got)
+	}
+	if got := snap.Counter("publish.timeouts"); got != 0 {
+		t.Fatalf("publish.timeouts = %d, want 0", got)
+	}
+}
+
+// TestTracedRecycleReportsHandOff: with a tracer installed, a claimed slot
+// is republished by a second publish before its first publisher looks. The
+// first publisher must still report the hand-off (its version moved on),
+// the second offer must stay waiting, and the claimer alone must have
+// traced the exchange: one insert half and one delete half, stamped insert
+// < delete < the insert's Done.
+func TestTracedRecycleReportsHandOff(t *testing.T) {
+	inner, q := newStrict(1)
+	p := New[int64](inner, Config{Slots: 1, Timeout: time.Millisecond})
+	var history []Event
+	p.SetTracer(func(e Event) { history = append(history, e) }, q.Now)
+
+	s, ver := p.publish(5, 50)
+	if s == nil {
+		t.Fatal("publish found no empty slot in a fresh array")
+	}
+	seq := s.seq
+	if k, v, hit := p.tryExchangePop(q.Now()); !hit || k != 5 || v != 50 {
+		t.Fatalf("claim = (%d, %d, %v), want (5, 50, true)", k, v, hit)
+	}
+	if got, _ := p.publish(9, 90); got != s {
+		t.Fatal("a claimed slot was not republished with Slots=1")
+	}
+
+	if !p.await(s, ver) {
+		t.Fatal("first publisher missed its hand-off after the slot was recycled")
+	}
+	if st := s.state.Load(); phaseOf(st) != phaseWaiting || st>>phaseBits != ver+1 {
+		t.Fatalf("second offer's state = (ver %d, phase %d), want (%d, waiting)",
+			st>>phaseBits, phaseOf(st), ver+1)
+	}
+	if got := p.ObsSnapshot().Counter("exchange.hits"); got != 1 {
+		t.Fatalf("exchange.hits = %d, want 1", got)
+	}
+
+	var ins, del []Event
+	for _, e := range history {
+		if e.Seq != seq || e.Priority != 5 || !e.OK {
+			t.Fatalf("unexpected trace event %+v", e)
+		}
+		if e.Insert {
+			ins = append(ins, e)
+		} else {
+			del = append(del, e)
+		}
+	}
+	if len(ins) != 1 || len(del) != 1 {
+		t.Fatalf("history holds %d insert and %d delete halves, want 1 and 1: %+v",
+			len(ins), len(del), history)
+	}
+	if i, d := ins[0], del[0]; !(d.Start < i.Stamp && i.Stamp < d.Stamp && d.Stamp < i.Done) {
+		t.Fatalf("stamps out of order: insert %+v, delete %+v", i, d)
 	}
 }
 
@@ -80,8 +144,6 @@ func TestClaimSkipsOffersAboveQueueMin(t *testing.T) {
 		t.Fatalf("Pop = (%d, %v), want (1, true)", k, ok)
 	}
 	// ...and once the queue is empty the same offer becomes eligible.
-	// (exchange.hits stays 0 here: it counts on the publisher's collect,
-	// and this offer was planted white-box with no publisher waiting.)
 	if k, v, ok := p.Pop(); !ok || k != 7 || v != 70 {
 		t.Fatalf("Pop = (%d, %d, %v), want (7, 70, true)", k, v, ok)
 	}
@@ -305,7 +367,7 @@ func TestElimDefinition1Lincheck(t *testing.T) {
 		mu.Unlock()
 	})
 	p := New[int64](inner, Config{
-		Slots: 4, Timeout: 300 * time.Microsecond, Clock: q.Now,
+		Slots: 4, Timeout: 300 * time.Microsecond,
 	})
 	p.SetTracer(func(e Event) {
 		mu.Lock()
@@ -314,7 +376,7 @@ func TestElimDefinition1Lincheck(t *testing.T) {
 			Stamp: e.Stamp, Done: e.Done, Start: e.Start, Elim: true,
 		})
 		mu.Unlock()
-	})
+	}, q.Now)
 
 	workers := 8
 	perWorker := 1200

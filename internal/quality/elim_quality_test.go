@@ -13,11 +13,12 @@ import (
 
 // recordElim wires an ElimPQ's exchange tracer into the same Recorder as
 // the inner sharded queue's: elimination identities carry the top bit, so
-// the two ID spaces never collide and Analyze sees one merged history.
-func recordElim(p *elim.PQ[uint64], rec *quality.Recorder) {
+// the two ID spaces never collide and Analyze sees one merged history,
+// stamped from the inner queue's clock.
+func recordElim(p *elim.PQ[uint64], rec *quality.Recorder, clock func() int64) {
 	p.SetTracer(func(e elim.Event) {
 		rec.Record(quality.Event{Insert: e.Insert, Key: e.Priority, ID: e.Seq, OK: e.OK, Stamp: e.Stamp})
-	})
+	}, clock)
 }
 
 // TestElimOverShardedQuality runs the rank-error harness over the
@@ -32,9 +33,9 @@ func TestElimOverShardedQuality(t *testing.T) {
 	rec := quality.NewRecorder(131072)
 	record(p, rec)
 	e := elim.New[uint64](p, elim.Config{
-		Slots: 4, Timeout: 200 * time.Microsecond, Clock: p.Stamp,
+		Slots: 4, Timeout: 200 * time.Microsecond,
 	})
-	recordElim(e, rec)
+	recordElim(e, rec, p.Stamp)
 
 	workers := 8
 	perWorker := 5000

@@ -41,10 +41,10 @@ func TestMetricsOffIsZero(t *testing.T) {
 		Push(int64, int)
 		Pop() (int64, int, bool)
 	}{
-		"GlobalHeapPQ":  NewGlobalHeapPQ[int](),
-		"ShardedPQ":     NewShardedPQ[int](2),
-		"SprayPQ":       NewSprayPQ[int](2),
-		"ElimShardedPQ": NewElimShardedPQ[int](0, 2),
+		"GlobalHeapPQ": NewGlobalHeapPQ[int](),
+		"ShardedPQ":    NewShardedPQ[int](2),
+		"SprayPQ":      NewSprayPQ[int](2),
+		"ElimPQ":       NewElimPQ[int](0),
 	} {
 		q.Push(1, 1)
 		q.Pop()
