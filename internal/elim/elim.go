@@ -18,10 +18,10 @@
 //     Ineligible keys and full arrays fall through immediately.
 //   - Pop(): scan the array once for a waiting Insert whose key is no
 //     larger than the inner queue's current minimum (one PeekMin per
-//     scan); claim it with a CAS and return its element without touching
-//     the queue. Otherwise fall through to the inner Pop. If the inner Pop
-//     reports EMPTY, one rescue scan picks up any Insert that published
-//     meanwhile.
+//     scan, taken at its first waiting offer); claim it with a CAS and
+//     return its element without touching the queue. Otherwise fall
+//     through to the inner Pop. If the inner Pop reports EMPTY, one
+//     rescue scan picks up any Insert that published meanwhile.
 //
 // Slots carry a version in their state word, bumped at every publication,
 // so a claim can never land on a republished slot it did not inspect (the
@@ -388,19 +388,25 @@ func (p *PQ[V]) Pop() (priority int64, value V, ok bool) {
 }
 
 // tryExchangePop scans the array once for a claimable, eligible offer.
-// Eligibility is checked against one PeekMin of the inner queue taken
-// after this Pop began — the exchange-serialization witness (see the
-// package comment).
+// Eligibility is checked against one PeekMin of the inner queue, taken at
+// the first waiting offer and so after this Pop began — the
+// exchange-serialization witness (see the package comment). A scan that
+// meets no offer peeks nothing.
 func (p *PQ[V]) tryExchangePop(start int64) (int64, V, bool) {
 	var zero V
+	var min int64
+	peeked, nonEmpty := false, false
 	n := len(p.slots)
-	min, _, nonEmpty := p.inner.Peek()
 	first := int(p.rr.Add(1))
 	for i := 0; i < n; i++ {
 		s := &p.slots[(first+i)%n]
 		st := s.state.Load()
 		if phaseOf(st) != phaseWaiting {
 			continue
+		}
+		if !peeked {
+			min, _, nonEmpty = p.inner.Peek()
+			peeked = true
 		}
 		k := s.priority.Load()
 		if nonEmpty && k > min {

@@ -149,6 +149,61 @@ func TestClaimSkipsOffersAboveQueueMin(t *testing.T) {
 	}
 }
 
+// peekCounter counts the inner Peeks the exchanger takes.
+type peekCounter struct {
+	strictBackend
+	peeks int
+}
+
+func (b *peekCounter) Peek() (int64, int64, bool) {
+	b.peeks++
+	return b.strictBackend.Peek()
+}
+
+// TestPopPeeksOnlyAtAnOffer: a Pop peeks the inner queue only once its scan
+// meets a waiting offer, and then once. A Pop with no offer waiting makes
+// no inner Peek, whether the inner queue serves it or is empty.
+func TestPopPeeksOnlyAtAnOffer(t *testing.T) {
+	strict, _ := newStrict(1)
+	inner := &peekCounter{strictBackend: strict}
+	p := New[int64](inner, Config{Slots: 4})
+	pop := func(maxPeeks int) (int64, bool) {
+		t.Helper()
+		before := inner.peeks
+		k, _, ok := p.Pop()
+		if got := inner.peeks - before; got > maxPeeks {
+			t.Fatalf("Pop of (%d, %v) took %d inner Peeks, want at most %d", k, ok, got, maxPeeks)
+		}
+		return k, ok
+	}
+
+	inner.Push(1, 10)
+	inner.Push(2, 20)
+	if k, ok := pop(0); !ok || k != 1 { // no offer: the inner queue serves the Pop
+		t.Fatalf("Pop = (%d, %v), want (1, true)", k, ok)
+	}
+	for _, k := range []int64{7, 9} {
+		if s, _ := p.publish(k, 10*k); s == nil {
+			t.Fatalf("publish(%d) failed", k)
+		}
+	}
+	if k, ok := pop(1); !ok || k != 2 { // both offers exceed the minimum
+		t.Fatalf("Pop = (%d, %v), want (2, true)", k, ok)
+	}
+	// The inner queue is empty, so each offer is eligible at its Pop.
+	a, okA := pop(1)
+	b, okB := pop(1)
+	if !okA || !okB || !(a == 7 && b == 9 || a == 9 && b == 7) {
+		t.Fatalf("Pops = (%d, %v), (%d, %v); want the offers 7 and 9", a, okA, b, okB)
+	}
+	if k, ok := pop(0); ok { // empty, no offer: neither scan peeks
+		t.Fatalf("Pop = (%d, true) from an empty queue", k)
+	}
+	if inner.peeks != 3 {
+		t.Fatalf("inner Peeks = %d over the five Pops, want 3", inner.peeks)
+	}
+}
+
 // TestStaleClaimFailsAfterRepublish pins the ABA defence: a claim CAS built
 // from a state word observed before a withdraw/republish cycle must fail,
 // because every publication bumps the version in the state word.

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"skipqueue/internal/flight"
 )
@@ -192,19 +192,91 @@ func (r *replay) copyValue(id uint64, v []byte) []byte {
 	return r.slab[end-len(v) : end : len(r.slab)]
 }
 
-// byPriorityID orders items as a rebuilt backend must hold them: by
-// priority, and by id, which is push order, among equal priorities. It
-// compares in place: a comparator taking Items by value copies twice the
-// bytes it reads.
-type byPriorityID []Item
-
-func (s byPriorityID) Len() int      { return len(s) }
-func (s byPriorityID) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byPriorityID) Less(i, j int) bool {
-	if s[i].Priority != s[j].Priority {
-		return s[i].Priority < s[j].Priority
+// sortItems orders items as a rebuilt backend must hold them: by priority,
+// and by id, which is push order, among equal priorities. It is an in-place
+// MSD radix sort on the 16-byte key (the priority with its sign bit flipped,
+// then the id), one byte a pass. A range starts at the first byte on which
+// its items disagree, and a range of insertionMax items or fewer finishes
+// with an insertion sort. It allocates nothing: a pass's two count arrays
+// live on the stack, and the recursion is at most 16 passes deep.
+func sortItems(s []Item) {
+	if len(s) <= insertionMax {
+		insertionSort(s)
+		return
 	}
-	return s[i].ID < s[j].ID
+	var dp, di uint64 // the key bits on which some item differs from s[0]
+	for i := range s {
+		dp |= uint64(s[i].Priority ^ s[0].Priority)
+		di |= s[i].ID ^ s[0].ID
+	}
+	var d int
+	switch {
+	case dp != 0:
+		d = bits.LeadingZeros64(dp) / 8
+	case di != 0:
+		d = 8 + bits.LeadingZeros64(di)/8
+	default:
+		return // every key is equal
+	}
+	var next, end [256]int
+	for i := range s {
+		end[keyByte(&s[i], d)]++
+	}
+	sum := 0
+	for b, n := range end {
+		next[b] = sum
+		sum += n
+		end[b] = sum
+	}
+	// Fill each bucket in turn: an item that belongs elsewhere is swapped
+	// to its bucket's next free place, until the place holds its own.
+	for b := range next {
+		for next[b] < end[b] {
+			it := s[next[b]]
+			for k := keyByte(&it, d); int(k) != b; k = keyByte(&it, d) {
+				it, s[next[k]] = s[next[k]], it
+				next[k]++
+			}
+			s[next[b]] = it
+			next[b]++
+		}
+	}
+	lo := 0
+	for _, hi := range end {
+		if hi-lo > 1 {
+			sortItems(s[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// insertionMax is the range length sortItems hands to insertionSort.
+const insertionMax = 16
+
+// keyByte returns byte d, counted from the most significant, of the
+// item's 16-byte sort key.
+func keyByte(it *Item, d int) uint8 {
+	if d < 8 {
+		return uint8((uint64(it.Priority) ^ 1<<63) >> (56 - 8*d))
+	}
+	return uint8(it.ID >> (120 - 8*d))
+}
+
+func insertionSort(s []Item) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && itemLess(&s[j], &s[j-1]); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// itemLess compares in place: taking Items by value copies twice the bytes
+// it reads.
+func itemLess(a, b *Item) bool {
+	if a.Priority != b.Priority {
+		return a.Priority < b.Priority
+	}
+	return a.ID < b.ID
 }
 
 // readSegment streams one segment's records to fn through a bounded
@@ -278,7 +350,7 @@ func Recover(dir string, fr *flight.Recorder) (*RecoverResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Sort(byPriorityID(res.Items))
+	sortItems(res.Items)
 	return res, nil
 }
 

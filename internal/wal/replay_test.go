@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -9,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -36,8 +36,17 @@ func (m mapReplay) sorted() []Item {
 	for _, it := range m {
 		items = append(items, it)
 	}
-	sort.Sort(byPriorityID(items))
+	slices.SortFunc(items, cmpPriorityID)
 	return items
+}
+
+// cmpPriorityID is the order Recover returns items in, spelled as a
+// comparison: by priority, then by id.
+func cmpPriorityID(a, b Item) int {
+	if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // genHistory returns a seeded random record history of a leasing queue:
@@ -348,7 +357,7 @@ func TestReplayDeadSetBound(t *testing.T) {
 		want = append(want, Item{ID: base + i, Priority: 1, Value: val})
 	}
 	want = append(want, Item{ID: 2, Priority: 2, Value: []byte("requeued")})
-	sort.Sort(byPriorityID(r.items))
+	sortItems(r.items)
 	sameItems(t, "compaction over a sparse dead set", r.items, want)
 }
 
@@ -511,7 +520,7 @@ func benchRecover(b *testing.B, n int, write func(dir string, rng *rand.Rand) er
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		sort.Sort(byPriorityID(res.Items))
+		sortItems(res.Items)
 		t2 := time.Now()
 		pq := skipqueue.NewPQ[[]byte]()
 		rebuild(pq, res.Items)
