@@ -27,12 +27,14 @@ race:
 # module that `./...` does not reach). core's and lockfree's sharded
 # counters also race at one P (every op on one shard) and at more Ps than
 # cores, and so do core's tower-layout tests, where the race build's
-# checkptr checks that each tower address stays inside its node's block.
+# checkptr checks that each tower address stays inside its node's block,
+# and core's update/peek tests, where the race detector checks that a
+# node's value is written and read only under lock(node, 0).
 # The exchanger's traced Definition 1, churn and slot-recycling tests race
 # at one P too, where a descheduled publisher is what recycling serves.
 check: vet test
 	go test -race ./internal/obs/ ./internal/core/ ./internal/lockfree/ ./internal/sim/ ./internal/simq/
-	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load|Tower|NodeSize' ./internal/core/
+	go test -race -cpu 1,4 -run 'Concurrent|Obs|Stats|Spray|HalfLinked|Load|Tower|NodeSize|Update|Peek' ./internal/core/
 	go test -race -cpu 1,4 -run 'Concurrent|Stats|Len|CAS' ./internal/lockfree/
 	go test -race -cpu 1,4 -run 'Lincheck|Churn|Stale|Recycl' ./internal/elim/
 	go test -race ./internal/lease/ ./internal/wal/ ./internal/server/ ./internal/admin/ ./internal/wire/ ./internal/flight/

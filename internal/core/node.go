@@ -17,12 +17,12 @@ type link[K ordered, V any] struct {
 
 // node is a SkipQueue record (Figure 1 of the paper), field by field:
 //
-//   - key and value are the paper's key and value (value split into val and
-//     an atomic pointer, below); seq extends the key to a (key, seq) position;
+//   - key and value are the paper's key and value; seq extends the key to a
+//     (key, seq) position;
 //   - the tower, level i's next pointer and lock(node, i), follows the node
-//     in the same block; lvl is its height and link(i) reaches level i;
-//   - state folds the paper's timeStamp and deleted flag into one word, and
-//     makes its whole-node lock unnecessary (see state).
+//     in the same block, and link(i) reaches level i;
+//   - state folds the paper's level, timeStamp and deleted flag into one
+//     word, and makes its whole-node lock unnecessary (see state).
 //
 // Like the paper's record it is one allocation: newNode carves node and
 // tower out of one size-classed block.
@@ -33,37 +33,36 @@ type node[K ordered, V any] struct {
 	key K
 	seq uint64
 
-	// val is the value the node was inserted with; it is written once,
-	// before the node is published, and read only through value.
+	// val is the value. newNode writes it before publication; after that an
+	// in-place update writes it, and remove and PeekMin read it, all under
+	// lock(node, 0) (see Queue.InsertSeq).
 	val V
 
-	// value is stored behind an atomic pointer so that the update-in-place
-	// path of Insert and the value read in DeleteMin are race-free. It
-	// starts out pointing at the node's own val; an update swaps in a boxed
-	// replacement. A nil pointer means the value has been consumed by a
-	// DeleteMin (see Queue.InsertSeq for the update/delete arbitration
-	// protocol).
-	value atomic.Pointer[V]
-
-	// state is the node's life in one word, moving only forward:
+	// state is the node's life in one word, x<<levelBits | height: the low
+	// byte is the tower height, which never changes, and x moves only
+	// forward:
 	//
-	//   - vclock.MaxTime while Insert links the tower (Figure 10 line 19);
-	//   - the completion stamp, a clock value ≥ 1, once every level is
-	//     spliced (Figure 10 line 29);
+	//   - linking while Insert links the tower (Figure 10 line 19);
+	//   - the completion stamp, a clock value in [1, linking), once every
+	//     level is spliced (Figure 10 line 29);
 	//   - negative once a deleter wins the claim (the SWAP of Figure 11
 	//     line 5): the negated claim ticket on a traced queue, −1 otherwise.
 	//
-	// Only a stamped node can be claimed, strict or relaxed, so a claimed
-	// node is always fully linked and remove never meets a half-linked one:
-	// the fact the paper's whole-node lock (Figure 10 line 20, Figure 11
-	// line 27) establishes. A traced claim's ticket is drawn just before the
-	// winning CAS, so it orders the claims as the Section 4.2 proof does.
+	// Every claim CAS keeps the low byte. Only a stamped node can be
+	// claimed, so remove never meets a half-linked one: the fact the paper's
+	// whole-node lock (Figure 10 line 20, Figure 11 line 27) establishes. A
+	// traced claim's ticket is drawn just before the winning CAS, so it
+	// orders the claims as the Section 4.2 proof does.
 	state atomic.Int64
-
-	// lvl is the tower height. Levels 0 … lvl−1 (level 0 is the full
-	// linked list) follow the node at a fixed offset: see link.
-	lvl int
 }
+
+// levelBits is the width of the height in node.state. linking, the x of a
+// node still linking, is the paper's MAX_TIME shifted to make room for it;
+// clock stamps stay below it (see vclock.MaxTime).
+const (
+	levelBits, levelMask = 8, 1<<8 - 1
+	linking              = vclock.MaxTime >> levelBits
+)
 
 // maxTowerLevel is the tallest tower a size class holds, and so the cap on
 // Config.MaxLevel.
@@ -104,7 +103,7 @@ type (
 
 // newNode allocates a node and its tower in one block, of the smallest class
 // that holds the height (tall towers and sentinels included). The state starts
-// at MaxTime so no deleter claims the node until the insertion completes.
+// at linking so no deleter claims the node until the insertion completes.
 func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V] {
 	var n *node[K, V]
 	switch {
@@ -125,9 +124,8 @@ func newNode[K ordered, V any](key K, seq uint64, value V, level int) *node[K, V
 	default:
 		panic("core: tower taller than 64 levels")
 	}
-	n.key, n.seq, n.val, n.lvl = key, seq, value, level
-	n.value.Store(&n.val)
-	n.state.Store(vclock.MaxTime)
+	n.key, n.seq, n.val = key, seq, value
+	n.state.Store(linking<<levelBits | int64(level))
 	return n
 }
 
@@ -136,18 +134,15 @@ func (n *node[K, V]) before(key K, seq uint64) bool {
 	return n.key < key || (n.key == key && n.seq < seq)
 }
 
-// level returns the tower height of the node.
-func (n *node[K, V]) level() int { return n.lvl }
+// level returns the tower height, the low byte of state.
+func (n *node[K, V]) level() int { return int(n.state.Load() & levelMask) }
 
 // link returns level i of the tower that newNode placed right after n in
-// its block. Like a slice index it panics unless 0 <= i < n.level(), so the
-// address never leaves the block. The sum is spelled with uintptr rather
-// than unsafe.Add because the race build's checkptr checks only that form
-// stays inside n's allocation.
+// its block. It loads and checks nothing: newNode's class holds the drawn
+// height and walkers only reach levels their node has. The race build's
+// checkptr checks the sum stays in n's block, which is why it is spelled
+// with uintptr rather than unsafe.Add.
 func (n *node[K, V]) link(i int) *link[K, V] {
-	if uint(i) >= uint(n.lvl) {
-		panic("core: tower level out of range")
-	}
 	return (*link[K, V])(unsafe.Pointer(uintptr(unsafe.Pointer(n)) + unsafe.Sizeof(*n) + uintptr(i)*unsafe.Sizeof(link[K, V]{})))
 }
 

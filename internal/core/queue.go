@@ -207,8 +207,8 @@ func New[K ordered, V any](cfg Config) *Queue[K, V] {
 	// Sentinels are born claimed: a DeleteMin scan that bounces onto the
 	// head via a removed node's backward pointer (see remove) must skip it,
 	// never claim it.
-	q.head.state.Store(-1)
-	q.tail.state.Store(-1)
+	q.head.state.Store(-1<<levelBits | int64(cfg.MaxLevel))
+	q.tail.state.Store(-1<<levelBits | int64(cfg.MaxLevel))
 	for i := 0; i < cfg.MaxLevel; i++ {
 		q.head.storeNext(i, q.tail)
 		q.tail.storeNext(i, nil)
@@ -426,10 +426,11 @@ func (q *Queue[K, V]) Insert(key K, value V) InsertResult {
 //
 // When the existing equal node has already been claimed by a concurrent
 // DeleteMin, the paper's code would overwrite a value that is about to be
-// (or already was) handed out, silently losing the insert. This
-// implementation instead arbitrates with an atomic value swap: if the
-// deleter consumed the value first, the Insert retries from scratch and
-// links a fresh node, so no inserted value is ever lost.
+// (or already was) handed out, silently losing the insert. Here an update
+// takes lock(node, 0) after the predecessor's, as remove does, and writes
+// only an unclaimed node; the deleter reads the value in remove's level-0
+// step, after its claim. An Insert that finds the node claimed retries from
+// scratch and links a fresh node, so no inserted value is ever lost.
 func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 	st := q.shard()
 	var stack [DefaultMaxLevel]*node[K, V]
@@ -442,20 +443,19 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 		node1 := q.getLock(st, savedNodes[0], key, seq, 0)
 		node2 := node1.loadNext(0)
 		if node2 != q.tail && node2.key == key && node2.seq == seq {
-			// Box the replacement here, on the rare path, so that value
-			// itself never escapes and a plain insert allocates only its node.
-			box := new(V)
-			*box = value
-			old := node2.value.Swap(box)
+			node2.link(0).mu.Lock()
+			claimed := node2.state.Load() < 0
+			if !claimed {
+				node2.val = value
+			}
+			node2.link(0).mu.Unlock()
 			node1.link(0).mu.Unlock()
-			if old != nil {
+			if !claimed {
 				st.updates.Add(1)
 				return Updated
 			}
-			// A DeleteMin consumed the old value between our search and the
-			// swap: the node is logically dead and our value was not taken.
-			// Put the nil back for hygiene and retry with a fresh node.
-			node2.value.CompareAndSwap(box, nil)
+			// A DeleteMin claimed the node before our lock: it is logically
+			// dead, so retry with a fresh node once it is unlinked.
 			runtime.Gosched()
 			continue
 		}
@@ -473,7 +473,7 @@ func (q *Queue[K, V]) InsertSeq(key K, seq uint64, value V) InsertResult {
 		}
 
 		stamp := q.clock.Now()
-		nn.state.Store(stamp) // Figure 10 line 29; now deleters may claim nn
+		nn.state.Store(stamp<<levelBits | int64(level)) // Figure 10 line 29; now deleters may claim nn
 		st.inserts.Add(1)
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
@@ -504,13 +504,14 @@ func (q *Queue[K, V]) Load(n int, at func(i int) (key K, seq uint64, value V)) {
 		if last[0] != q.head && !last[0].before(key, seq) {
 			panic("core: Load input is not in ascending (key, seq) order")
 		}
-		nn := newNode(key, seq, value, q.randomLevel())
-		for l := range nn.level() {
+		level := q.randomLevel()
+		nn := newNode(key, seq, value, level)
+		for l := range level {
 			last[l].storeNext(l, nn)
 			last[l] = nn
 		}
 		stamp := q.clock.Now()
-		nn.state.Store(stamp)
+		nn.state.Store(stamp<<levelBits | int64(level))
 		if q.tracer != nil {
 			q.tracer(TraceEvent[K]{Insert: true, Key: key, Seq: seq, OK: true, Stamp: stamp, Done: q.clock.Now()})
 		}
@@ -534,19 +535,19 @@ func (q *Queue[K, V]) DeleteMin() (key K, value V, ok bool) {
 
 // DeleteMinSeq is DeleteMin that also returns the element's seq.
 func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
-	t := vclock.MaxTime // relaxed: any stamped node is claimable
+	t := linking // relaxed: any stamped node is claimable
 	if !q.cfg.Relaxed {
 		t = q.clock.Now() // Figure 11 line 1
 	}
 
 	// Scan the bottom level for the first claimable node (lines 2–10). The
 	// claim (the SWAP of line 5) is a CAS of the node's state from its
-	// stamp to a negative mark; a traced queue marks with the negated
-	// ticket it draws just before the CAS, see node.state. One load of the
-	// state per step both gates the claim and attributes the skip: an
-	// already-claimed node is deletion contention, a too-new (or missing)
-	// stamp is the ordering at work. The scan counts in locals, added to
-	// the operation's stats shard once.
+	// stamp to a negative mark, keeping the height; a traced queue marks
+	// with the negated ticket it draws just before the CAS, see node.state.
+	// One load of the state per step both gates the claim and attributes
+	// the skip: an already-claimed node is deletion contention, a too-new
+	// (or missing) stamp is the ordering at work. The scan counts in
+	// locals, added to the operation's stats shard once.
 	var claim int64
 	var steps, skips, marked, lost uint64
 	victim := q.head.loadNext(0)
@@ -554,13 +555,13 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 		steps++
 		if s := victim.state.Load(); s < 0 {
 			marked++
-		} else if s < t {
+		} else if s>>levelBits < t {
 			mark := int64(-1)
 			if q.tracer != nil {
 				claim = q.clock.Now()
 				mark = -claim
 			}
-			if victim.state.CompareAndSwap(s, mark) {
+			if victim.state.CompareAndSwap(s, mark<<levelBits|s&levelMask) {
 				break
 			}
 			// Lost the SWAP to a racing deleter: the node is marked now.
@@ -588,36 +589,36 @@ func (q *Queue[K, V]) DeleteMinSeq() (key K, seq uint64, value V, ok bool) {
 		return key, 0, value, false // EMPTY (line 14)
 	}
 	key, seq = victim.key, victim.seq
-	if v := victim.value.Swap(nil); v != nil {
-		value = *v
-	}
 	st.deleteMins.Add(1)
-
-	q.remove(st, victim)
+	value = q.remove(st, victim)
 	if q.tracer != nil {
 		q.tracer(TraceEvent[K]{Key: key, Seq: seq, OK: true, Start: t, Stamp: claim})
 	}
 	return key, seq, value, true
 }
 
-// remove physically unlinks a claimed node from every level (Figure 11
-// lines 23–37): top-down, holding the predecessor's and the victim's level
-// locks, pointing the victim backwards (line 32) so concurrent traversers
-// holding it fall back to a live node. The paper's whole-node lock (line 27)
+// remove unlinks a claimed node from every level and returns its value, read
+// under lock(victim, 0) (Figure 11 lines 23–37): top-down, holding the
+// predecessor's and the victim's level locks, pointing the victim backwards
+// (line 32) so concurrent traversers holding it fall back to a live node. The paper's whole-node lock (line 27)
 // is not needed: only a stamped node is claimed, and its insertion linked
 // every level before the stamp (see node.state). The search of
 // lines 15–22 is folded into the lock walk: each level starts from the
 // predecessor found one level up (the head on top), which precedes the
 // victim, so getLockFor walks on from it or from its backward pointer.
-func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) {
+func (q *Queue[K, V]) remove(st *statsShard, victim *node[K, V]) (value V) {
 	for i, node1 := victim.level()-1, q.head; i >= 0; i-- {
 		node1 = q.getLockFor(st, node1, victim, i)
 		victim.link(i).mu.Lock()
 		node1.storeNext(i, victim.loadNext(i))
 		victim.storeNext(i, node1) // point backwards (line 32)
+		if i == 0 {
+			value = victim.val
+		}
 		victim.link(i).mu.Unlock()
 		node1.link(i).mu.Unlock()
 	}
+	return value
 }
 
 // PeekMin returns the current minimum without removing it. The result is
@@ -631,30 +632,41 @@ func (q *Queue[K, V]) PeekMin() (key K, value V, ok bool) {
 	return key, value, ok
 }
 
-// PeekMinSeq is PeekMin that also returns the element's seq.
+// PeekMinSeq is PeekMin that also returns the element's seq. It reads the
+// value under lock(node, 0), where an in-place update writes it.
 func (q *Queue[K, V]) PeekMinSeq() (key K, seq uint64, value V, ok bool) {
-	n := q.head.loadNext(0)
-	for n != q.tail {
-		if s := n.state.Load(); s >= 0 && s < vclock.MaxTime {
-			if v := n.value.Load(); v != nil {
-				return n.key, n.seq, *v, true
-			}
-		}
-		n = n.loadNext(0)
+	if n := q.peek(); n != q.tail {
+		n.link(0).mu.Lock()
+		defer n.link(0).mu.Unlock()
+		return n.key, n.seq, n.val, true
 	}
 	return key, 0, value, false
+}
+
+// PeekMinPos is PeekMinSeq without the value, so it takes no lock.
+func (q *Queue[K, V]) PeekMinPos() (key K, seq uint64, ok bool) {
+	n := q.peek()
+	return n.key, n.seq, n != q.tail
+}
+
+// peek returns the first stamped, unclaimed node, or the tail.
+func (q *Queue[K, V]) peek() (n *node[K, V]) {
+	for n = q.head.loadNext(0); n != q.tail; n = n.loadNext(0) {
+		if s := n.state.Load(); s >= 0 && s>>levelBits < linking {
+			break
+		}
+	}
+	return n
 }
 
 // Each calls fn with the position of every unclaimed element in ascending
 // order. It is intended for tests and debugging on quiescent queues; under
 // concurrency the snapshot is best-effort.
 func (q *Queue[K, V]) Each(fn func(key K, seq uint64)) {
-	n := q.head.loadNext(0)
-	for n != q.tail {
+	for n := q.head.loadNext(0); n != q.tail; n = n.loadNext(0) {
 		if n.state.Load() >= 0 {
 			fn(n.key, n.seq)
 		}
-		n = n.loadNext(0)
 	}
 }
 

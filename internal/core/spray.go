@@ -1,9 +1,6 @@
 package core
 
-import (
-	"skipqueue/internal/vclock"
-	"skipqueue/internal/xrand"
-)
+import "skipqueue/internal/xrand"
 
 // DeleteSpray is the SprayList's DeleteMin (Alistarh, Kopinsky, Li, Shavit,
 // SPAA 2015) for relaxed queues: it removes a *near-minimal* element. One
@@ -46,25 +43,21 @@ func (q *Queue[K, V]) DeleteSpray(height, jump, attempts int, seed uint64) (key 
 	var lost uint64
 	for hunt := attempts * (jump + 1); hunt > 0 && curr != q.tail; hunt-- {
 		s := curr.state.Load()
-		if s >= 0 && s < vclock.MaxTime {
-			if curr.state.CompareAndSwap(s, -1) {
-				if v := curr.value.Swap(nil); v != nil {
-					value = *v
-				}
+		if s >= 0 && s>>levelBits < linking {
+			if curr.state.CompareAndSwap(s, -1<<levelBits|s&levelMask) {
 				st := q.shard()
 				st.deleteMins.Add(1)
 				if lost != 0 {
 					st.claimFails.Add(lost)
 				}
-				q.remove(st, curr)
-				return curr.key, curr.seq, value, true, collisions
+				return curr.key, curr.seq, q.remove(st, curr), true, collisions
 			}
 			if lost++; lost >= uint64(attempts) {
 				q.shard().claimFails.Add(lost)
 				return key, 0, value, false, collisions + 1
 			}
 		}
-		if s < vclock.MaxTime && curr != q.head {
+		if s>>levelBits < linking && curr != q.head {
 			collisions++
 		}
 		curr = curr.loadNext(0)

@@ -222,12 +222,12 @@ sampling:
 	for attempt := 0; attempt < popSampleAttempts; attempt++ {
 		i, j := p.sample2()
 		start = i
-		ki, si, _, oki := p.shards[i].PeekMinSeq()
+		ki, si, oki := p.shards[i].PeekMinPos()
 		var kj int64
 		var sj uint64
 		var okj bool
 		if j != i {
-			kj, sj, _, okj = p.shards[j].PeekMinSeq()
+			kj, sj, okj = p.shards[j].PeekMinPos()
 		}
 		var pick int
 		switch {

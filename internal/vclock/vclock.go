@@ -16,6 +16,10 @@ import "sync/atomic"
 // completed (Figure 10, line 19 of the paper initializes timeStamp to
 // MAX_TIME). Any DeleteMin that began before the insert finished will see
 // MaxTime, which is greater than its own start time, and skip the node.
+// internal/core keeps the tower height in the low byte of the same word,
+// so its linking mark is MaxTime>>8 = 2^55 − 1, and every stamp a Clock
+// hands out must stay below it: at one Now per nanosecond, a clock gets
+// there only after more than a year.
 const MaxTime = int64(1<<63 - 1)
 
 // Clock is a shared monotone logical clock. The zero value is ready to use.
