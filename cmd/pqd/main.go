@@ -4,8 +4,8 @@
 //
 // -backend names one row of internal/backends, the table of the
 // repository's queue families (default skipqueue, the paper's strict
-// SkipQueue); -shards, -elim-slots and -spray-k tune the rows that use
-// them.
+// SkipQueue). The sharded, elim and spray front ends size themselves from
+// GOMAXPROCS; pqd has no flag to tune them.
 //
 // Backpressure: -max-conns bounds concurrent connections (excess gets one
 // BUSY frame), -max-inflight bounds frames applied per connection between
@@ -63,9 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:9400", "TCP listen address")
 		backendName = fs.String("backend", "skipqueue", "queue backend: "+backends.Names())
-		shards      = fs.Int("shards", 0, "shard count for the sharded backend (0 = two per GOMAXPROCS)")
-		elimSlots   = fs.Int("elim-slots", 0, "exchanger slots for the elim backend (0 = one per core)")
-		sprayK      = fs.Int("spray-k", 0, "contention width the spray backend shapes its walk for (0 = GOMAXPROCS)")
 		maxConns    = fs.Int("max-conns", server.DefaultMaxConns, "max concurrent connections; excess is refused with BUSY")
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInflight, "max frames applied per connection between response flushes")
 		drainWindow = fs.Duration("drain-window", server.DefaultDrainWindow, "how long a drain keeps answering late frames with SHUTDOWN")
@@ -109,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if structFR != nil {
 		opts = append(opts, skipqueue.WithFlight(structFR))
 	}
-	inst := row.New(backends.Params{Shards: *shards, ElimSlots: *elimSlots, SprayK: *sprayK, Opts: opts})
+	inst := row.New(backends.Params{Opts: opts})
 	var backend multiset.Queue[[]byte] = inst
 
 	// With -wal-dir the selected backend is wrapped in the durable

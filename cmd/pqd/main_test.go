@@ -219,12 +219,12 @@ func TestRunAllBackends(t *testing.T) {
 	}
 }
 
-// TestBackendParams: every row that reads a tuning flag honors it, and the
-// flag's zero default resolves to a usable size. Each flag must reach at
-// least one row.
+// TestBackendParams: every row that reads a size in backends.Params
+// honors it, and its zero default resolves to a usable size. Each size
+// must reach at least one row.
 func TestBackendParams(t *testing.T) {
 	params := []struct {
-		flag   string
+		name   string // the size, as the subtests label it
 		field  string // in backends.Params
 		method string // the built queue's size accessor
 		min    int    // the zero default resolves to at least this
@@ -247,22 +247,45 @@ func TestBackendParams(t *testing.T) {
 			if !ok {
 				continue
 			}
-			reached[pm.flag] = true
-			t.Run(row.Name+"/"+pm.flag, func(t *testing.T) {
+			reached[pm.field] = true
+			t.Run(row.Name+"/"+pm.name, func(t *testing.T) {
 				if def < pm.min {
-					t.Fatalf("-%s 0 built %d, want >= %d", pm.flag, def, pm.min)
+					t.Fatalf("%s 0 built %d, want >= %d", pm.field, def, pm.min)
 				}
 				var p backends.Params
 				reflect.ValueOf(&p).Elem().FieldByName(pm.field).SetInt(6)
 				if got, _ := size(row.New(p), pm.method); got != 6 {
-					t.Fatalf("-%s 6 built %d", pm.flag, got)
+					t.Fatalf("%s 6 built %d", pm.field, got)
 				}
 			})
 		}
 	}
 	for _, pm := range params {
-		if !reached[pm.flag] {
-			t.Errorf("no backend reads -%s", pm.flag)
+		if !reached[pm.field] {
+			t.Errorf("no backend reads Params.%s", pm.field)
+		}
+	}
+}
+
+// TestBenchmarkCommandLines: the flag sets the benchmark module (bench/)
+// starts pqd with all parse. -version makes run return after the parse,
+// before it opens anything, so a flag the benchmark passes and pqd no
+// longer defines fails here rather than in every net-* run.
+func TestBenchmarkCommandLines(t *testing.T) {
+	for name, args := range map[string][]string{
+		// bench/netprod.go prodArgs
+		"net-prod": {"-addr", "127.0.0.1:0", "-backend", "skipqueue",
+			"-wal-dir", t.TempDir(), "-wal-mode", "sync",
+			"-lease", "-admin", "127.0.0.1:0", "-flight", "4096"},
+		// bench/netsingle.go startNetSingle, traced
+		"net-single": {"-addr", "127.0.0.1:0", "-backend", "skipqueue", "-lease", "-lease-ttl", "30s",
+			"-admin", "127.0.0.1:0"},
+		// bench/ladder.go's server and client rungs
+		"ladder": {"-addr", "127.0.0.1:0", "-backend", "skipqueue", "-lease"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-version"), &stdout, &stderr); code != 0 {
+			t.Errorf("%s: pqd %s exited %d: %s", name, strings.Join(args, " "), code, stderr.String())
 		}
 	}
 }

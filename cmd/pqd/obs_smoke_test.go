@@ -166,7 +166,7 @@ func TestObsSmoke(t *testing.T) {
 // scan.fallbacks, scan.pops) merged with the core
 // substrate's probes under the skipqueue.spray set.
 func TestObsSmokeSpray(t *testing.T) {
-	d := boot(t, "-admin", "127.0.0.1:0", "-backend", "spray", "-spray-k", "4",
+	d := boot(t, "-admin", "127.0.0.1:0", "-backend", "spray",
 		"-flight", "1024", "-drain-window", "50ms")
 
 	cl, err := client.Dial(client.Config{Addr: d.addr})

@@ -67,9 +67,11 @@ func TestElimPQSnapshotMerges(t *testing.T) {
 		t.Fatal("Unwrap returned nil")
 	}
 
-	// Without WithMetrics the snapshot is zero-valued, like every family.
+	// Without WithMetrics the snapshot is published all the same, like
+	// every skiplist-family queue's.
 	off := NewElimPQ[uint64](0, WithSeed(1))
-	if s := off.Snapshot(); s.Enabled {
-		t.Fatal("metrics-off snapshot reports enabled")
+	off.Push(1, 1)
+	if s := off.Snapshot(); !s.Enabled || s.Counter("fallthrough.pushes") != 1 {
+		t.Fatalf("metrics-off snapshot not published: %+v", s)
 	}
 }

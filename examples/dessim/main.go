@@ -60,16 +60,13 @@ func main() {
 		nWorkers = flag.Int("workers", 8, "worker goroutines")
 		nStat    = flag.Int("stations", 64, "service stations")
 		relaxed  = flag.Bool("relaxed", false, "use the relaxed SkipQueue")
-		metrics  = flag.Bool("metrics", false, "enable queue probes and print the snapshot")
+		metrics  = flag.Bool("metrics", false, "print the queue's probe snapshot")
 	)
 	flag.Parse()
 
 	opts := []skipqueue.Option{skipqueue.WithSeed(1)}
 	if *relaxed {
 		opts = append(opts, skipqueue.WithRelaxed())
-	}
-	if *metrics {
-		opts = append(opts, skipqueue.WithMetrics())
 	}
 	events := skipqueue.NewPQ[event](opts...)
 	stations := make([]station, *nStat)
@@ -177,9 +174,8 @@ func main() {
 	fmt.Printf("queue stats: %d pushes, %d pops, %d scan steps\n",
 		st.Inserts, st.DeleteMins, st.ScanSteps)
 	if *metrics {
-		// With -metrics the event list also carries latency histograms and
-		// contention probes; the snapshot shows where pop time goes when the
-		// pending-event set is the bottleneck.
+		// The event list's contention probes show where pop time goes
+		// when the pending-event set is the bottleneck.
 		fmt.Println()
 		fmt.Println(events.Snapshot().Table())
 	}

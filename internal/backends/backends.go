@@ -1,5 +1,5 @@
 // Package backends is the one table of the queue backends pqd serves. Each
-// row names a backend, builds it from pqd's tuning flags, and states the
+// row names a backend, builds it from Params, and states the
 // contract a sequential client may check it against. cmd/pqd's -backend
 // flag is a lookup in Rows, and every per-backend test battery (the root
 // churn matrix, the wire property test, the server soak, pqd's boot tests
@@ -30,12 +30,13 @@ const (
 	Multiset
 )
 
-// Params carries pqd's tuning flags and the queue options. A zero count
-// selects the backend's default; a row ignores the counts it has no use for.
+// Params carries the front ends' sizes, which only the test batteries set,
+// and the queue options. A zero count selects the backend's default; a row
+// ignores the counts it has no use for.
 type Params struct {
-	Shards    int // -shards: sharded
-	ElimSlots int // -elim-slots: elim
-	SprayK    int // -spray-k: spray
+	Shards    int // sharded
+	ElimSlots int // elim
+	SprayK    int // spray
 	Opts      []skipqueue.Option
 }
 

@@ -104,9 +104,6 @@ type Config struct {
 	// MaxDeliveries diverts an element to the dead-letter queue once it
 	// has been delivered this many times without an ack. 0 = never.
 	MaxDeliveries int
-	// StormThreshold flags an expiry sweep that requeues at least this
-	// many leases at once as a redelivery storm. Default 64.
-	StormThreshold int
 	// Flight, if non-nil, receives lease anomalies (redelivery storms,
 	// expiry/ack races, dead-letter diversions).
 	Flight *flight.Recorder
@@ -195,6 +192,10 @@ func newProbes() probes {
 	}
 }
 
+// stormThreshold is the number of leases one expiry sweep must requeue to
+// count as a redelivery storm.
+const stormThreshold = 64
+
 // recentCap bounds the recently-expired ring used to tell an
 // expiry/ack race from a bogus lease ID.
 const recentCap = 1024
@@ -235,9 +236,6 @@ func New(cfg Config, inner multiset.Queue[[]byte]) *Table {
 	}
 	if cfg.Tick == 0 {
 		cfg.Tick = 10 * time.Millisecond
-	}
-	if cfg.StormThreshold <= 0 {
-		cfg.StormThreshold = 64
 	}
 	t := &Table{
 		cfg:     cfg,
@@ -289,14 +287,16 @@ func (t *Table) since(at time.Time) int64 { return int64(at.Sub(t.start)) }
 
 // --- multiset.Queue surface (what the server's plain opcodes drive) ---
 
-// Push enqueues an immediately-ready element.
+// Push enqueues an immediately-ready element. The table stores a copy of
+// value under its header, so the caller may reuse value once Push returns.
 func (t *Table) Push(priority int64, value []byte) {
 	t.inner.Push(priority, wrapValue(0, 0, value))
 }
 
 // PushDelayed enqueues an element invisible to pops for delay. It is
 // durable the moment the backend accepts it; the delay header rides the
-// stored value, so maturity survives a restart.
+// stored value, so maturity survives a restart. Like Push, it stores a
+// copy of value.
 func (t *Table) PushDelayed(priority int64, delay time.Duration, value []byte) {
 	ready := int64(0)
 	if delay > 0 {
@@ -626,7 +626,7 @@ func (t *Table) Sweep() {
 	if len(t.due) > 0 {
 		t.armLocked(t.due[0].at, at)
 	}
-	if expired >= t.cfg.StormThreshold {
+	if expired >= stormThreshold {
 		t.obs.storms.Inc()
 		t.cfg.Flight.Anomaly(flight.KRedeliveryStorm, 0, int64(expired))
 	}

@@ -303,31 +303,50 @@ func TestAckRaceAnomaly(t *testing.T) {
 
 func TestRedeliveryStormAnomaly(t *testing.T) {
 	fr := flight.New("test", 0, 256)
-	tbl, clk := newTestTable(t, Config{TTL: 50 * time.Millisecond, StormThreshold: 8, Flight: fr}, &memPQ{})
-	for i := 0; i < 10; i++ {
+	tbl, clk := newTestTable(t, Config{TTL: 50 * time.Millisecond, Flight: fr}, &memPQ{})
+	for i := 0; i < stormThreshold; i++ {
 		tbl.Push(int64(i), []byte("w"))
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		if _, _, _, _, ok := tbl.PopLease(0, false); !ok {
 			t.Fatal("grant failed")
 		}
 	}
-	clk.tick(tbl, time.Second) // all 10 expire in one sweep
+	clk.tick(tbl, time.Second) // all of them expire in one sweep
 	d, ok := fr.LastAnomaly()
 	if !ok {
 		t.Fatal("no anomaly captured")
 	}
 	found := false
 	for _, ev := range d.Events {
-		if ev.Kind == flight.KRedeliveryStorm && ev.Arg == 10 {
+		if ev.Kind == flight.KRedeliveryStorm && ev.Arg == stormThreshold {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("redelivery storm not flagged")
 	}
-	if tbl.Len() != 10 {
-		t.Fatalf("Len=%d after storm requeue, want 10", tbl.Len())
+	if tbl.Len() != stormThreshold {
+		t.Fatalf("Len=%d after storm requeue, want %d", tbl.Len(), stormThreshold)
+	}
+}
+
+// TestPushCopiesValue: Push and PushDelayed store a copy of the value, so
+// a caller that reuses its buffer once they return (the server hands the
+// table its connection read buffer) leaves the queued bytes intact.
+func TestPushCopiesValue(t *testing.T) {
+	tbl, clk := newTestTable(t, Config{}, &memPQ{})
+	buf := []byte("first")
+	tbl.Push(1, buf)
+	copy(buf, "XXXXX")
+	buf = []byte("second")
+	tbl.PushDelayed(2, time.Millisecond, buf)
+	copy(buf, "YYYYYY")
+	clk.tick(tbl, time.Second) // the delayed element matures
+	for _, want := range []string{"first", "second"} {
+		if _, v, ok := tbl.Pop(); !ok || string(v) != want {
+			t.Fatalf("Pop = %q/%v, want %q", v, ok, want)
+		}
 	}
 }
 

@@ -67,8 +67,9 @@ var ErrServerClosed = errors.New("server: closed")
 type Config struct {
 	// Backend is the queue served. Required. Every root-package []byte
 	// multiset queue (skipqueue.PQ, GlobalHeapPQ, ShardedPQ, ...) is one;
-	// the server calls it from one goroutine per connection, and a value
-	// passed to Push is a copy out of the read buffer that the backend owns.
+	// the server calls it from one goroutine per connection. A value
+	// passed to Push is a copy out of the read buffer that the backend
+	// owns, except on a *lease.Table, which makes that copy itself.
 	// A Backend that implements Durability makes ACKs durable: a mutating
 	// micro-batch waits for one Commit before its replies, so one
 	// group-commit fsync covers it. A *lease.Table enables the lease
@@ -404,7 +405,8 @@ func (s *Server) finishBatch(fr *flight.Recorder, traced []tracedReq, batch int)
 // triple; mutated reports whether the backend changed (the signal that
 // the micro-batch needs a WAL commit before its replies flush). data
 // aliases the connection read buffer, so an insert hands the backend a
-// clone: the value is the one datum a backend keeps.
+// clone, the value being the one datum a backend keeps; the lease table
+// copies it under its header and takes data as it is.
 func (s *Server) applyOp(t *task, k wire.Kind, arg int64, data []byte) (st wire.Kind, rarg int64, rdata []byte, mutated bool) {
 	switch {
 	case !k.IsRequest():
@@ -419,7 +421,10 @@ func (s *Server) applyOp(t *task, k wire.Kind, arg int64, data []byte) (st wire.
 	t.kinds[k]++
 	switch k {
 	case wire.OpInsert:
-		s.cfg.Backend.Push(arg, bytes.Clone(data))
+		if s.lease == nil {
+			data = bytes.Clone(data)
+		}
+		s.cfg.Backend.Push(arg, data)
 		return wire.StatusOK, 0, nil, true
 	case wire.OpDeleteMin:
 		if p, v, ok := s.cfg.Backend.Pop(); ok {

@@ -16,12 +16,10 @@ import (
 	"skipqueue/internal/wire"
 )
 
-// TestSnapshotDisabledByDefault: without WithMetrics every family returns the
-// zero Snapshot and pays only nil checks.
+// TestSnapshotDisabledByDefault: without WithMetrics the heap and funnel
+// baselines return the zero Snapshot and pay only nil checks.
 func TestSnapshotDisabledByDefault(t *testing.T) {
 	for name, q := range map[string]Instrumented{
-		"Queue":          New[int64, int](),
-		"PQ":             NewPQ[int](),
 		"Heap":           NewHeap[int64, int](1 << 10),
 		"GlobalLockHeap": NewGlobalLockHeap[int64, int](),
 		"FunnelList":     NewFunnelList[int64, int](),
@@ -32,15 +30,23 @@ func TestSnapshotDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestMetricsOffIsZero: the multiset families TestSnapshotDisabledByDefault
-// does not list count always, yet without WithMetrics they too return the
-// zero Snapshot.
-func TestMetricsOffIsZero(t *testing.T) {
+// TestSnapshotWithoutMetrics: the skiplist family counts always and
+// publishes its counts without WithMetrics, while GlobalHeapPQ, the
+// multiset layer over a baseline, stays zero-valued.
+func TestSnapshotWithoutMetrics(t *testing.T) {
+	sq := New[int64, int]()
+	sq.Insert(1, 1)
+	sq.DeleteMin()
+	sq.DeleteMin()
+	if s := sq.Snapshot(); !s.Enabled || s.Counter("scan.steps") == 0 {
+		t.Errorf("Queue: counts not published without WithMetrics: %+v", s)
+	}
 	for name, q := range map[string]interface {
 		Instrumented
 		Push(int64, int)
 		Pop() (int64, int, bool)
 	}{
+		"PQ":           NewPQ[int](),
 		"GlobalHeapPQ": NewGlobalHeapPQ[int](),
 		"ShardedPQ":    NewShardedPQ[int](2),
 		"SprayPQ":      NewSprayPQ[int](2),
@@ -49,8 +55,19 @@ func TestMetricsOffIsZero(t *testing.T) {
 		q.Push(1, 1)
 		q.Pop()
 		q.Pop()
-		if s := q.Snapshot(); s.Enabled {
-			t.Errorf("%s: snapshot enabled without WithMetrics: %+v", name, s)
+		s := q.Snapshot()
+		if name == "GlobalHeapPQ" {
+			if s.Enabled {
+				t.Errorf("%s: snapshot enabled without WithMetrics: %+v", name, s)
+			}
+			continue
+		}
+		var sum uint64
+		for _, c := range s.Counters {
+			sum += c.Value
+		}
+		if !s.Enabled || sum == 0 {
+			t.Errorf("%s: counts not published without WithMetrics: %+v", name, s)
 		}
 	}
 }

@@ -19,12 +19,13 @@ type seqQueue[V, R any] interface {
 	ObsSnapshot() Snapshot
 }
 
-// multisetPQ is the one multiset adapter: each pushed element draws the
-// next sequence number, so elements order first by priority, then by
+// multisetPQ is the adapter that draws a seq: each pushed element draws
+// the next sequence number, so elements order first by priority, then by
 // arrival, and duplicate priorities coexist. PQ and GlobalHeapPQ embed it.
+// The front ends, whose internal queues are multisets already, embed
+// frontPQ instead.
 type multisetPQ[Q seqQueue[V, R], V, R any] struct {
-	q       Q
-	metrics bool // WithMetrics: Snapshot publishes q's probes
+	q Q
 	// seq is written by every Push; the padding keeps it off the line of
 	// q, which every operation reads.
 	_   [64]byte
@@ -51,9 +52,52 @@ func (pq *multisetPQ[Q, V, R]) Peek() (priority int64, value V, ok bool) {
 // Len returns the number of elements (exact when quiescent).
 func (pq *multisetPQ[Q, V, R]) Len() int { return pq.q.Len() }
 
-// Snapshot reads the underlying structure's observability probes
-// (zero-valued without WithMetrics).
-func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return published(pq.metrics, pq.q.ObsSnapshot) }
+// Snapshot reads the underlying structure's observability probes. PQ's
+// are always published; GlobalHeapPQ's are zero-valued without
+// WithMetrics.
+func (pq *multisetPQ[Q, V, R]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+
+// frontQueue is what the forwarding adapter needs of a front end's
+// internal queue: sharded.PQ, spray.PQ and elim.PQ, each of which keeps
+// multiset semantics itself.
+type frontQueue[V any] interface {
+	Push(priority int64, value V)
+	Pop() (priority int64, value V, ok bool)
+	Peek() (priority int64, value V, ok bool)
+	Len() int
+	ObsSnapshot() Snapshot
+}
+
+// frontPQ is the adapter that forwards: ShardedPQ, SprayPQ and ElimPQ
+// embed it over their internal queue, and their type docs say which
+// element Pop returns.
+type frontPQ[Q frontQueue[V], V any] struct {
+	q Q
+}
+
+// Push adds value with the given priority. Duplicate priorities are fine.
+func (pq *frontPQ[Q, V]) Push(priority int64, value V) { pq.q.Push(priority, value) }
+
+// Pop removes and returns an element: the minimum on ElimPQ, a small one
+// on the relaxed ShardedPQ and SprayPQ. ok is false only after the front
+// end's full scan found the queue empty.
+func (pq *frontPQ[Q, V]) Pop() (priority int64, value V, ok bool) { return pq.q.Pop() }
+
+// Peek returns a minimal element without removing it (advisory under
+// concurrency).
+func (pq *frontPQ[Q, V]) Peek() (priority int64, value V, ok bool) { return pq.q.Peek() }
+
+// Len returns the number of elements (exact when quiescent).
+func (pq *frontPQ[Q, V]) Len() int { return pq.q.Len() }
+
+// Snapshot reads the internal queue's observability probes. ShardedPQ's
+// and SprayPQ's fold in the core probes of their skiplists; ElimPQ
+// overrides Snapshot to merge its inner PQ's.
+func (pq *frontPQ[Q, V]) Snapshot() Snapshot { return pq.q.ObsSnapshot() }
+
+// Unwrap exposes the internal queue for tests and harnesses that need its
+// tracer hook, its mode control or its introspection.
+func (pq *frontPQ[Q, V]) Unwrap() Q { return pq.q }
 
 // PQ is a concurrent priority queue with multiset semantics: any number of
 // elements may share a priority, and equal-priority elements are delivered
@@ -76,9 +120,8 @@ type PQ[V any] struct {
 
 // NewPQ returns an empty multiset priority queue.
 func NewPQ[V any](opts ...Option) *PQ[V] {
-	o := resolve(opts)
 	pq := new(PQ[V])
-	pq.q, pq.metrics = core.New[int64, V](o.Config), o.metrics
+	pq.q = core.New[int64, V](resolve(opts).Config)
 	return pq
 }
 
@@ -111,6 +154,6 @@ type GlobalHeapPQ[V any] struct {
 // the options only WithMetrics applies.
 func NewGlobalHeapPQ[V any](opts ...Option) *GlobalHeapPQ[V] {
 	pq := new(GlobalHeapPQ[V])
-	pq.q, pq.metrics = NewGlobalLockHeap[int64, V](opts...).h, resolve(opts).metrics
+	pq.q = NewGlobalLockHeap[int64, V](opts...).h
 	return pq
 }

@@ -46,16 +46,14 @@ type Ordered interface {
 // Queue is a concurrent priority queue with unique keys. All methods are
 // safe for concurrent use by any number of goroutines. Construct with New.
 type Queue[K Ordered, V any] struct {
-	q       *core.Queue[K, V]
-	metrics bool
+	q *core.Queue[K, V]
 }
 
 // Option configures a Queue or PQ.
 type Option func(*options)
 
 // options are the resolved Options: the skiplist's own Config, plus the
-// metrics switch, which no structure sees. The skiplist family counts
-// always; the switch only decides whether Snapshot publishes the counts.
+// metrics switch, which only the heap and funnel baselines see.
 type options struct {
 	core.Config
 	metrics bool
@@ -68,15 +66,6 @@ func resolve(opts []Option) options {
 		opt(&o)
 	}
 	return o
-}
-
-// published returns read() for a queue built WithMetrics and the zero
-// Snapshot otherwise.
-func published(metrics bool, read func() Snapshot) Snapshot {
-	if !metrics {
-		return Snapshot{}
-	}
-	return read()
 }
 
 // WithRelaxed disables the timestamp ordering mechanism. DeleteMin becomes
@@ -96,11 +85,11 @@ func WithP(p float64) Option { return func(c *options) { c.P = p } }
 // reproducible.
 func WithSeed(s uint64) Option { return func(c *options) { c.Seed = s } }
 
-// WithMetrics publishes the queue's probes through Snapshot. The skiplist
-// family (Queue, PQ, ShardedPQ, SprayPQ, ElimPQ)
-// counts its events always, so its operations run the same code with and
-// without it; Heap, GlobalLockHeap and FunnelList also record
-// per-operation latency histograms, only when it is given. See
+// WithMetrics turns on the per-operation latency histograms and counters
+// of Heap, GlobalLockHeap and FunnelList, and so of GlobalHeapPQ; without
+// it their Snapshot is zero-valued. The skiplist family (Queue, PQ,
+// ShardedPQ, SprayPQ, ElimPQ) counts its events always and always
+// publishes them, so for it the option changes nothing. See
 // docs/OBSERVABILITY.md for the catalog and the overhead.
 func WithMetrics() Option { return func(c *options) { c.metrics = true } }
 
@@ -134,8 +123,8 @@ type Stats = core.Stats
 // heap and funnel baselines. Snapshots are relaxed in the same sense as
 // Stats — each probe is read atomically, but the set is not a consistent
 // cut of a concurrently mutating queue. The zero Snapshot (Enabled false)
-// is what queues built without WithMetrics return. Render with its Table
-// or String methods, or marshal it to JSON.
+// is what the heap and funnel baselines return without WithMetrics.
+// Render with its Table or String methods, or marshal it to JSON.
 type Snapshot = obs.Snapshot
 
 // Instrumented is implemented by every queue type in this package: Queue,
@@ -161,8 +150,7 @@ var (
 
 // New returns an empty queue.
 func New[K Ordered, V any](opts ...Option) *Queue[K, V] {
-	o := resolve(opts)
-	return &Queue[K, V]{q: core.New[K, V](o.Config), metrics: o.metrics}
+	return &Queue[K, V]{q: core.New[K, V](resolve(opts).Config)}
 }
 
 // Insert adds key with value. If key is already present its value is
@@ -196,8 +184,8 @@ func (q *Queue[K, V]) Relaxed() bool { return q.q.Relaxed() }
 // Stats returns a snapshot of the operation counters.
 func (q *Queue[K, V]) Stats() Stats { return q.q.Stats() }
 
-// Snapshot reads the observability probes (zero-valued without WithMetrics).
-func (q *Queue[K, V]) Snapshot() Snapshot { return published(q.metrics, q.q.ObsSnapshot) }
+// Snapshot reads the observability probes, with or without WithMetrics.
+func (q *Queue[K, V]) Snapshot() Snapshot { return q.q.ObsSnapshot() }
 
 // Keys returns the keys of all unclaimed elements in ascending order.
 // Intended for tests and debugging of quiescent queues; under concurrency
